@@ -242,9 +242,13 @@ def sample(copula, rho, theta, nu, n, seed, fmt, output):
     if n < 1:
         raise click.UsageError(f"--n must be >= 1, got {n}")
     try:
-        sample_set = sample_sum(spec, n, RandomSource(seed))
+        rng = RandomSource(seed)
     except DomainError as exc:
         raise click.UsageError(f"--seed invalid: {exc}")
+    try:
+        sample_set = sample_sum(spec, n, rng)
+    except DomainError as exc:
+        raise click.ClickException(str(exc))
     meta = _spec_meta("sample", spec, n=n, seed=seed)
     _emit(
         meta,

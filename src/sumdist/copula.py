@@ -259,11 +259,19 @@ def spec_from_rho(family: CopulaFamily, rho: float, nu: float = 4.0) -> CopulaSp
 # ---------------------------------------------------------------------------
 
 
-def _axis_coordinate(spec: CopulaSpec, u: float) -> float:
-    """Per-axis transform feeding the density kernel (scalar)."""
+def _axis_coordinate(spec: CopulaSpec, u):
+    """Per-axis transform feeding the density kernel (scalar or array ``u``).
+
+    Arrays go through the array kernels, scalars through the scalar
+    functions; both give the same bits for the same value.
+    """
     if spec.family is CopulaFamily.GAUSS:
+        if np.ndim(u):
+            return specfun.std_normal_inv_cdf_array(u)
         return specfun.std_normal_inv_cdf(u)
     if spec.family is CopulaFamily.STUDENT_T:
+        if np.ndim(u):
+            return specfun.student_t_inv_cdf_array(u, spec.nu)
         return specfun.student_t_inv_cdf(u, spec.nu)
     return u
 
@@ -366,7 +374,9 @@ def _density_from_coords(spec: CopulaSpec, c1, c2):
     return _frank_kernel(spec.theta, c1, c2)
 
 
-def _clamp_u(u: float) -> float:
+def _clamp_u(u):
+    if np.ndim(u):
+        return np.clip(u, UEPS, 1.0 - UEPS)
     return min(max(u, UEPS), 1.0 - UEPS)
 
 

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-__all__ = ["KahanAccumulator", "kahan_sum", "kahan_cumsum_rows", "fsum_matrix", "antidiagonal_sums"]
+__all__ = ["KahanAccumulator", "kahan_cumsum_rows", "fsum_matrix", "antidiagonal_sums"]
 
 
 class KahanAccumulator:
@@ -29,14 +29,6 @@ class KahanAccumulator:
     @property
     def value(self) -> np.ndarray:
         return self._sum
-
-
-def kahan_sum(values) -> float:
-    """Compensated sum of a 1-D sequence, left to right."""
-    acc = KahanAccumulator()
-    for v in np.asarray(values, dtype=float):
-        acc.add(v)
-    return float(acc.value)
 
 
 def kahan_cumsum_rows(matrix: np.ndarray) -> np.ndarray:

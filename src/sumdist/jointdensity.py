@@ -44,23 +44,15 @@ def joint_pdf(model: JointDensityModel, x: float, y: float) -> float:
 def _grid_on_axes(model: JointDensityModel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Joint density on the outer product of two axis-point arrays.
 
-    The per-axis quantile transforms run once per distinct coordinate, so an
-    n x n grid costs O(n) scalar special-function calls plus vectorized
-    elementary operations.
+    The per-axis transforms run once per axis through the array kernels of
+    :mod:`sumdist.specfun`, so an n x n grid costs O(n) special-function
+    evaluations plus vectorized elementary operations.
     """
     spec = model.spec
-
-    def transformed(axis: np.ndarray) -> np.ndarray:
-        return np.array(
-            [_axis_coordinate(spec, _clamp_u(specfun.std_normal_cdf(float(v)))) for v in axis]
-        )
-
-    c1 = transformed(xs)[:, None]
-    c2 = transformed(ys)[None, :]
+    c1 = _axis_coordinate(spec, _clamp_u(specfun.std_normal_cdf_array(xs)))[:, None]
+    c2 = _axis_coordinate(spec, _clamp_u(specfun.std_normal_cdf_array(ys)))[None, :]
     dens = np.asarray(_density_from_coords(spec, c1, c2), dtype=float)
-    phi_x = np.array([specfun.std_normal_pdf(float(v)) for v in xs])
-    phi_y = np.array([specfun.std_normal_pdf(float(v)) for v in ys])
-    weight = np.outer(phi_x, phi_y)
+    weight = np.outer(specfun.std_normal_pdf_array(xs), specfun.std_normal_pdf_array(ys))
     out = dens * weight
     out[weight < _UNDERFLOW_FLOOR] = 0.0
     return out

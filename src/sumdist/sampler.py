@@ -197,18 +197,22 @@ def _correlated_normal_pair(rng: RandomSource, rho: float, m: int) -> tuple[np.n
 
 def _chunk_gauss(spec: CopulaSpec, rng: RandomSource, m: int) -> np.ndarray:
     x, y = _correlated_normal_pair(rng, spec.rho, m)
-    u1 = np.array([specfun.std_normal_cdf(float(v)) for v in x])
-    u2 = np.array([specfun.std_normal_cdf(float(v)) for v in y])
-    return np.column_stack([u1, u2])
+    return specfun.std_normal_cdf_array(np.column_stack([x, y]))
 
 
 def _chunk_student_t(spec: CopulaSpec, rng: RandomSource, m: int) -> np.ndarray:
     x, y = _correlated_normal_pair(rng, spec.rho, m)
     w = rng.chi_square_block(spec.nu, m)
+    # at small nu a chi-square draw can underflow to 0, or to a subnormal
+    # for which nu / w overflows; the scaled pair would then be infinite
+    smallest = float(w.min())
+    if smallest == 0.0 or math.isinf(spec.nu / smallest):
+        raise DomainError(
+            f"t copula sampling failed for nu={spec.nu!r}: a chi-square draw of {smallest!r} "
+            "is too small to scale the normal pair by sqrt(nu / w)"
+        )
     scale = np.sqrt(spec.nu / w)
-    u1 = np.array([specfun.student_t_cdf(float(v), spec.nu) for v in x * scale])
-    u2 = np.array([specfun.student_t_cdf(float(v), spec.nu) for v in y * scale])
-    return np.column_stack([u1, u2])
+    return specfun.student_t_cdf_array(np.column_stack([x * scale, y * scale]), spec.nu)
 
 
 def _chunk_clayton(spec: CopulaSpec, rng: RandomSource, m: int) -> np.ndarray:
@@ -296,12 +300,14 @@ def sample_sum(spec: CopulaSpec, n: int, rng: RandomSource) -> SampleSet:
     """(x, y) pairs with standard normal margins and copula dependence.
 
     The uniform pairs of :func:`sample_copula` are pushed through the normal
-    quantile transform.
+    quantile transform, one block of pairs at a time so the kernel's
+    temporaries stay bounded for large n.
     """
-    uv = sample_copula(spec, n, rng)
-    x = np.array([specfun.std_normal_inv_cdf(float(u)) for u in uv[:, 0]])
-    y = np.array([specfun.std_normal_inv_cdf(float(u)) for u in uv[:, 1]])
-    return SampleSet(pairs=np.column_stack([x, y]), spec=spec, seed=rng.seed, n=n)
+    pairs = sample_copula(spec, n, rng)
+    for start in range(0, n, CHUNK_PAIRS):
+        block = pairs[start : start + CHUNK_PAIRS]
+        block[:] = specfun.std_normal_inv_cdf_array(block)
+    return SampleSet(pairs=pairs, spec=spec, seed=rng.seed, n=n)
 
 
 def empirical_cdf(samples: SampleSet, z_values) -> DistributionTable:

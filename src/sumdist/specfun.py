@@ -1,8 +1,8 @@
-"""Scalar special functions built from elementary operations only.
+"""Special functions built from elementary operations only: scalars and array kernels.
 
 Everything here is implemented from scratch on top of ``math`` (exp, log,
-sqrt, asin, pow); no external math library is used.  All functions are pure,
-stateless, deterministic scalar maps and may be called concurrently without
+log1p, sqrt, asin, pow); no external math library is used.  All functions
+are pure, stateless and deterministic and may be called concurrently without
 restriction.  Domain violations raise :class:`DomainError` instead of
 returning NaN.
 
@@ -15,11 +15,30 @@ suite):
 * ``ln_gamma``            relative error <= 1e-13 (Lanczos, g = 7)
 * ``reg_incomplete_beta`` absolute error <= 1e-12 (Lentz continued fraction)
 * ``debye1``              absolute error <= 1e-10 (adaptive Simpson)
+
+Array kernels.  ``std_normal_pdf_array``, ``std_normal_cdf_array``,
+``std_normal_inv_cdf_array``, ``student_t_cdf_array`` and
+``student_t_inv_cdf_array`` take an array of any shape and return, for every
+element, the same bits as the scalar function, and raise ``DomainError``
+where it would.  They share the pure-arithmetic cores with the scalars (the
+erf and erfc rationals, Acklam's polynomials); each lane takes the scalar's
+branch, and the iterative ones (the incomplete-beta continued fraction, the
+Newton quantile) leave their loop at the iteration where the scalar would.
+numpy supplies only +, -, *, /, sqrt, floor, abs and comparisons, which are
+correctly rounded everywhere.  exp, log and log1p still come from ``math``,
+one element at a time: numpy's vectorized exp and log are not libm's and
+differ from it in the last bit for some arguments, which would change the
+tables and samples built on these functions.
+
+The scalar functions remain for scalar callers, where a one-element array
+would cost far more than the scalar call, and as the tests' reference.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -27,9 +46,14 @@ __all__ = [
     "std_normal_pdf",
     "std_normal_cdf",
     "std_normal_inv_cdf",
+    "std_normal_pdf_array",
+    "std_normal_cdf_array",
+    "std_normal_inv_cdf_array",
     "student_t_pdf",
     "student_t_cdf",
     "student_t_inv_cdf",
+    "student_t_cdf_array",
+    "student_t_inv_cdf_array",
     "bivariate_t_pdf",
     "ln_gamma",
     "reg_incomplete_beta",
@@ -38,6 +62,22 @@ __all__ = [
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _INV_SQRT_2 = 1.0 / math.sqrt(2.0)
+
+
+def _elementwise(fn, a: np.ndarray) -> np.ndarray:
+    """``fn`` from ``math`` applied to each element of the 1-D array ``a``."""
+    return np.fromiter(map(fn, a.tolist()), float, a.size)
+
+
+def _flat(x) -> tuple[np.ndarray, tuple]:
+    arr = np.asarray(x, dtype=float)
+    return arr.ravel(), arr.shape
+
+
+def _require(ok: np.ndarray, flat: np.ndarray, message: str) -> None:
+    """Raise ``DomainError`` naming the first element where ``ok`` is false."""
+    if not ok.all():
+        raise DomainError(f"{message}, got {float(flat[~ok][0])!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -99,21 +139,18 @@ _ERF_Q = (
 _INV_SQRT_PI = 5.6418958354775628695e-1
 
 
-def _erfc_positive(y: float) -> float:
-    """erfc(y) for y >= 0.46875; callers handle the small-|y| erf branch."""
-    if y > 26.5:
-        return 0.0
-    # split exp(-y^2) so the large-argument exponential keeps full precision
-    ysq = math.floor(y * 16.0) / 16.0
-    delta = (y - ysq) * (y + ysq)
-    escale = math.exp(-ysq * ysq) * math.exp(-delta)
-    if y <= 4.0:
-        num = _ERF_C[8] * y
-        den = y
-        for i in range(7):
-            num = (num + _ERF_C[i]) * y
-            den = (den + _ERF_D[i]) * y
-        return escale * (num + _ERF_C[7]) / (den + _ERF_D[7])
+def _erfc_mid(y, escale):
+    """erfc(y) for 0.46875 < y <= 4, given escale = exp(-y^2)."""
+    num = _ERF_C[8] * y
+    den = y
+    for i in range(7):
+        num = (num + _ERF_C[i]) * y
+        den = (den + _ERF_D[i]) * y
+    return escale * (num + _ERF_C[7]) / (den + _ERF_D[7])
+
+
+def _erfc_far(y, escale):
+    """erfc(y) for 4 < y <= 26.5, given escale = exp(-y^2)."""
     z = 1.0 / (y * y)
     num = _ERF_P[5] * z
     den = z
@@ -124,7 +161,20 @@ def _erfc_positive(y: float) -> float:
     return escale * (_INV_SQRT_PI - r) / y
 
 
-def _erf_small(x: float) -> float:
+def _erfc_positive(y: float) -> float:
+    """erfc(y) for y >= 0.46875; callers handle the small-|y| erf branch."""
+    if y > 26.5:
+        return 0.0
+    # split exp(-y^2) so the large-argument exponential keeps full precision
+    ysq = math.floor(y * 16.0) / 16.0
+    delta = (y - ysq) * (y + ysq)
+    escale = math.exp(-ysq * ysq) * math.exp(-delta)
+    if y <= 4.0:
+        return _erfc_mid(y, escale)
+    return _erfc_far(y, escale)
+
+
+def _erf_small(x):
     """erf(x) for |x| <= 0.46875 (odd by construction)."""
     z = x * x
     num = _ERF_A[4] * z
@@ -192,22 +242,28 @@ _INV_D = (
 _P_LOW = 0.02425
 
 
-def _acklam(p: float) -> float:
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (
-            ((((_INV_C[0] * q + _INV_C[1]) * q + _INV_C[2]) * q + _INV_C[3]) * q + _INV_C[4]) * q + _INV_C[5]
-        ) / ((((_INV_D[0] * q + _INV_D[1]) * q + _INV_D[2]) * q + _INV_D[3]) * q + 1.0)
-    if p > 1.0 - _P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(
-            ((((_INV_C[0] * q + _INV_C[1]) * q + _INV_C[2]) * q + _INV_C[3]) * q + _INV_C[4]) * q + _INV_C[5]
-        ) / ((((_INV_D[0] * q + _INV_D[1]) * q + _INV_D[2]) * q + _INV_D[3]) * q + 1.0)
-    q = p - 0.5
+def _acklam_tail(q):
+    """Acklam's lower-tail rational in q = sqrt(-2 ln p); negate for the upper tail."""
+    return (
+        ((((_INV_C[0] * q + _INV_C[1]) * q + _INV_C[2]) * q + _INV_C[3]) * q + _INV_C[4]) * q + _INV_C[5]
+    ) / ((((_INV_D[0] * q + _INV_D[1]) * q + _INV_D[2]) * q + _INV_D[3]) * q + 1.0)
+
+
+def _acklam_central(q):
+    """Acklam's central rational in q = p - 1/2."""
     r = q * q
     return (
         (((((_INV_A[0] * r + _INV_A[1]) * r + _INV_A[2]) * r + _INV_A[3]) * r + _INV_A[4]) * r + _INV_A[5]) * q
     ) / (((((_INV_B[0] * r + _INV_B[1]) * r + _INV_B[2]) * r + _INV_B[3]) * r + _INV_B[4]) * r + 1.0)
+
+
+def _acklam(p: float) -> float:
+    if p < _P_LOW:
+        return _acklam_tail(math.sqrt(-2.0 * math.log(p)))
+    if p > 1.0 - _P_LOW:
+        # IEEE division rounds symmetrically, so -(n / d) == (-n) / d
+        return -_acklam_tail(math.sqrt(-2.0 * math.log(1.0 - p)))
+    return _acklam_central(p - 0.5)
 
 
 def std_normal_inv_cdf(p: float) -> float:
@@ -227,6 +283,71 @@ def std_normal_inv_cdf(p: float) -> float:
     if math.isfinite(u):
         x = x - u / (1.0 + 0.5 * x * u)
     return x
+
+
+def _erfc_positive_flat(y: np.ndarray) -> np.ndarray:
+    """:func:`_erfc_positive` for each element of ``y``."""
+    out = np.zeros_like(y)
+    live = y <= 26.5
+    y = y[live]
+    ysq = np.floor(y * 16.0) / 16.0
+    delta = (y - ysq) * (y + ysq)
+    escale = _elementwise(math.exp, -ysq * ysq) * _elementwise(math.exp, -delta)
+    mid = y <= 4.0
+    far = ~mid
+    res = np.empty_like(y)
+    res[mid] = _erfc_mid(y[mid], escale[mid])
+    res[far] = _erfc_far(y[far], escale[far])
+    out[live] = res
+    return out
+
+
+def _std_normal_cdf_flat(x: np.ndarray) -> np.ndarray:
+    y = x * _INV_SQRT_2
+    ay = np.abs(y)
+    out = np.empty_like(x)
+    small = ay <= 0.46875
+    out[small] = 0.5 + 0.5 * _erf_small(y[small])
+    big = ~small
+    tail = 0.5 * _erfc_positive_flat(ay[big])
+    out[big] = np.where(x[big] < 0.0, tail, 1.0 - tail)
+    return out
+
+
+def std_normal_pdf_array(x) -> np.ndarray:
+    """:func:`std_normal_pdf` of each element of ``x``, in the shape of ``x``."""
+    flat, shape = _flat(x)
+    _require(np.isfinite(flat), flat, "std_normal_pdf requires finite x")
+    # x * x overflows to inf for huge finite x, as a Python float does
+    with np.errstate(over="ignore"):
+        arg = -0.5 * flat * flat
+    return (_elementwise(math.exp, arg) / _SQRT_2PI).reshape(shape)
+
+
+def std_normal_cdf_array(x) -> np.ndarray:
+    """:func:`std_normal_cdf` of each element of ``x``, in the shape of ``x``."""
+    flat, shape = _flat(x)
+    _require(np.isfinite(flat), flat, "std_normal_cdf requires finite x")
+    return _std_normal_cdf_flat(flat).reshape(shape)
+
+
+def std_normal_inv_cdf_array(p) -> np.ndarray:
+    """:func:`std_normal_inv_cdf` of each element of ``p``, in the shape of ``p``."""
+    flat, shape = _flat(p)
+    _require((flat > 0.0) & (flat < 1.0), flat, "std_normal_inv_cdf requires 0 < p < 1")
+    x = np.empty_like(flat)
+    low = flat < _P_LOW
+    high = flat > 1.0 - _P_LOW
+    central = ~(low | high)
+    x[low] = _acklam_tail(np.sqrt(-2.0 * _elementwise(math.log, flat[low])))
+    x[high] = -_acklam_tail(np.sqrt(-2.0 * _elementwise(math.log, 1.0 - flat[high])))
+    x[central] = _acklam_central(flat[central] - 0.5)
+    e = _std_normal_cdf_flat(x) - flat
+    u = e * _SQRT_2PI * _elementwise(math.exp, 0.5 * x * x)
+    step = np.isfinite(u)
+    xs, us = x[step], u[step]
+    x[step] = xs - us / (1.0 + 0.5 * xs * us)
+    return x.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +462,66 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     raise DomainError(f"incomplete beta continued fraction failed to converge (a={a}, b={b}, x={x})")
 
 
+def _floor_abs(v: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(v) < _BETA_FPMIN, _BETA_FPMIN, v)
+
+
+def _beta_cf_flat(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """:func:`_beta_cf` for each element of ``x``.
+
+    Every lane runs the scalar's modified Lentz steps and leaves the loop at
+    the iteration where the scalar would return.
+    """
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    out = np.empty_like(x)
+    lane = np.arange(x.size)
+    c = np.ones_like(x)
+    d = 1.0 / _floor_abs(1.0 - qab * x / qap)
+    h = d
+    for m in range(1, _BETA_MAXIT + 1):
+        if not lane.size:
+            return out
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 / _floor_abs(1.0 + aa * d)
+        c = _floor_abs(1.0 + aa / c)
+        h = h * (d * c)
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 / _floor_abs(1.0 + aa * d)
+        c = _floor_abs(1.0 + aa / c)
+        de = d * c
+        h = h * de
+        done = np.abs(de - 1.0) <= _BETA_EPS
+        out[lane[done]] = h[done]
+        live = ~done
+        lane, x, c, d, h = lane[live], x[live], c[live], d[live], h[live]
+    if lane.size:
+        raise DomainError(
+            f"incomplete beta continued fraction failed to converge (a={a}, b={b}, x={float(x[0])})"
+        )
+    return out
+
+
+def _reg_incomplete_beta_flat(x: np.ndarray, a: float, b: float) -> np.ndarray:
+    """:func:`reg_incomplete_beta` for each element of ``x`` in [0, 1]."""
+    out = np.where(x == 1.0, 1.0, 0.0)
+    inner = (x > 0.0) & (x < 1.0)
+    if not inner.any():
+        return out
+    x = x[inner]
+    ln_front = a * _elementwise(math.log, x) + b * _elementwise(math.log1p, -x) - _ln_beta(a, b)
+    front = _elementwise(math.exp, ln_front)
+    direct = x < (a + 1.0) / (a + b + 2.0)
+    mirrored = ~direct
+    res = np.empty_like(x)
+    res[direct] = front[direct] * _beta_cf_flat(a, b, x[direct]) / a
+    res[mirrored] = 1.0 - front[mirrored] * _beta_cf_flat(b, a, 1.0 - x[mirrored]) / b
+    out[inner] = res
+    return out
+
+
 def reg_incomplete_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta I_x(a, b) for x in [0, 1], a > 0, b > 0."""
     if not (a > 0.0 and b > 0.0):
@@ -433,6 +614,78 @@ def student_t_inv_cdf(p: float, nu: float) -> float:
             break
         x = x_new
     return x if p > 0.5 else -x
+
+
+def _student_t_pdf_flat(x: np.ndarray, nu: float) -> np.ndarray:
+    ln_c = ln_gamma(0.5 * (nu + 1.0)) - ln_gamma(0.5 * nu) - 0.5 * math.log(math.pi * nu)
+    with np.errstate(over="ignore"):
+        q = x * x / nu
+    return _elementwise(math.exp, ln_c - 0.5 * (nu + 1.0) * _elementwise(math.log1p, q))
+
+
+def _student_t_cdf_flat(x: np.ndarray, nu: float) -> np.ndarray:
+    # x == 0 needs no branch of its own: it takes the I_0 = 0 path to 0.5
+    with np.errstate(over="ignore"):
+        xsq = x * x
+    half_tail = np.empty_like(x)
+    tail = xsq >= nu
+    core = ~tail
+    half_tail[tail] = 0.5 * _reg_incomplete_beta_flat(nu / (nu + xsq[tail]), 0.5 * nu, 0.5)
+    xc = xsq[core]
+    half_tail[core] = 0.5 * (1.0 - _reg_incomplete_beta_flat(xc / (nu + xc), 0.5, 0.5 * nu))
+    return np.where(x < 0.0, half_tail, 1.0 - half_tail)
+
+
+def student_t_cdf_array(x, nu: float) -> np.ndarray:
+    """:func:`student_t_cdf` of each element of ``x``, in the shape of ``x``."""
+    if not (nu > 0.0):
+        raise DomainError(f"student_t_cdf requires nu > 0, got {nu!r}")
+    flat, shape = _flat(x)
+    _require(np.isfinite(flat), flat, "student_t_cdf requires finite x")
+    return _student_t_cdf_flat(flat, nu).reshape(shape)
+
+
+def student_t_inv_cdf_array(p, nu: float) -> np.ndarray:
+    """:func:`student_t_inv_cdf` of each element of ``p``, in the shape of ``p``.
+
+    Each lane runs the scalar's bracket growth and safeguarded Newton steps
+    and stops where the scalar would.
+    """
+    if not (nu > 0.0):
+        raise DomainError(f"student_t_inv_cdf requires nu > 0, got {nu!r}")
+    flat, shape = _flat(p)
+    _require((flat > 0.0) & (flat < 1.0), flat, "student_t_inv_cdf requires 0 < p < 1")
+    pu = np.where(flat > 0.5, flat, 1.0 - flat)
+    lo = np.zeros_like(flat)
+    hi = np.full_like(flat, 2.0)
+    act = np.flatnonzero(flat != 0.5)
+    grow = act
+    while grow.size:
+        grow = grow[_student_t_cdf_flat(hi[grow], nu) < pu[grow]]
+        lo[grow] = hi[grow]
+        hi[grow] *= 4.0
+        grow = grow[hi[grow] <= 1e300]
+    x = 0.5 * (lo + hi)
+    for _ in range(200):
+        if not act.size:
+            break
+        xa = x[act]
+        f = _student_t_cdf_flat(xa, nu) - pu[act]
+        above = f > 0.0
+        hi[act[above]] = xa[above]
+        lo[act[~above]] = xa[~above]
+        live = ~(np.abs(f) <= 1e-13)
+        act, xa, f = act[live], xa[live], f[live]
+        x_new = xa - f / _student_t_pdf_flat(xa, nu)
+        la, ha = lo[act], hi[act]
+        outside = ~((la < x_new) & (x_new < ha))
+        x_new[outside] = 0.5 * (la[outside] + ha[outside])
+        moved = x_new != xa
+        act = act[moved]
+        x[act] = x_new[moved]
+    x = np.where(flat > 0.5, x, -x)
+    x[flat == 0.5] = 0.0
+    return x.reshape(shape)
 
 
 def bivariate_t_pdf(x: float, y: float, rho: float, nu: float) -> float:

@@ -152,6 +152,25 @@ class TestSample:
         result = runner.invoke(main, ["sample", "--copula", "gauss", "--rho", "0.3", "--n", "0"])
         assert result.exit_code == 2
 
+    def test_bad_seed_is_usage_error(self, runner, tmp_path):
+        result = runner.invoke(
+            main, ["sample", "--copula", "gauss", "--rho", "0.3", "--n", "10", "--seed", "-1", "--output", str(tmp_path / "s.csv")]
+        )
+        assert result.exit_code == 2
+        assert "--seed invalid" in result.output
+
+    def test_numerical_failure_is_not_blamed_on_seed(self, runner, tmp_path):
+        # at nu = 0.01 some chi-square draws underflow to 0
+        out = tmp_path / "s.csv"
+        result = runner.invoke(
+            main,
+            ["sample", "--copula", "t", "--rho", "0.5", "--nu", "0.01", "--n", "2000", "--seed", "1", "--output", str(out)],
+        )
+        assert result.exit_code == 1
+        assert "nu=0.01" in result.output
+        assert "--seed" not in result.output
+        assert not out.exists()
+
 
 class TestDensity:
     def test_grid_rows_x_major(self, runner, tmp_path):

@@ -13,11 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from sumdist import specfun
 from sumdist.copula import CopulaFamily, CopulaSpec, spec_from_rho, tau_from_pearson_rho
 from sumdist.errors import DomainError
 from sumdist.sampler import (
     RandomSource,
     SampleSet,
+    _chunk_gauss,
+    _chunk_student_t,
+    _correlated_normal_pair,
     _frank_conditional,
     _frank_invert,
     empirical_cdf,
@@ -198,6 +202,38 @@ class TestSampleSum:
         ss = normal_margin_sample_1e5(CopulaFamily.CLAYTON)
         assert ss.seed == SEED and ss.n == 10**5
         assert ss.spec.family is CopulaFamily.CLAYTON
+
+
+class TestArrayTransforms:
+    """The array kernels give the bits of the scalar per-element loops."""
+
+    @staticmethod
+    def _assert_bitwise(got, expected):
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_sample_sum_matches_scalar_quantile_loop(self, family):
+        spec = spec_from_rho(family, 0.9, 4.0)
+        uv = sample_copula(spec, 3000, RandomSource(SEED))
+        expected = np.array([[specfun.std_normal_inv_cdf(float(u)) for u in row] for row in uv])
+        self._assert_bitwise(sample_sum(spec, 3000, RandomSource(SEED)).pairs, expected)
+
+    def test_gauss_chunk_matches_scalar_cdf_loop(self):
+        spec = CopulaSpec.gauss(0.9)
+        x, y = _correlated_normal_pair(RandomSource(SEED, 3), spec.rho, 3000)
+        expected = np.array([[specfun.std_normal_cdf(float(a)), specfun.std_normal_cdf(float(b))] for a, b in zip(x, y)])
+        self._assert_bitwise(_chunk_gauss(spec, RandomSource(SEED, 3), 3000), expected)
+
+    @pytest.mark.parametrize("nu", [1.5, 4.0])
+    def test_student_t_chunk_matches_scalar_cdf_loop(self, nu):
+        spec = CopulaSpec.student_t(0.9, nu)
+        rng = RandomSource(SEED, 3)
+        x, y = _correlated_normal_pair(rng, spec.rho, 3000)
+        scale = np.sqrt(nu / rng.chi_square_block(nu, 3000))
+        expected = np.array(
+            [[specfun.student_t_cdf(float(a), nu), specfun.student_t_cdf(float(b), nu)] for a, b in zip(x * scale, y * scale)]
+        )
+        self._assert_bitwise(_chunk_student_t(spec, RandomSource(SEED, 3), 3000), expected)
 
 
 class TestEmpiricalCdf:

@@ -1,27 +1,36 @@
-"""Scalar special function tests.
+"""Special function tests: the scalar functions and their array kernels.
 
 Expected values marked as oracle-frozen were computed with mpmath at 40
 significant digits (see the exact expressions in comments); the library
-itself never touches mpmath.
+itself never touches mpmath.  The array kernels are checked bit for bit
+against the scalar functions.
 """
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumdist.errors import DomainError
 from sumdist.specfun import (
+    _INV_SQRT_2,
+    _P_LOW,
     bivariate_t_pdf,
     debye1,
     ln_gamma,
     reg_incomplete_beta,
     std_normal_cdf,
+    std_normal_cdf_array,
     std_normal_inv_cdf,
+    std_normal_inv_cdf_array,
     std_normal_pdf,
+    std_normal_pdf_array,
     student_t_cdf,
+    student_t_cdf_array,
     student_t_inv_cdf,
+    student_t_inv_cdf_array,
     student_t_pdf,
 )
 
@@ -349,3 +358,119 @@ class TestDebye1:
     def test_domain(self):
         with pytest.raises(DomainError):
             debye1(0.0)
+
+
+# ---------------------------------------------------------------------------
+# array kernels: bitwise equal to the scalar functions
+# ---------------------------------------------------------------------------
+
+_NUS = (0.5, 1.0, 2.5, 4.0, 30.0, 200.0)
+
+
+def _with_neighbours(values) -> np.ndarray:
+    v = np.asarray(values, dtype=float)
+    return np.concatenate([v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)])
+
+
+def _assert_bitwise(kernel, scalar, values) -> None:
+    values = np.asarray(values, dtype=float)
+    expected = np.array([scalar(float(v)) for v in values.ravel()]).reshape(values.shape)
+    got = kernel(values)
+    assert got.shape == values.shape
+    np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def _normal_points() -> np.ndarray:
+    rng = np.random.default_rng(7001)
+    # branch edges of Phi: |x|/sqrt(2) = 0.46875 (erf/erfc), 4 (erfc
+    # rationals) and 26.5 (tail flushed to 0), from both sides
+    edges = _with_neighbours([v / _INV_SQRT_2 for v in (0.46875, 4.0, 26.5)])
+    return np.concatenate(
+        [rng.normal(0.0, 3.0, 60_000), rng.uniform(-40.0, 40.0, 40_000), edges, -edges, [0.0, -0.0]]
+    )
+
+
+def _probability_points() -> np.ndarray:
+    rng = np.random.default_rng(7002)
+    edges = _with_neighbours([_P_LOW, 1.0 - _P_LOW, 0.5, 1e-300])
+    return np.concatenate(
+        [
+            rng.uniform(0.0, 1.0, 60_000),
+            10.0 ** rng.uniform(-300.0, -1.0, 20_000),
+            1.0 - 10.0 ** rng.uniform(-16.0, -1.0, 20_000),
+            edges,
+            [1.0 - 2.0**-53],
+        ]
+    )
+
+
+def _t_points(nu: float) -> np.ndarray:
+    rng = np.random.default_rng(int(nu * 10))
+    # x^2 = nu switches between the tail and the core beta argument
+    edges = _with_neighbours([math.sqrt(nu)])
+    return np.concatenate(
+        [rng.standard_t(nu, 15_000), rng.uniform(-60.0, 60.0, 2_000), edges, -edges, [0.0, -0.0, 1e200, -1e-200]]
+    )
+
+
+class TestArrayKernels:
+    def test_normal_pdf_bitwise(self):
+        _assert_bitwise(std_normal_pdf_array, std_normal_pdf, np.append(_normal_points(), 1e200))
+
+    def test_normal_cdf_bitwise(self):
+        _assert_bitwise(std_normal_cdf_array, std_normal_cdf, _normal_points())
+
+    def test_normal_inv_cdf_bitwise(self):
+        _assert_bitwise(std_normal_inv_cdf_array, std_normal_inv_cdf, _probability_points())
+
+    @pytest.mark.parametrize("nu", _NUS)
+    def test_t_cdf_bitwise(self, nu):
+        _assert_bitwise(
+            lambda a: student_t_cdf_array(a, nu), lambda v: student_t_cdf(v, nu), _t_points(nu)
+        )
+
+    @pytest.mark.parametrize("nu", _NUS)
+    def test_t_inv_cdf_bitwise(self, nu):
+        rng = np.random.default_rng(int(nu * 100))
+        p = np.concatenate([rng.uniform(0.0, 1.0, 400), [0.5, 1e-12, 1.0 - 1e-12, 1e-300, 1.0 - 2.0**-53]])
+        _assert_bitwise(
+            lambda a: student_t_inv_cdf_array(a, nu), lambda v: student_t_inv_cdf(v, nu), p
+        )
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [std_normal_pdf_array, std_normal_cdf_array, lambda a: student_t_cdf_array(a, 4.0)],
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x_raises(self, kernel, bad):
+        with pytest.raises(DomainError):
+            kernel(np.array([0.1, bad, 0.3]))
+
+    @pytest.mark.parametrize(
+        "kernel", [std_normal_inv_cdf_array, lambda a: student_t_inv_cdf_array(a, 4.0)]
+    )
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5, math.nan])
+    def test_p_outside_unit_interval_raises(self, kernel, bad):
+        with pytest.raises(DomainError):
+            kernel(np.array([0.3, bad]))
+
+    @pytest.mark.parametrize("kernel", [student_t_cdf_array, student_t_inv_cdf_array])
+    @pytest.mark.parametrize("nu", [0.0, -1.0, math.nan])
+    def test_nonpositive_nu_raises(self, kernel, nu):
+        with pytest.raises(DomainError):
+            kernel(np.array([0.3]), nu)
+
+    @pytest.mark.parametrize(
+        "kernel, scalar",
+        [
+            (std_normal_pdf_array, std_normal_pdf),
+            (std_normal_cdf_array, std_normal_cdf),
+            (std_normal_inv_cdf_array, std_normal_inv_cdf),
+            (lambda a: student_t_cdf_array(a, 4.0), lambda v: student_t_cdf(v, 4.0)),
+            (lambda a: student_t_inv_cdf_array(a, 4.0), lambda v: student_t_inv_cdf(v, 4.0)),
+        ],
+    )
+    def test_shape_kept(self, kernel, scalar):
+        assert kernel(np.empty(0)).shape == (0,)
+        assert kernel(np.empty((0, 3))).shape == (0, 3)
+        _assert_bitwise(kernel, scalar, np.linspace(0.05, 0.95, 12).reshape(3, 4))
