@@ -31,19 +31,6 @@ _FAMILIES = {f.value: f for f in CopulaFamily}
 _FLOAT_FMT = "%.17g"
 
 
-def _worker_count() -> int:
-    env = os.environ.get("SUMDIST_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise click.UsageError(f"SUMDIST_THREADS must be an integer, got {env!r}")
-        if n < 1:
-            raise click.UsageError(f"SUMDIST_THREADS must be >= 1, got {n}")
-        return n
-    return min(4, os.cpu_count() or 1)
-
-
 def _build_spec(copula: str, rho: float | None, theta: float | None, nu: float | None) -> CopulaSpec:
     family = _FAMILIES[copula]
     if family in (CopulaFamily.GAUSS, CopulaFamily.STUDENT_T):
@@ -259,35 +246,55 @@ def sample(copula, rho, theta, nu, n, seed, fmt, output):
     )
 
 
-def _float_list(_ctx, _param, value):
+def _unit_interval_list(_ctx, _param, value):
     try:
-        return tuple(float(v) for v in value.split(","))
+        values = tuple(float(v) for v in value.split(","))
     except ValueError:
-        raise click.UsageError(f"expected a comma-separated list of numbers, got {value!r}")
+        raise click.BadParameter(f"expected a comma-separated list of numbers, got {value!r}")
+    for v in values:
+        if not (0.0 < v < 1.0):
+            raise click.BadParameter(f"values must lie in (0, 1), got {v!r}")
+    return values
+
+
+def _level_name(q: float) -> str:
+    """Column name of quantile level ``q``: ``q95`` for 0.95, ``q99.5`` for 0.995.
+
+    The name spells q in percent with every decimal digit of its shortest
+    repr, so distinct levels get distinct names.
+    """
+    from decimal import Decimal  # only sweeps need it; kept out of the CLI import
+
+    percent = (Decimal(repr(q)) * 100).normalize()
+    if percent == percent.to_integral_value():
+        return f"q{int(percent):02d}"
+    return f"q{percent:f}"
 
 
 @main.command()
 @click.option("--families", default="gauss,t,clayton,gumbel,frank", show_default=True, help="Comma-separated family list.")
-@click.option("--rhos", callback=_float_list, default="0.9,0.8,0.7,0.6,0.5,0.4,0.3,0.2,0.1", show_default=True, help="Comma-separated correlation levels.")
-@click.option("--qs", callback=_float_list, default="0.95,0.99", show_default=True, help="Comma-separated quantile levels.")
+@click.option("--rhos", callback=_unit_interval_list, default="0.9,0.8,0.7,0.6,0.5,0.4,0.3,0.2,0.1", show_default=True, help="Comma-separated correlation levels.")
+@click.option("--qs", callback=_unit_interval_list, default="0.95,0.99", show_default=True, help="Comma-separated quantile levels.")
 @click.option("--nu", type=float, default=4.0, show_default=True, help="t copula degrees of freedom.")
 @_grid_options
 @_mode_option
 @_output_options
 def sweep(families, rhos, qs, nu, half_width, step, z_min, z_max, z_step, mode, fmt, output):
-    """Quantile matrix over (family, rho) cells; parallel across cells."""
+    """Quantile matrix over (family, rho) cells."""
     try:
         fams = [_FAMILIES[name.strip()] for name in families.split(",")]
     except KeyError as exc:
         raise click.UsageError(f"--families contains an unknown family: {exc}")
+    if len(set(qs)) != len(qs):
+        raise click.UsageError(f"--qs lists a level more than once: {','.join(map(repr, qs))}")
     grid = _build_grid(half_width, step, z_min, z_max, z_step)
     table_mode = TableMode(mode)
     try:
-        reports = quantile_sweep(fams, rhos, qs, nu=nu, grid=grid, mode=table_mode, max_workers=_worker_count())
+        reports = quantile_sweep(fams, rhos, qs, nu=nu, grid=grid, mode=table_mode)
     except (DomainError, QuantileOutOfRange) as exc:
         raise click.ClickException(str(exc))
     columns: dict[str, list] = {"rho": [], "family": []}
-    q_names = [f"q{int(round(q * 100)):02d}" for q in sorted(qs)]
+    q_names = [_level_name(q) for q in sorted(qs)]
     for name in q_names:
         columns[name] = []
     for report in reports:

@@ -1,7 +1,7 @@
 """Compensated-summation primitives shared by every grid integrator.
 
 All reductions here run in a fixed serial order, so results are bitwise
-reproducible regardless of how callers parallelize around them.
+reproducible.
 """
 
 from __future__ import annotations

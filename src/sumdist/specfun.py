@@ -37,6 +37,7 @@ would cost far more than the scalar call, and as the tests' reference.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -240,6 +241,10 @@ _INV_D = (
     3.754408661907416e00,
 )
 _P_LOW = 0.02425
+# largest x for which math.exp(x) is finite.  The Halley step needs
+# exp(x^2/2), so it is skipped where Acklam's x lies below -37.677, which
+# happens for p below about 5.9e-311.
+_EXP_ARG_MAX = math.log(sys.float_info.max)
 
 
 def _acklam_tail(q):
@@ -278,10 +283,12 @@ def std_normal_inv_cdf(p: float) -> float:
         raise DomainError(f"std_normal_inv_cdf requires 0 < p < 1, got {p!r}")
     x = _acklam(p)
     # Halley refinement: e = Phi(x) - p, u = e / phi(x)
-    e = std_normal_cdf(x) - p
-    u = e * _SQRT_2PI * math.exp(0.5 * x * x)
-    if math.isfinite(u):
-        x = x - u / (1.0 + 0.5 * x * u)
+    half_sq = 0.5 * x * x
+    if half_sq <= _EXP_ARG_MAX:
+        e = std_normal_cdf(x) - p
+        u = e * _SQRT_2PI * math.exp(half_sq)
+        if math.isfinite(u):
+            x = x - u / (1.0 + 0.5 * x * u)
     return x
 
 
@@ -342,8 +349,11 @@ def std_normal_inv_cdf_array(p) -> np.ndarray:
     x[low] = _acklam_tail(np.sqrt(-2.0 * _elementwise(math.log, flat[low])))
     x[high] = -_acklam_tail(np.sqrt(-2.0 * _elementwise(math.log, 1.0 - flat[high])))
     x[central] = _acklam_central(flat[central] - 0.5)
-    e = _std_normal_cdf_flat(x) - flat
-    u = e * _SQRT_2PI * _elementwise(math.exp, 0.5 * x * x)
+    half_sq = 0.5 * x * x
+    fits = half_sq <= _EXP_ARG_MAX
+    u = np.full_like(x, np.inf)
+    e = _std_normal_cdf_flat(x[fits]) - flat[fits]
+    u[fits] = e * _SQRT_2PI * _elementwise(math.exp, half_sq[fits])
     step = np.isfinite(u)
     xs, us = x[step], u[step]
     x[step] = xs - us / (1.0 + 0.5 * xs * us)

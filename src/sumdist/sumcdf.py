@@ -16,13 +16,12 @@ Two integration modes are provided:
 
 Both modes accumulate in a fixed serial order (ascending y index, then
 ascending x index) with compensated summation, so tables are bitwise
-reproducible no matter how callers parallelize around them.
+reproducible.
 """
 
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -241,15 +240,11 @@ def quantile_sweep(
     nu: float = 4.0,
     grid: GridSpec = PAPER_GRID,
     mode: TableMode = TableMode.PAPER_EXACT,
-    max_workers: int | None = None,
 ) -> list[QuantileReport]:
     """Quantile matrix over (family, rho) cells.
 
     Archimedean parameters are derived from each rho through the rank
-    correlation pipeline (rho -> tau -> theta).  Cells are independent; with
-    ``max_workers`` > 1 they run on a thread pool, and because every cell is
-    internally deterministic the assembled result does not depend on the
-    degree of parallelism.
+    correlation pipeline (rho -> tau -> theta).
     """
     families = list(families)
     rhos = [float(r) for r in rhos]
@@ -257,16 +252,8 @@ def quantile_sweep(
     for r in rhos:
         if not (0.0 < r < 1.0):
             raise DomainError(f"sweep rho values must lie in (0, 1), got {r!r}")
-    cells = [(fam, rho) for rho in rhos for fam in families]
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(lambda c: _sweep_cell(c[0], c[1], qs, nu, grid, mode), cells))
-    else:
-        results = [_sweep_cell(fam, rho, qs, nu, grid, mode) for fam, rho in cells]
     reports = []
-    for r_idx, rho in enumerate(rhos):
-        values = {}
-        for f_idx, fam in enumerate(families):
-            values[fam.value] = results[r_idx * len(families) + f_idx]
+    for rho in rhos:
+        values = {fam.value: _sweep_cell(fam, rho, qs, nu, grid, mode) for fam in families}
         reports.append(QuantileReport(rho=rho, qs=qs, values=values))
     return reports

@@ -1,16 +1,21 @@
 """CLI contract tests: flags, exit codes, serialization round-trips."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import sumdist
 from sumdist import __version__
 from sumdist.cli import main
-from sumdist.copula import CopulaSpec
+from sumdist.copula import CopulaFamily, CopulaSpec
 from sumdist.grid import GridSpec
-from sumdist.sumcdf import cdf_paper_exact
+from sumdist.sumcdf import cdf_paper_exact, quantile_sweep
 
 
 @pytest.fixture()
@@ -205,37 +210,45 @@ class TestSweep:
         meta, header, rows = read_csv(out)
         assert header == ["rho", "family", "q95", "q99"]
         values = {r[1]: (float(r[2]), float(r[3])) for r in rows}
-        from sumdist.copula import CopulaFamily
-        from sumdist.sumcdf import quantile_sweep
-
         reports = quantile_sweep([CopulaFamily.GAUSS, CopulaFamily.CLAYTON], [0.5])
         assert values["gauss"] == reports[0].values["gauss"]
         assert values["clayton"] == reports[0].values["clayton"]
-
-    def test_thread_count_does_not_change_output(self, runner, tmp_path):
-        outputs = []
-        for threads in ("1", "5"):
-            out = tmp_path / f"sw{threads}.csv"
-            result = runner.invoke(
-                main,
-                ["sweep", "--families", "gauss,gumbel", "--rhos", "0.3,0.7", "--output", str(out)],
-                env={"SUMDIST_THREADS": threads},
-            )
-            assert result.exit_code == 0, result.output
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
 
     def test_unknown_family(self, runner):
         result = runner.invoke(main, ["sweep", "--families", "gauss,weird", "--rhos", "0.5"])
         assert result.exit_code == 2
 
-    def test_bad_threads_env(self, runner, tmp_path):
+    @pytest.mark.parametrize(
+        "qs, names",
+        [
+            ("0.951,0.954", ["q95.1", "q95.4"]),
+            ("0.99,0.995", ["q99", "q99.5"]),
+            ("0.05,0.5", ["q05", "q50"]),
+        ],
+    )
+    def test_level_columns_are_distinct_and_aligned(self, runner, tmp_path, qs, names):
+        out = tmp_path / "sw.csv"
         result = runner.invoke(
-            main,
-            ["sweep", "--families", "gauss", "--rhos", "0.5", "--output", str(tmp_path / "x.csv")],
-            env={"SUMDIST_THREADS": "zero"},
+            main, ["sweep", "--families", "gauss,clayton", "--rhos", "0.5", "--qs", qs, "--output", str(out)]
         )
+        assert result.exit_code == 0, result.output
+        _, header, rows = read_csv(out)
+        assert header == ["rho", "family", *names]
+        levels = [float(q) for q in qs.split(",")]
+        report = quantile_sweep([CopulaFamily.GAUSS, CopulaFamily.CLAYTON], [0.5], levels)[0]
+        for row in rows:
+            assert tuple(float(v) for v in row[2:]) == report.values[row[1]]
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--qs", "0.95,0.95"), ("--qs", "1.5"), ("--qs", "0"), ("--rhos", "1.5"), ("--rhos", "0.5,x")],
+    )
+    def test_bad_level_list_is_usage_error(self, runner, tmp_path, flag, value):
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, ["sweep", "--families", "gauss", flag, value, "--output", str(out)])
         assert result.exit_code == 2
+        assert flag in result.output
+        assert not out.exists()
 
 
 class TestReproduceTable2:
@@ -249,3 +262,19 @@ class TestReproduceTable2:
         assert meta["nu"] == 3.0
         gauss_09 = next(r for r in rows if r[0] == "0.90000000000000002" and r[1] == "gauss")
         assert float(gauss_09[2]) == pytest.approx(3.21, abs=0.05 + 1e-9)
+
+    def test_artifact_bytes_pinned(self, runner, tmp_path):
+        out = tmp_path / "t2.csv"
+        result = runner.invoke(main, ["reproduce-table2", "--output", str(out)])
+        assert result.exit_code == 0, result.output
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "f0605be0c42e626bb0a7e9752fb1ad7e3a91089999d5765cba8b8dd034944ed2"
+
+
+class TestImport:
+    def test_cli_import_leaves_concurrent_futures_out(self):
+        src = os.path.dirname(os.path.dirname(sumdist.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys, sumdist.cli; print('concurrent.futures' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "False"

@@ -129,6 +129,15 @@ class TestStdNormalInvCdf:
         with pytest.raises(DomainError):
             std_normal_inv_cdf(p)
 
+    @pytest.mark.parametrize("p", [1e-320, 5e-324])
+    def test_subnormal_p(self, p):
+        # exp(x^2/2) overflows here, so the Halley step is skipped
+        from scipy.stats import norm
+
+        x = std_normal_inv_cdf(p)
+        assert math.isfinite(x) and x < -37.5
+        assert x == pytest.approx(norm.ppf(p), rel=1e-8)
+
 
 class TestLnGamma:
     def test_integers(self):
@@ -399,7 +408,9 @@ def _probability_points() -> np.ndarray:
             10.0 ** rng.uniform(-300.0, -1.0, 20_000),
             1.0 - 10.0 ** rng.uniform(-16.0, -1.0, 20_000),
             edges,
-            [1.0 - 2.0**-53],
+            [1.0 - 2.0**-53, 1e-320, 5e-324],
+            # the Halley step is skipped below p of about 5.9e-311
+            10.0 ** rng.uniform(-323.0, -300.0, 2_000),
         ]
     )
 

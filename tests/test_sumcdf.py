@@ -291,11 +291,6 @@ class TestQuantileSweep:
             assert q95s[0] <= q95s[1] <= q95s[2]
             assert q95s[0] < q95s[2]
 
-    def test_threaded_sweep_matches_serial(self):
-        serial = quantile_sweep(ALL_FAMILIES, [0.3, 0.7], max_workers=1)
-        threaded = quantile_sweep(ALL_FAMILIES, [0.3, 0.7], max_workers=4)
-        assert serial == threaded
-
     def test_rejects_rho_outside_unit_interval(self):
         with pytest.raises(DomainError):
             quantile_sweep([CopulaFamily.GAUSS], [1.2])
