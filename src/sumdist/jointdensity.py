@@ -7,6 +7,8 @@ through the family kernels of :mod:`sumdist.copula`.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +23,9 @@ __all__ = ["JointDensityModel", "joint_pdf", "joint_pdf_grid"]
 # below this product of marginal densities the joint density is returned as
 # exactly 0, preventing denormal noise in grid sums
 _UNDERFLOW_FLOOR = 1e-300
+
+# the per-axis terms of the innermost open _axis_memo block, or None
+_AXIS_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar("sumdist_axis_memo", default=None)
 
 
 @dataclass(frozen=True)
@@ -41,18 +46,58 @@ def joint_pdf(model: JointDensityModel, x: float, y: float) -> float:
     return float(_density_from_coords(spec, c1, c2)) * phi_product
 
 
+@contextlib.contextmanager
+def _axis_memo():
+    """Share per-axis terms among the density grids built inside the block.
+
+    An axis transformed once is reused by every later grid in the block.
+    A nested block joins the open one, and the terms are dropped when the
+    outermost block exits, so nothing is cached across calls of the
+    library's entry points.
+    """
+    if _AXIS_MEMO.get() is not None:
+        yield
+        return
+    token = _AXIS_MEMO.set({})
+    try:
+        yield
+    finally:
+        _AXIS_MEMO.reset(token)
+
+
+def _axis_terms(spec: CopulaSpec, axis: np.ndarray, memo: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Copula coordinate and phi of each axis point, computed once per ``memo``.
+
+    The coordinate depends on the family and nu only, never on rho or
+    theta, so cells of one sweep that share them share it.
+    """
+    points = axis.tobytes()
+    if points not in memo:
+        u = _clamp_u(specfun.std_normal_cdf_array(axis))
+        memo[points] = (u, specfun.std_normal_pdf_array(axis))
+    key = (spec.family, spec.nu, points)
+    if key not in memo:
+        memo[key] = _axis_coordinate(spec, memo[points][0])
+    return memo[key], memo[points][1]
+
+
 def _grid_on_axes(model: JointDensityModel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Joint density on the outer product of two axis-point arrays.
 
-    The per-axis transforms run once per axis through the array kernels of
-    :mod:`sumdist.specfun`, so an n x n grid costs O(n) special-function
-    evaluations plus vectorized elementary operations.
+    The per-axis transforms run through the array kernels of
+    :mod:`sumdist.specfun`, once per distinct axis, and inside an open
+    :func:`_axis_memo` block once for all the grids built in it.  So an
+    n x n grid costs at most O(n) special-function evaluations plus
+    vectorized elementary operations.
     """
     spec = model.spec
-    c1 = _axis_coordinate(spec, _clamp_u(specfun.std_normal_cdf_array(xs)))[:, None]
-    c2 = _axis_coordinate(spec, _clamp_u(specfun.std_normal_cdf_array(ys)))[None, :]
-    dens = np.asarray(_density_from_coords(spec, c1, c2), dtype=float)
-    weight = np.outer(specfun.std_normal_pdf_array(xs), specfun.std_normal_pdf_array(ys))
+    memo = _AXIS_MEMO.get()
+    if memo is None:
+        memo = {}
+    c1, pdf_x = _axis_terms(spec, np.asarray(xs, dtype=float), memo)
+    c2, pdf_y = _axis_terms(spec, np.asarray(ys, dtype=float), memo)
+    dens = np.asarray(_density_from_coords(spec, c1[:, None], c2[None, :]), dtype=float)
+    weight = np.outer(pdf_x, pdf_y)
     out = dens * weight
     out[weight < _UNDERFLOW_FLOOR] = 0.0
     return out

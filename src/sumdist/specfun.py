@@ -37,7 +37,6 @@ would cost far more than the scalar call, and as the tests' reference.
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
@@ -162,9 +161,13 @@ def _erfc_far(y, escale):
     return escale * (_INV_SQRT_PI - r) / y
 
 
+# above this y, erfc(y) < 2.2e-307 is returned as 0
+_ERFC_CUTOFF = 26.5
+
+
 def _erfc_positive(y: float) -> float:
     """erfc(y) for y >= 0.46875; callers handle the small-|y| erf branch."""
-    if y > 26.5:
+    if y > _ERFC_CUTOFF:
         return 0.0
     # split exp(-y^2) so the large-argument exponential keeps full precision
     ysq = math.floor(y * 16.0) / 16.0
@@ -241,10 +244,6 @@ _INV_D = (
     3.754408661907416e00,
 )
 _P_LOW = 0.02425
-# largest x for which math.exp(x) is finite.  The Halley step needs
-# exp(x^2/2), so it is skipped where Acklam's x lies below -37.677, which
-# happens for p below about 5.9e-311.
-_EXP_ARG_MAX = math.log(sys.float_info.max)
 
 
 def _acklam_tail(q):
@@ -282,20 +281,21 @@ def std_normal_inv_cdf(p: float) -> float:
     if not (0.0 < p < 1.0):
         raise DomainError(f"std_normal_inv_cdf requires 0 < p < 1, got {p!r}")
     x = _acklam(p)
-    # Halley refinement: e = Phi(x) - p, u = e / phi(x)
-    half_sq = 0.5 * x * x
-    if half_sq <= _EXP_ARG_MAX:
+    # Halley refinement: e = Phi(x) - p, u = e / phi(x).  It is skipped
+    # where std_normal_cdf flushes Phi(x) to 0 (x below -37.477, p below
+    # about 1.1e-307): there e = -p measures the flush, not Acklam's error.
+    # Elsewhere exp(x^2/2) < 1e305, so u is finite.
+    if abs(x * _INV_SQRT_2) <= _ERFC_CUTOFF:
         e = std_normal_cdf(x) - p
-        u = e * _SQRT_2PI * math.exp(half_sq)
-        if math.isfinite(u):
-            x = x - u / (1.0 + 0.5 * x * u)
+        u = e * _SQRT_2PI * math.exp(0.5 * x * x)
+        x = x - u / (1.0 + 0.5 * x * u)
     return x
 
 
 def _erfc_positive_flat(y: np.ndarray) -> np.ndarray:
     """:func:`_erfc_positive` for each element of ``y``."""
     out = np.zeros_like(y)
-    live = y <= 26.5
+    live = y <= _ERFC_CUTOFF
     y = y[live]
     ysq = np.floor(y * 16.0) / 16.0
     delta = (y - ysq) * (y + ysq)
@@ -349,14 +349,10 @@ def std_normal_inv_cdf_array(p) -> np.ndarray:
     x[low] = _acklam_tail(np.sqrt(-2.0 * _elementwise(math.log, flat[low])))
     x[high] = -_acklam_tail(np.sqrt(-2.0 * _elementwise(math.log, 1.0 - flat[high])))
     x[central] = _acklam_central(flat[central] - 0.5)
-    half_sq = 0.5 * x * x
-    fits = half_sq <= _EXP_ARG_MAX
-    u = np.full_like(x, np.inf)
-    e = _std_normal_cdf_flat(x[fits]) - flat[fits]
-    u[fits] = e * _SQRT_2PI * _elementwise(math.exp, half_sq[fits])
-    step = np.isfinite(u)
-    xs, us = x[step], u[step]
-    x[step] = xs - us / (1.0 + 0.5 * xs * us)
+    step = np.abs(x * _INV_SQRT_2) <= _ERFC_CUTOFF
+    xs = x[step]
+    u = (_std_normal_cdf_flat(xs) - flat[step]) * _SQRT_2PI * _elementwise(math.exp, 0.5 * xs * xs)
+    x[step] = xs - u / (1.0 + 0.5 * xs * u)
     return x.reshape(shape)
 
 

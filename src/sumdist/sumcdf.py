@@ -30,8 +30,8 @@ import numpy as np
 from .copula import CopulaFamily, CopulaSpec, spec_from_rho
 from .errors import DomainError, QuantileOutOfRange
 from .grid import GridSpec, PAPER_GRID
-from .gridquad import KahanAccumulator, antidiagonal_sums, kahan_cumsum_rows
-from .jointdensity import JointDensityModel, joint_pdf_grid, _grid_on_axes
+from .gridquad import KahanAccumulator, antidiagonal_sums, kahan_cumsum, kahan_cumsum_rows
+from .jointdensity import JointDensityModel, joint_pdf_grid, _axis_memo, _grid_on_axes
 
 __all__ = [
     "TableMode",
@@ -146,23 +146,17 @@ def cdf_refined(spec: CopulaSpec, grid: GridSpec = PAPER_GRID) -> DistributionTa
     step = grid.step
     mids = grid.cell_midpoints()
     lower_edges = grid.axis_points()[:-1]
-    center = _grid_on_axes(model, mids, mids)
-    east = _grid_on_axes(model, mids, lower_edges)  # (x_i + s/2, y_j)
-    north = _grid_on_axes(model, lower_edges, mids)  # (x_i, y_j + s/2)
-
-    diag_center = antidiagonal_sums(center)
-    diag_east = antidiagonal_sums(east)
-    diag_north = antidiagonal_sums(north)
-    cum_center = np.empty(diag_center.shape)
-    acc = KahanAccumulator()
-    for s in range(diag_center.size):
-        acc.add(diag_center[s])
-        cum_center[s] = acc.value
+    # each grid is reduced as soon as it is built, so one is alive at a time
+    with _axis_memo():
+        diag_center = antidiagonal_sums(_grid_on_axes(model, mids, mids)).tolist()
+        diag_east = antidiagonal_sums(_grid_on_axes(model, mids, lower_edges)).tolist()  # (x_i + s/2, y_j)
+        diag_north = antidiagonal_sums(_grid_on_axes(model, lower_edges, mids)).tolist()  # (x_i, y_j + s/2)
+    cum_center = kahan_cumsum(diag_center)
 
     zs = grid.z_values()
     m_z = _z_lattice_indices(grid)
     raw = np.empty(zs.shape)
-    for k, m in enumerate(m_z):
+    for k, m in enumerate(m_z.tolist()):
         # cells with i + j <= m - 2 lie fully below the line y = z - x;
         # cells with i + j == m - 1 are crossed corner-to-corner and keep
         # their lower-left triangle: area s^2/2 with the 3-point
@@ -216,8 +210,9 @@ class QuantileReport:
         for fam, vals in self.values.items():
             if len(vals) != len(self.qs):
                 raise DomainError(f"{fam}: got {len(vals)} quantiles for {len(self.qs)} levels")
-            if any(b <= a for a, b in zip(vals, vals[1:])):
-                raise DomainError(f"{fam}: quantiles must increase with the level, got {vals!r}")
+            # lattice quantiles of close levels can coincide
+            if any(b < a for a, b in zip(vals, vals[1:])):
+                raise DomainError(f"{fam}: quantiles must not decrease as the level rises, got {vals!r}")
 
 
 def _sweep_cell(
@@ -244,7 +239,9 @@ def quantile_sweep(
     """Quantile matrix over (family, rho) cells.
 
     Archimedean parameters are derived from each rho through the rank
-    correlation pipeline (rho -> tau -> theta).
+    correlation pipeline (rho -> tau -> theta).  The cells share each
+    lattice axis's normal terms and copula coordinates for the duration of
+    the call.
     """
     families = list(families)
     rhos = [float(r) for r in rhos]
@@ -253,7 +250,8 @@ def quantile_sweep(
         if not (0.0 < r < 1.0):
             raise DomainError(f"sweep rho values must lie in (0, 1), got {r!r}")
     reports = []
-    for rho in rhos:
-        values = {fam.value: _sweep_cell(fam, rho, qs, nu, grid, mode) for fam in families}
-        reports.append(QuantileReport(rho=rho, qs=qs, values=values))
+    with _axis_memo():
+        for rho in rhos:
+            values = {fam.value: _sweep_cell(fam, rho, qs, nu, grid, mode) for fam in families}
+            reports.append(QuantileReport(rho=rho, qs=qs, values=values))
     return reports

@@ -239,6 +239,25 @@ class TestSweep:
         for row in rows:
             assert tuple(float(v) for v in row[2:]) == report.values[row[1]]
 
+    def test_equal_lattice_quantiles(self, runner, tmp_path):
+        # the paper-exact quantiles of these close levels fall on one lattice point
+        out = tmp_path / "sw.csv"
+        result = runner.invoke(
+            main, ["sweep", "--families", "gauss", "--rhos", "0.5", "--qs", "0.951,0.9511", "--output", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        _, header, rows = read_csv(out)
+        assert header == ["rho", "family", "q95.1", "q95.11"]
+        assert len(rows) == 1 and rows[0][2] == rows[0][3]
+
+    def test_refined_artifact_bytes_pinned(self, runner, tmp_path):
+        out = tmp_path / "ref.csv"
+        args = ["sweep", "--mode", "refined", "--step", "0.025", "--z-step", "0.025", "--rhos", "0.9,0.5,0.1"]
+        result = runner.invoke(main, [*args, "--output", str(out)])
+        assert result.exit_code == 0, result.output
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "5c0d92a6fa6d489c570e197071a37d6ca9e86b5a426fb4678ec64c30e32b2114"
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--qs", "0.95,0.95"), ("--qs", "1.5"), ("--qs", "0"), ("--rhos", "1.5"), ("--rhos", "0.5,x")],

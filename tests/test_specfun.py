@@ -131,12 +131,24 @@ class TestStdNormalInvCdf:
 
     @pytest.mark.parametrize("p", [1e-320, 5e-324])
     def test_subnormal_p(self, p):
-        # exp(x^2/2) overflows here, so the Halley step is skipped
+        # std_normal_cdf flushes Phi(x) to 0 here, so the Halley step is skipped
         from scipy.stats import norm
 
         x = std_normal_inv_cdf(p)
         assert math.isfinite(x) and x < -37.5
         assert x == pytest.approx(norm.ppf(p), rel=1e-8)
+
+    def test_tiny_p_matches_scipy(self):
+        # across the cutoff where std_normal_cdf flushes Phi(x) to 0
+        # (p ~ 1.1e-307) and the subnormal range below it
+        from scipy.stats import norm
+
+        ps = np.logspace(-323, -290, 2000)
+        ps = ps[ps > 0.0]
+        want = norm.ppf(ps)
+        scalar = np.array([std_normal_inv_cdf(float(p)) for p in ps])
+        np.testing.assert_allclose(scalar, want, rtol=1e-8, atol=0.0)
+        np.testing.assert_allclose(std_normal_inv_cdf_array(ps), want, rtol=1e-8, atol=0.0)
 
 
 class TestLnGamma:
@@ -409,8 +421,11 @@ def _probability_points() -> np.ndarray:
             1.0 - 10.0 ** rng.uniform(-16.0, -1.0, 20_000),
             edges,
             [1.0 - 2.0**-53, 1e-320, 5e-324],
-            # the Halley step is skipped below p of about 5.9e-311
+            # the Halley step is skipped below p of about 1.1e-307, where
+            # std_normal_cdf flushes Phi to 0; Acklam's x crosses that
+            # cutoff within 1e-5 relative of Phi(-26.5 sqrt 2)
             10.0 ** rng.uniform(-323.0, -300.0, 2_000),
+            1.1054538321318671e-307 * (1.0 + np.linspace(-1e-5, 1e-5, 2_001)),
         ]
     )
 

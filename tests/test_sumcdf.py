@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from sumdist import jointdensity
 from sumdist.copula import CopulaFamily, CopulaSpec, spec_from_rho
 from sumdist.errors import DomainError, QuantileOutOfRange
 from sumdist.grid import GridSpec
@@ -294,6 +295,35 @@ class TestQuantileSweep:
     def test_rejects_rho_outside_unit_interval(self):
         with pytest.raises(DomainError):
             quantile_sweep([CopulaFamily.GAUSS], [1.2])
+
+    def test_axes_transformed_once_per_sweep(self, monkeypatch):
+        calls = []
+
+        def counted(spec, u):
+            calls.append(spec.family)
+            return original(spec, u)
+
+        original = jointdensity._axis_coordinate
+        monkeypatch.setattr(jointdensity, "_axis_coordinate", counted)
+        grid = GridSpec(step=0.2, z_step=0.2)
+        rhos = (0.9, 0.5, 0.1)
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            reports = quantile_sweep([CopulaFamily.STUDENT_T], rhos, grid=grid, mode=TableMode.REFINED)
+            counts.append(len(calls))
+        # cell midpoints and lower cell edges: two distinct axes, shared
+        # across rho because the t coordinate depends on nu only
+        assert counts == [2, 2]
+        assert jointdensity._AXIS_MEMO.get() is None
+        for rho, report in zip(rhos, reports):
+            table = cdf_refined(spec_from_rho(CopulaFamily.STUDENT_T, rho), grid)
+            assert report.values["t"] == tuple(quantile(table, q) for q in report.qs)
+
+        calls.clear()
+        quantile_sweep(ALL_FAMILIES, rhos, grid=GridSpec(step=0.1, z_step=0.1))
+        # one lattice axis per family: the coordinate depends on the family
+        assert sorted(f.value for f in calls) == sorted(f.value for f in ALL_FAMILIES)
 
     def test_report_validation(self):
         with pytest.raises(DomainError):
