@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import tempfile
+from itertools import chain
 
 import click
 import numpy as np
@@ -102,17 +103,26 @@ def _fmt_float(v: float) -> str:
 
 def _serialize(meta: dict, columns: dict[str, list], fmt: str) -> bytes:
     """CSV: '# meta: {...}' comment, header row, then data rows;
-    JSON: object with 'meta' and 'data'.  Both round-trip losslessly."""
+    JSON: object with 'meta' and 'data'.  Both round-trip losslessly.
+
+    The CSV body is one format string applied once to all values.  A column
+    holding only floats gets ``%.17g``; any other column is rendered first
+    (``%.17g`` for floats, ``str`` otherwise) and gets ``%s``.
+    """
     if fmt == "json":
         payload = {"meta": meta, "data": columns}
         return (json.dumps(payload, indent=1, sort_keys=True) + "\n").encode()
-    names = list(columns)
-    rows = zip(*(columns[name] for name in names))
-    lines = ["# meta: " + json.dumps(meta, sort_keys=True)]
-    lines.append(",".join(names))
-    for row in rows:
-        lines.append(",".join(_fmt_float(v) if isinstance(v, float) else str(v) for v in row))
-    return ("\n".join(lines) + "\n").encode()
+    cols = list(columns.values())
+    tokens = []
+    for k, col in enumerate(cols):
+        if all(issubclass(t, float) for t in set(map(type, col))):
+            tokens.append(_FLOAT_FMT)
+        else:
+            cols[k] = [_fmt_float(v) if isinstance(v, float) else str(v) for v in col]
+            tokens.append("%s")
+    row_fmt = ",".join(tokens) + "\n"
+    body = (row_fmt * len(cols[0])) % tuple(chain.from_iterable(zip(*cols)))
+    return ("# meta: " + json.dumps(meta, sort_keys=True) + "\n" + ",".join(columns) + "\n" + body).encode()
 
 
 def _write_artifact(data: bytes, path: str) -> str:

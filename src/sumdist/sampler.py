@@ -19,7 +19,7 @@ Family constructions:
 * Clayton: gamma(1/theta) frailty mixing of exponentials.
 * Gumbel: positive-stable frailty of index 1/theta via the
   Chambers-Mallows-Stuck sine construction.
-* Frank: conditional-distribution inversion of dC/du1 by bisection.
+* Frank: closed-form inversion of the conditional distribution dC/du1.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ _STREAM_SALT = 0xD1342543DE82EF95
 CHUNK_PAIRS = 1 << 16
 
 _INV_2_53 = 2.0 ** -53
+_LN2 = math.log(2.0)
 
 
 def _mix64(z: int) -> int:
@@ -243,32 +244,42 @@ def _chunk_gumbel(spec: CopulaSpec, rng: RandomSource, m: int) -> np.ndarray:
     return np.column_stack([u1, u2])
 
 
-def _frank_conditional(theta: float, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """h(u2 | u1) = dC/du1 for the Frank copula."""
-    g = math.expm1(-theta)
-    g2 = np.expm1(-theta * u2)
-    return np.exp(-theta * u1) * g2 / (g + np.expm1(-theta * u1) * g2)
+def _frank_inverse(theta: float, u1: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The u2 with h(u2 | u1) = v, where h = dC/du1 is Frank's conditional.
 
-
-def _frank_invert(theta: float, u1: np.ndarray, v: np.ndarray, iterations: int = 60) -> np.ndarray:
-    """Solve h(u2 | u1) = v for u2 by bisection on (1e-12, 1 - 1e-12)."""
-    lo = np.full_like(u1, 1e-12)
-    hi = np.full_like(u1, 1.0 - 1e-12)
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        below = _frank_conditional(theta, u1, mid) < v
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    Closed form (Aas et al., IME 2009), evaluated in log space so that no
+    exponential of theta*u1 or theta can overflow.  For theta > 0,
+    theta*u2 = log(a(1-v) + v) - log(a(1-v) + v e^-theta) with a = e^(-theta u1),
+    each term a logaddexp of logs.  Where that gap is at most ln 2 the two
+    logs nearly cancel, and the equivalent
+    -log1p(v expm1(-theta) / (a - v expm1(-theta u1))) keeps full accuracy;
+    it is evaluated on those lanes only, since on the others a can
+    underflow and the log1p argument reach -1.  Negative theta reflects
+    through C_-theta(u, w) = u - C_theta(u, 1 - w).
+    """
+    log_v, log_1mv = np.log(v), np.log1p(-v)
+    reflect = theta < 0.0
+    if reflect:
+        # 1 - v rounds, so its log is taken from v
+        theta, v, log_v, log_1mv = -theta, 1.0 - v, log_1mv, log_v
+    tu = theta * u1
+    log_w = log_1mv - tu  # log((1 - v) a)
+    gap = np.logaddexp(log_v, log_w) - np.logaddexp(log_v - theta, log_w)
+    near = gap <= _LN2
+    tu_near, v_near = tu[near], v[near]
+    gap[near] = -np.log1p(v_near * math.expm1(-theta) / (np.exp(-tu_near) - v_near * np.expm1(-tu_near)))
+    u2 = gap / theta
+    return 1.0 - u2 if reflect else u2
 
 
 def _chunk_frank(spec: CopulaSpec, rng: RandomSource, m: int) -> np.ndarray:
     theta = spec.theta
     u1 = rng.uniform_block(m)
     v = rng.uniform_block(m)
-    if abs(theta) <= 1e-9:
+    # below 2^-53 the inverse is v to within theta / 8 < 2^-56
+    if abs(theta) < 2.0**-53:
         return np.column_stack([u1, v])
-    return np.column_stack([u1, _frank_invert(theta, u1, v)])
+    return np.column_stack([u1, _frank_inverse(theta, u1, v)])
 
 
 _CHUNK_GENERATORS = {

@@ -82,13 +82,26 @@ class DistributionTable:
             raise DomainError("z_values must be nonempty and strictly ascending")
         if np.any(np.diff(f) < 0.0) or f[0] < 0.0 or f[-1] > 1.0:
             raise DomainError("F_values must be nondecreasing within [0, 1]")
-        if np.any(raw < -1e-12) or np.any(raw > 1.0 + 1e-6):
-            raise DomainError("raw F values outside [0, 1 + 1e-6]")
+        low, high = int(np.argmin(raw)), int(np.argmax(raw))
+        if raw[low] < -1e-12 or raw[high] > 1.0 + 1e-6:
+            over, under = float(raw[high]) - 1.0, -float(raw[low])
+            k, miss, edge = (high, over, 1) if over >= under else (low, under, 0)
+            raise DomainError(
+                f"raw F values outside [0, 1 + 1e-6] in the {_label(self.spec, self.mode)}: "
+                f"F={float(raw[k])!r} at z={float(z[k])!r}, {miss:.3g} beyond {edge} "
+                "(a finer grid step shrinks the lattice error)"
+            )
         for arr in (z, f, raw):
             arr.setflags(write=False)
         object.__setattr__(self, "z_values", z)
         object.__setattr__(self, "F_values", f)
         object.__setattr__(self, "raw_F_values", raw)
+
+
+def _label(spec: CopulaSpec, mode: TableMode) -> str:
+    """'clayton (theta=4.96...) paper-exact table', for error messages."""
+    params = ", ".join(f"{k}={v!r}" for k, v in spec.describe().items() if k != "family")
+    return f"{spec.family.value} ({params}) {mode.value} table"
 
 
 def _clamp_monotone(raw: np.ndarray) -> np.ndarray:
@@ -188,8 +201,12 @@ def quantile(table: DistributionTable, q: float) -> float:
     f = table.F_values
     z = table.z_values
     if q <= f[0] or q > f[-1]:
+        below = q <= f[0]
+        miss = float(f[0] - q if below else q - f[-1])
         raise QuantileOutOfRange(
-            f"q={q!r} not bracketed by the table (F range [{float(f[0])!r}, {float(f[-1])!r}])"
+            f"q={q!r} not bracketed by the {_label(table.spec, table.mode)}: "
+            f"F range [{float(f[0])!r}, {float(f[-1])!r}] on z in [{float(z[0])!r}, {float(z[-1])!r}], "
+            f"q lies {miss:.3g} {'below' if below else 'above'} it (widen the z range)"
         )
     k = int(np.searchsorted(f, q, side="left"))
     if table.mode is TableMode.REFINED:

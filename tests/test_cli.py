@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -12,7 +15,7 @@ from click.testing import CliRunner
 
 import sumdist
 from sumdist import __version__
-from sumdist.cli import main
+from sumdist.cli import _serialize, main
 from sumdist.copula import CopulaFamily, CopulaSpec
 from sumdist.grid import GridSpec
 from sumdist.sumcdf import cdf_paper_exact, quantile_sweep
@@ -176,6 +179,40 @@ class TestSample:
         assert "--seed" not in result.output
         assert not out.exists()
 
+    # a sample set is a pure function of (spec, seed, n), and so are its bytes
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (["--copula", "gauss", "--rho", "0.9"], "cfbe5f4521fd47b68f9052e942f2e69c9df879b2609b99115051de691b215644"),
+            (["--copula", "t", "--rho", "0.9"], "cc4eb4f9e3bcddc2ebef67cdc2f2af016672ad7a6713c72ba5297f7c74b2b977"),
+            (["--copula", "clayton", "--rho", "0.9"], "83253015384ce10fc175b62f366e9c6465427a773e83ceb262edd72f7eac57b0"),
+            (["--copula", "gumbel", "--rho", "0.9"], "dc883542a36ffe8eb4758e19d3b29ab089daf29ccaee027437ccd84d95658b59"),
+            (["--copula", "frank", "--rho", "0.9"], "67032b3005b05823b4936c426e300f4f4e43aceb563069d5c5a81732dc3c2d98"),
+            (
+                ["--copula", "gumbel", "--rho", "0.5", "--format", "json"],
+                "2b0e17ad3d68e77f6b53417211df4f06ce56359d6a80aeb235f57628d82d7278",
+            ),
+        ],
+        ids=["gauss", "t", "clayton", "gumbel", "frank", "json"],
+    )
+    def test_artifact_bytes_pinned(self, runner, tmp_path, args, digest):
+        out = tmp_path / "s.out"
+        result = runner.invoke(main, ["sample", *args, "--n", "2000", "--seed", "7", "--output", str(out)])
+        assert result.exit_code == 0, result.output
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_frank_strong_negative_dependence(self, runner, tmp_path):
+        out = tmp_path / "s.csv"
+        result = runner.invoke(
+            main, ["sample", "--copula", "frank", "--theta", "-800", "--n", "1000", "--output", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        _, _, rows = read_csv(out)
+        pairs = np.array(rows, dtype=float)
+        assert pairs.shape == (1000, 2) and np.all(np.isfinite(pairs))
+        # close to countermonotone: y = -x up to the copula's spread
+        assert np.corrcoef(pairs.T)[0, 1] < -0.99
+
 
 class TestDensity:
     def test_grid_rows_x_major(self, runner, tmp_path):
@@ -197,6 +234,46 @@ class TestDensity:
         assert xs == [-1.0, -1.0, -1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
         center = float(rows[4][2])
         assert center == pytest.approx(1.0 / (2.0 * np.pi), rel=1e-12)
+
+    def test_artifact_bytes_pinned(self, runner, tmp_path):
+        out = tmp_path / "g.csv"
+        result = runner.invoke(
+            main, ["density", "--copula", "clayton", "--rho", "0.9", "--step", "0.1", "--output", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "b02151bf72963e28b4ec53966ff27c0261523d01cf592ce579ebce35280c5d0d"
+
+
+def _serialize_per_value(meta, columns):
+    """The CSV writer that formats value by value: the reference for ``_serialize``."""
+    names = list(columns)
+    lines = ["# meta: " + json.dumps(meta, sort_keys=True), ",".join(names)]
+    for row in zip(*(columns[name] for name in names)):
+        lines.append(",".join("%.17g" % (v,) if isinstance(v, float) else str(v) for v in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestSerialize:
+    META = {"command": "test", "version": __version__}
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            # the sweep layout: a str column among float columns
+            {"rho": [0.9, 0.5], "family": ["gauss", "clayton"], "q95": [3.2000000000000011, 2.65], "q99.5": [4.0, 3.75]},
+            # numpy scalars, ints and special values, alone and mixed
+            {"x": [np.float64(0.1), np.float64(-0.0), 1.0 / 3.0], "y": [math.nan, math.inf, -math.inf]},
+            {"k": [1, 2, 3], "v": [0.5, np.float64(-0.0), 7]},
+            {"z": [np.float64(1e-300), 2.5e300, -0.0], "n": [np.int64(4), True, None]},
+            # one row, zero rows
+            {"q": [0.95], "value": [3.2000000000000011]},
+            {"x": [], "y": []},
+        ],
+        ids=["sweep", "specials", "ints", "numpy", "one-row", "no-rows"],
+    )
+    def test_matches_per_value_writer(self, columns):
+        assert _serialize(self.META, columns, "csv") == _serialize_per_value(self.META, columns)
 
 
 class TestSweep:
@@ -288,6 +365,28 @@ class TestReproduceTable2:
         assert result.exit_code == 0, result.output
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "f0605be0c42e626bb0a7e9752fb1ad7e3a91089999d5765cba8b8dd034944ed2"
+
+
+def _readme_cli_commands():
+    """Each ``sumdist`` command of the README's CLI block, continuations joined."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        text = handle.read()
+    block = re.search(r"## CLI\n.*?```bash\n(.*?)```", text, re.S).group(1)
+    return [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("sumdist ")]
+
+
+class TestReadme:
+    @pytest.mark.parametrize("command", _readme_cli_commands())
+    def test_cli_example_runs(self, runner, tmp_path, command):
+        argv = shlex.split(command)[1:]
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            result = runner.invoke(main, argv)
+        assert result.exit_code == 0, result.output
+
+    def test_every_command_has_an_example(self):
+        commands = {shlex.split(line)[1] for line in _readme_cli_commands()}
+        assert commands == set(main.commands)
 
 
 class TestImport:

@@ -6,6 +6,7 @@ oracles (Kolmogorov-Smirnov, Kendall tau) come from scipy.
 
 import functools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from sumdist import specfun
-from sumdist.copula import CopulaFamily, CopulaSpec, spec_from_rho, tau_from_pearson_rho
+from sumdist.copula import CopulaFamily, CopulaSpec, spec_from_rho, tau_from_pearson_rho, tau_from_theta
 from sumdist.errors import DomainError
 from sumdist.sampler import (
     RandomSource,
@@ -22,8 +23,7 @@ from sumdist.sampler import (
     _chunk_gauss,
     _chunk_student_t,
     _correlated_normal_pair,
-    _frank_conditional,
-    _frank_invert,
+    _frank_inverse,
     empirical_cdf,
     estimate_spearman_rho,
     estimate_tau,
@@ -156,23 +156,74 @@ class TestSampleCopula:
             sample_copula(CopulaSpec.gauss(0.5), 0, RandomSource(1))
 
 
+def _frank_exact(theta: float):
+    """Frank's conditional h(w | u) = dC/du and its inverse in 600-digit
+    decimal arithmetic, exact for float inputs and for either sign of theta
+    (decimal exponentials do not overflow).  With a = e^(-theta u),
+    h(w | u) = a (e^(-theta w) - 1) / (e^-theta - 1 + (a - 1)(e^(-theta w) - 1)) and
+    h^-1(v | u) = -log((a (1 - v) + v e^-theta) / (a (1 - v) + v)) / theta.
+    """
+    th = Decimal(theta)
+
+    def a_of(u):
+        return (-th * Decimal(u)).exp()
+
+    def conditional(u, w):
+        with localcontext() as ctx:
+            ctx.prec = 600
+            a, b = a_of(u), (-th * Decimal(w)).exp()
+            return float(a * (b - 1) / ((-th).exp() - 1 + (a - 1) * (b - 1)))
+
+    def inverse(u, v):
+        with localcontext() as ctx:
+            ctx.prec = 600
+            a, p = a_of(u), Decimal(v)
+            return float(-((a * (1 - p) + p * (-th).exp()) / (a * (1 - p) + p)).ln() / th)
+
+    return conditional, inverse
+
+
+def _frank_inputs(seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Random (u1, v) plus the corners and edges of the uniform range."""
+    rng = RandomSource(seed)
+    lo, hi = 2.0**-54, 1.0 - 2.0**-53  # smallest and largest uniform draws
+    u1 = np.concatenate([rng.uniform_block(count), [lo, lo, hi, hi, 0.5, lo, hi, 0.5]])
+    v = np.concatenate([rng.uniform_block(count), [lo, hi, lo, hi, 0.5, 0.5, 0.5, lo]])
+    return u1, v
+
+
 class TestFrankInversion:
+    @pytest.mark.parametrize("theta", [1e-6, 0.5, 5.0, 12.025352559529375, 35.0, 200.0, 1000.0, -5.0, -800.0])
+    def test_matches_decimal_oracle(self, theta):
+        _, inverse = _frank_exact(theta)
+        u1, v = _frank_inputs(SEED, 12)
+        exact = np.array([inverse(a, b) for a, b in zip(u1, v)])
+        assert float(np.abs(_frank_inverse(theta, u1, v) - exact).max()) <= 1e-15
+
+    @staticmethod
+    def _check_residual(theta):
+        conditional, _ = _frank_exact(theta)
+        u1, v = _frank_inputs(3, 12)
+        u2 = _frank_inverse(theta, u1, v)
+        residual = max(abs(conditional(a, w) - b) for a, w, b in zip(u1, u2, v))
+        # h rises in w with slope at most |theta| / (1 - e^-|theta|), the
+        # largest Frank density, so a u2 within 1e-15 of exact keeps h within
+        # that many 1e-15 of v (plus the rounding of h to a float)
+        slope = abs(theta) / -math.expm1(-abs(theta))
+        assert residual <= slope * 1e-15 + 2.0**-53
+
     def test_residual_below_contract(self):
-        theta = 12.025352559529375
-        rng = RandomSource(SEED)
-        u1 = rng.uniform_block(20000)
-        v = rng.uniform_block(20000)
-        u2 = _frank_invert(theta, u1, v)
-        resid = np.abs(_frank_conditional(theta, u1, u2) - v)
-        assert float(resid.max()) <= 1e-10
+        self._check_residual(12.025352559529375)
 
     def test_negative_theta(self):
-        rng = RandomSource(3)
-        u1 = rng.uniform_block(2000)
-        v = rng.uniform_block(2000)
-        u2 = _frank_invert(-5.0, u1, v)
-        resid = np.abs(_frank_conditional(-5.0, u1, u2) - v)
-        assert float(resid.max()) <= 1e-10
+        self._check_residual(-5.0)
+
+    @pytest.mark.parametrize("theta", [35.0, 200.0])
+    def test_tau_at_high_theta(self, theta):
+        # high theta is where an inexact inverse shows: a bisection on the
+        # float h gave tau 0.569 at theta = 200, against 0.980
+        uv = sample_copula(CopulaSpec.frank(theta), 20000, RandomSource(SEED))
+        assert estimate_tau(uv) == pytest.approx(tau_from_theta(CopulaFamily.FRANK, theta), abs=0.01)
 
 
 class TestSampleSum:

@@ -325,6 +325,23 @@ class TestQuantileSweep:
         # one lattice axis per family: the coordinate depends on the family
         assert sorted(f.value for f in calls) == sorted(f.value for f in ALL_FAMILIES)
 
+    def test_overshoot_error_names_its_cause(self):
+        # at step 0.2 the paper-exact lattice overshoots F = 1 near z = 5
+        with pytest.raises(DomainError) as info:
+            quantile_sweep([CopulaFamily.CLAYTON], [0.9], grid=GridSpec(step=0.2, z_step=0.2))
+        theta = spec_from_rho(CopulaFamily.CLAYTON, 0.9).theta
+        message = str(info.value)
+        assert f"clayton (theta={theta!r}) paper-exact table" in message
+        assert "at z=5.0" in message and "beyond 1" in message
+
+    def test_unbracketed_level_names_its_cause(self):
+        with pytest.raises(QuantileOutOfRange) as info:
+            quantile_sweep([CopulaFamily.GUMBEL], [0.9], [0.995])
+        theta = spec_from_rho(CopulaFamily.GUMBEL, 0.9).theta
+        message = str(info.value)
+        assert f"gumbel (theta={theta!r}) paper-exact table" in message
+        assert "on z in [-5.0, 5.0]" in message and "above it" in message
+
     def test_report_validation(self):
         with pytest.raises(DomainError):
             QuantileReport(rho=0.5, qs=(0.95, 0.99), values={"gauss": (3.0, 2.0)})
