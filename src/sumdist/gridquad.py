@@ -1,11 +1,13 @@
-"""Compensated-summation primitives shared by every grid integrator.
+"""Compensated-summation primitives shared by both grid integrators.
 
-All reductions here run in a fixed serial order, so results are bitwise
-reproducible.  ``antidiagonal_sums`` is correctly rounded: an error-free
-TwoSum cascade over whole rows (Ogita, Rump & Oishi, "Accurate sum and dot
-product", SIAM J. Sci. Comput. 2005) plus a rigorous bound on what the
-cascade leaves out decides most diagonals, and ``math.fsum`` sums the few
-near-ties again, so every entry has the bits ``math.fsum`` gives.
+Both reduce each density lattice to its anti-diagonal sums and accumulate
+those in ascending order with ``kahan_cumsum``.  All reductions here run in
+a fixed serial order, so results are bitwise reproducible.
+``antidiagonal_sums`` is correctly rounded: an error-free TwoSum cascade
+over whole rows (Ogita, Rump & Oishi, "Accurate sum and dot product", SIAM
+J. Sci. Comput. 2005) plus a rigorous bound on what the cascade leaves out
+decides most diagonals, and ``math.fsum`` sums the few near-ties again, so
+every entry has the bits ``math.fsum`` gives.
 """
 
 from __future__ import annotations
@@ -15,47 +17,14 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["KahanAccumulator", "kahan_cumsum_rows", "kahan_cumsum", "fsum_matrix", "antidiagonal_sums"]
+__all__ = ["kahan_cumsum", "fsum_matrix", "antidiagonal_sums"]
 
 # unit roundoff of IEEE double precision
 _U = 2.0**-53
 
 
-class KahanAccumulator:
-    """Kahan-compensated accumulator over scalars or same-shape vectors."""
-
-    def __init__(self, shape=()):
-        self._sum = np.zeros(shape)
-        self._comp = np.zeros(shape)
-
-    def add(self, values) -> None:
-        y = np.asarray(values, dtype=float) - self._comp
-        t = self._sum + y
-        self._comp = (t - self._sum) - y
-        self._sum = t
-
-    @property
-    def value(self) -> np.ndarray:
-        return self._sum
-
-
-def kahan_cumsum_rows(matrix: np.ndarray) -> np.ndarray:
-    """Per-row compensated prefix sums (along axis 1, ascending column)."""
-    m = np.asarray(matrix, dtype=float)
-    out = np.empty_like(m)
-    acc = KahanAccumulator(m.shape[0])
-    for j in range(m.shape[1]):
-        acc.add(m[:, j])
-        out[:, j] = acc.value
-    return out
-
-
 def kahan_cumsum(values: Iterable[float]) -> list[float]:
-    """Compensated prefix sums of a sequence of Python floats.
-
-    The same IEEE operations as :class:`KahanAccumulator`, so the same bits,
-    without a numpy call per element.
-    """
+    """Kahan-compensated prefix sums of a sequence of Python floats, in order."""
     out = []
     total = comp = 0.0
     for v in values:

@@ -6,7 +6,8 @@ increment 0x9E3779B97F4A7C15 and each output is the finalizer
 Independent substreams are keyed by hashing (seed, stream) through the same
 finalizer, which drops each stream at an effectively random phase of the
 2^64 cycle.  Uniform doubles take the top 53 bits, offset by half a unit in
-the last place, so every draw is strictly inside (0, 1).
+the last place; the top draw, which rounds to 1, becomes the largest double
+below 1, so every draw is strictly inside (0, 1).
 
 Samplers draw in fixed, documented order and consume fixed-size chunks from
 dedicated substreams (one per 65536 output pairs), so a sample set depends
@@ -55,6 +56,8 @@ _STREAM_SALT = 0xD1342543DE82EF95
 CHUNK_PAIRS = 1 << 16
 
 _INV_2_53 = 2.0 ** -53
+# the largest double below 1; the top draw, (2^53 - 1/2) * 2^-53, rounds to 1
+_BELOW_ONE = 1.0 - _INV_2_53
 _LN2 = math.log(2.0)
 
 
@@ -89,7 +92,7 @@ class RandomSource:
 
     def uniform(self) -> float:
         """Uniform double strictly inside (0, 1) from the top 53 bits."""
-        return ((self.next_uint64() >> 11) + 0.5) * _INV_2_53
+        return min(((self.next_uint64() >> 11) + 0.5) * _INV_2_53, _BELOW_ONE)
 
     def normal(self) -> float:
         """Standard normal via Box-Muller; the second value is cached."""
@@ -113,7 +116,7 @@ class RandomSource:
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_1)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_2)
         z = z ^ (z >> np.uint64(31))
-        return ((z >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
+        return np.minimum(((z >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53, _BELOW_ONE)
 
     def normal_block(self, count: int) -> np.ndarray:
         """``count`` normals consuming whole Box-Muller pairs.

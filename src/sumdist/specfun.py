@@ -14,7 +14,7 @@ suite):
 * ``student_t_cdf``       absolute error <= 1e-10 (regularized incomplete beta)
 * ``ln_gamma``            relative error <= 1e-13 (Lanczos, g = 7)
 * ``reg_incomplete_beta`` absolute error <= 1e-12 (Lentz continued fraction)
-* ``debye1``              absolute error <= 1e-10 (adaptive Simpson)
+* ``debye1``              relative error <= 1e-15 (Bernoulli and exponential series)
 
 Array kernels.  ``std_normal_pdf_array``, ``std_normal_cdf_array``,
 ``std_normal_inv_cdf_array``, ``student_t_cdf_array`` and
@@ -721,44 +721,46 @@ def bivariate_t_pdf(x: float, y: float, rho: float, nu: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _debye_integrand(t: float) -> float:
-    # t/(e^t - 1) has a removable singularity at 0; switch to the Taylor
-    # value below 1e-8 to avoid 0/0
-    if abs(t) < 1e-8:
-        return 1.0 - 0.5 * t
-    return t / math.expm1(t)
-
-
-def _adaptive_simpson(f, a: float, b: float, fa: float, fm: float, fb: float, whole: float, tol: float, depth: int) -> float:
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0:  # pragma: no cover - depth generous for smooth integrand
-        return left + right
-    if abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    return _adaptive_simpson(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1) + _adaptive_simpson(
-        f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1
-    )
+# c_k = B_2k / ((2k + 1) (2k)!) for k = 1 .. 15 (B_2 = 1/6, B_4 = -1/30, ...):
+# D1(t) = 1 - t/4 + sum_k c_k t^(2k).  The series converges for |t| < 2 pi;
+# on |t| < 2 the first omitted term is below 2e-17 of D1
+_DEBYE1_BERNOULLI = (
+    0.027777777777777776, -0.0002777777777777778, 4.72411186696901e-06, -9.185773074661964e-08,
+    1.8978869988971e-09, -4.0647616451442256e-11, 8.921691020456452e-13, -1.9939295860721074e-14,
+    4.518980029619918e-16, -1.0356517612181247e-17, 2.395218621026187e-19, -5.581785874325009e-21,
+    1.3091507554183213e-22, -3.0874198024267403e-24, 7.315975652702203e-26,
+)
+_DEBYE1_SWITCH = 2.0
+_PI2_6 = math.pi * math.pi / 6.0
 
 
 def debye1(theta: float) -> float:
     """Debye function D1(theta) = (1/theta) * integral_0^theta t/(e^t - 1) dt.
 
-    Defined for theta != 0 (both signs); adaptive Simpson quadrature with
-    absolute tolerance well below the 1e-10 contract.
+    Defined for theta != 0 (both signs).  For |theta| < 2 the Bernoulli
+    series; otherwise the integral is pi^2/6 - sum_k e^(-k t) (t/k + 1/k^2)
+    at t = |theta|, summed until a term falls below 1e-17 of the sum, and
+    D1(-t) = D1(t) + t/2 gives negative theta.
     """
     if theta == 0.0 or not math.isfinite(theta):
         raise DomainError(f"debye1 requires finite theta != 0, got {theta!r}")
-    f = _debye_integrand
-    a, b = 0.0, theta
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    integral = _adaptive_simpson(f, a, b, fa, fm, fb, whole, 1e-13 * max(1.0, abs(theta)), 60)
-    return integral / theta
+    t = abs(theta)
+    if t < _DEBYE1_SWITCH:
+        t2 = theta * theta
+        p = 0.0
+        for c in reversed(_DEBYE1_BERNOULLI):
+            p = p * t2 + c
+        return 1.0 - 0.25 * theta + t2 * p
+    q = math.exp(-t)
+    qk = q
+    tail = 0.0
+    k = 1
+    while True:
+        term = qk * (t / k + 1.0 / (k * k))
+        tail += term
+        if term <= 1e-17 * tail:
+            break
+        k += 1
+        qk *= q
+    d1 = (_PI2_6 - tail) / t
+    return d1 if theta > 0.0 else d1 + 0.5 * t

@@ -14,9 +14,11 @@ Two integration modes are provided:
   (three-point edge-midpoint rule, exact for quadratics), giving clean
   second-order convergence.
 
-Both modes accumulate in a fixed serial order (ascending y index, then
-ascending x index) with compensated summation, so tables are bitwise
-reproducible.
+Both modes reduce each density lattice to its correctly rounded
+anti-diagonal sums (the boundary line is an anti-diagonal) and accumulate
+them in ascending order with Kahan summation; paper-exact mode adds the
+lower saturation, a Kahan suffix sum of the column y_0.  The order is
+fixed, so tables are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 from .copula import CopulaFamily, CopulaSpec, spec_from_rho
 from .errors import DomainError, QuantileOutOfRange
 from .grid import GridSpec, PAPER_GRID
-from .gridquad import KahanAccumulator, antidiagonal_sums, kahan_cumsum, kahan_cumsum_rows
+from .gridquad import antidiagonal_sums, kahan_cumsum
 from .jointdensity import JointDensityModel, joint_pdf_grid, _axis_memo, _grid_on_axes
 
 __all__ = [
@@ -82,6 +84,12 @@ class DistributionTable:
             raise DomainError("z_values must be nonempty and strictly ascending")
         if np.any(np.diff(f) < 0.0) or f[0] < 0.0 or f[-1] > 1.0:
             raise DomainError("F_values must be nondecreasing within [0, 1]")
+        if not np.all(np.isfinite(raw)):
+            k = int(np.argmin(np.isfinite(raw)))
+            raise DomainError(
+                f"raw F={float(raw[k])!r} at z={float(z[k])!r} in the {_label(self.spec, self.mode)}: "
+                "the density is not finite somewhere on the grid"
+            )
         low, high = int(np.argmin(raw)), int(np.argmax(raw))
         if raw[low] < -1e-12 or raw[high] > 1.0 + 1e-6:
             over, under = float(raw[high]) - 1.0, -float(raw[low])
@@ -131,17 +139,15 @@ def cdf_paper_exact(spec: CopulaSpec, grid: GridSpec = PAPER_GRID) -> Distributi
     model = JointDensityModel(spec)
     dens = joint_pdf_grid(model, grid)
     n = grid.n_cells  # lattice has n + 1 points per axis
-    prefix = kahan_cumsum_rows(dens)
+    # column x_i sums y_j for j <= m - i, where z = -2h + m*step, saturated at
+    # the lattice ends; the lower saturation still keeps the point j = 0.  So
+    # F(z_m) = sum_{i+j <= m} d[i, j] + sum_{i > m} d[i, 0]
+    below = np.array([0.0, *kahan_cumsum(antidiagonal_sums(dens).tolist())])
+    saturated = np.array([*kahan_cumsum(dens[::-1, 0].tolist())[::-1], 0.0])
     zs = grid.z_values()
     m_z = _z_lattice_indices(grid)
-    acc = KahanAccumulator(zs.shape)
-    for i in range(n + 1):
-        # inner-limit index: round((z - x_i + h)/step) = m_z - i, saturated
-        # at the lattice ends (the lower saturation still includes one point,
-        # exactly as the three-way branch does)
-        j_max = np.clip(m_z - i, 0, n)
-        acc.add(prefix[i, j_max])
-    raw = acc.value * grid.step * grid.step
+    raw = below[np.clip(m_z, -1, 2 * n) + 1] + saturated[np.clip(m_z + 1, 0, n + 1)]
+    raw = raw * grid.step * grid.step
     return DistributionTable(
         z_values=zs,
         F_values=_clamp_monotone(raw),

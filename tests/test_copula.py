@@ -7,6 +7,7 @@ elliptical CDFs.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,9 @@ from sumdist.copula import (
     tau_from_theta,
     theta_from_tau,
 )
+from sumdist import specfun
 from sumdist.errors import DomainError
+from sumdist.sumcdf import TABLE2_RHOS
 
 ALL_FAMILIES = list(CopulaFamily)
 
@@ -87,7 +90,7 @@ class TestDependenceConversions:
         tau = tau_from_pearson_rho(0.9)
         assert theta_from_tau(CopulaFamily.CLAYTON, tau) == pytest.approx(4.9654232773392452626, abs=1e-10)
         assert theta_from_tau(CopulaFamily.GUMBEL, tau) == pytest.approx(3.4827116386696226313, abs=1e-10)
-        assert theta_from_tau(CopulaFamily.FRANK, tau) == pytest.approx(12.025352559529375231, abs=1e-6)
+        assert theta_from_tau(CopulaFamily.FRANK, tau) == pytest.approx(12.025352559529375231, rel=1e-14, abs=0)
 
     def test_tau_from_theta_known_values(self):
         assert tau_from_theta(CopulaFamily.CLAYTON, 2.0) == pytest.approx(0.5, abs=1e-15)
@@ -127,6 +130,59 @@ class TestDependenceConversions:
             (CopulaFamily.FRANK, s.theta_frank),
         ]:
             assert tau_from_theta(fam, theta) == pytest.approx(s.kendall_tau, abs=1e-8)
+
+
+def _frank_tau_oracle(theta) -> "mpmath.mpf":
+    """Frank's tau = 1 - 4 (1 - D1(theta)) / theta, with D1 by mpmath quadrature."""
+    t = mpmath.mpf(theta)
+    pts = [0, *(math.copysign(p, theta) for p in (1.0, 10.0, 50.0) if p < abs(theta)), t]
+    d1 = mpmath.quad(lambda s: s / mpmath.expm1(s) if s else mpmath.mpf(1), pts) / t
+    return 1 - 4 / t * (1 - d1)
+
+
+class TestFrankInversion:
+    @pytest.mark.parametrize("theta", [1000.0, -1000.0, 1e4])
+    def test_tau_at_extreme_theta(self, theta):
+        tau = tau_from_theta(CopulaFamily.FRANK, theta)
+        assert math.isfinite(tau)
+        with mpmath.workdps(30):
+            assert tau == pytest.approx(float(_frank_tau_oracle(theta)), rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("rho", [0.993, 0.995, 0.999])
+    def test_high_rho_round_trips(self, rho):
+        spec = spec_from_rho(CopulaFamily.FRANK, rho)
+        tau = tau_from_pearson_rho(rho)
+        assert tau_from_theta(CopulaFamily.FRANK, spec.theta) == pytest.approx(tau, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("rho", TABLE2_RHOS)
+    def test_table2_theta_is_the_exact_root(self, rho):
+        tau = tau_from_pearson_rho(rho)
+        theta = theta_from_tau(CopulaFamily.FRANK, tau)
+        with mpmath.workdps(30):
+            root = mpmath.findroot(lambda t: _frank_tau_oracle(t) - tau, theta)
+            assert theta == pytest.approx(float(root), rel=1e-14, abs=0)
+
+    def test_table2_newton_steps(self, monkeypatch):
+        # one D1 evaluation per Newton step
+        calls = []
+        debye1 = specfun.debye1
+        monkeypatch.setattr(specfun, "debye1", lambda theta: calls.append(theta) or debye1(theta))
+        for rho in TABLE2_RHOS:
+            calls.clear()
+            spec_from_rho(CopulaFamily.FRANK, rho)
+            assert 1 <= len(calls) <= 8, (rho, calls)
+
+    @pytest.mark.parametrize(
+        "tau, rel",
+        # for theta in about [1e-3, 0.1], 1 - D1 ~ theta/4 keeps few of D1's
+        # bits, and that rounding limits the root
+        [(1e-12, 1e-14), (1e-6, 1e-14), (1e-4, 1e-14), (2e-3, 1e-9), (0.05, 1e-14), (0.5, 1e-14), (1.0 - 1e-9, 1e-14)],
+    )
+    def test_round_trip_across_tau(self, tau, rel):
+        theta = theta_from_tau(CopulaFamily.FRANK, tau)
+        with mpmath.workdps(40):
+            assert float(_frank_tau_oracle(theta)) == pytest.approx(tau, rel=rel, abs=0)
+
 
 
 class TestCopulaCdf:

@@ -13,7 +13,7 @@ import pytest
 
 from sumdist.copula import CopulaFamily, spec_from_rho
 from sumdist.grid import PAPER_GRID
-from sumdist.gridquad import KahanAccumulator, antidiagonal_sums, kahan_cumsum
+from sumdist.gridquad import antidiagonal_sums, kahan_cumsum
 from sumdist.jointdensity import JointDensityModel, _grid_on_axes
 
 
@@ -90,6 +90,24 @@ class TestAntidiagonalSums:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             antidiagonal_sums(np.zeros((2, 3)))
+
+
+class KahanAccumulator:
+    """Kahan-compensated accumulator over numpy scalars: the reference for ``kahan_cumsum``."""
+
+    def __init__(self, shape=()):
+        self._sum = np.zeros(shape)
+        self._comp = np.zeros(shape)
+
+    def add(self, values) -> None:
+        y = np.asarray(values, dtype=float) - self._comp
+        t = self._sum + y
+        self._comp = (t - self._sum) - y
+        self._sum = t
+
+    @property
+    def value(self) -> np.ndarray:
+        return self._sum
 
 
 def test_kahan_cumsum_matches_accumulator():

@@ -18,6 +18,9 @@ from sumdist import specfun
 from sumdist.copula import CopulaFamily, CopulaSpec, spec_from_rho, tau_from_pearson_rho, tau_from_theta
 from sumdist.errors import DomainError
 from sumdist.sampler import (
+    _GOLDEN,
+    _MIX_1,
+    _MIX_2,
     RandomSource,
     SampleSet,
     _chunk_gauss,
@@ -72,6 +75,30 @@ class TestRandomSource:
     def test_uniform_strictly_inside_unit_interval(self):
         u = RandomSource(5).uniform_block(10**5)
         assert u.min() > 0.0 and u.max() < 1.0
+
+    @pytest.mark.parametrize("top", [2**53 - 1, 2**53 - 2, 2**52, 0])
+    def test_extreme_draws_stay_inside_unit_interval(self, top):
+        # the state whose next output has top 53 bits `top`: undo the
+        # splitmix64 finaliser (two xor-shift/multiply rounds and a xor-shift)
+        mask = 2**64 - 1
+
+        def unshift(z, k):
+            x = z
+            for _ in range(64 // k + 1):
+                x = z ^ (x >> k)
+            return x
+
+        z = unshift((top << 11) | 0x5A5, 31)
+        z = unshift(z * pow(_MIX_2, -1, 2**64) & mask, 27)
+        z = unshift(z * pow(_MIX_1, -1, 2**64) & mask, 30)
+        want = min((top + 0.5) * 2.0**-53, 1.0 - 2.0**-53)
+        r1, r2 = RandomSource(1), RandomSource(1)
+        r1._state = r2._state = (z - _GOLDEN) & mask
+        assert r1.next_uint64() >> 11 == top
+        r1._state = r2._state
+        assert r1.uniform() == want
+        assert r2.uniform_block(1)[0] == want
+        assert 0.0 < want < 1.0
 
     def test_uniform_moments(self):
         u = RandomSource(11).uniform_block(10**6)

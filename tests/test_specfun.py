@@ -8,6 +8,7 @@ against the scalar functions.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -355,30 +356,53 @@ class TestBivariateTPdf:
             bivariate_t_pdf(0.0, 0.0, 0.5, -1.0)
 
 
+def _debye1_oracle(theta: float) -> float:
+    """D1 by mpmath quadrature of its defining integral, at 30 digits."""
+    with mpmath.workdps(30):
+        t = mpmath.mpf(theta)
+        # break the range where t/(e^t - 1) bends, so quad resolves each piece
+        pts = [0, *(math.copysign(p, theta) for p in (1.0, 10.0, 50.0) if p < abs(theta)), t]
+        return float(mpmath.quad(lambda s: s / mpmath.expm1(s) if s else mpmath.mpf(1), pts) / t)
+
+
 class TestDebye1:
     def test_small_argument_limit(self):
         assert debye1(1e-8) == pytest.approx(1.0, abs=1e-7)
 
     def test_known_values(self):
         # mpmath quadrature of the defining integral
-        assert debye1(1.0) == pytest.approx(0.77750463411224827642, abs=1e-12)
-        assert debye1(12.0) == pytest.approx(0.13707118265430719226, abs=1e-12)
-        assert debye1(0.5) == pytest.approx(0.88192715679060552968, abs=1e-12)
-        assert debye1(5.0) == pytest.approx(0.32087619770014612104, abs=1e-12)
+        assert debye1(1.0) == pytest.approx(0.77750463411224827642, rel=1e-15, abs=0)
+        assert debye1(12.0) == pytest.approx(0.13707118265430719226, rel=1e-15, abs=0)
+        assert debye1(0.5) == pytest.approx(0.88192715679060552968, rel=1e-15, abs=0)
+        assert debye1(5.0) == pytest.approx(0.32087619770014612104, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_against_quadrature_oracle(self, sign):
+        # both series, and densely around the switch between them at |theta| = 2
+        for theta in np.concatenate([np.geomspace(1e-8, 700.0, 50), np.linspace(1.0, 6.0, 21), [1.999999, 2.000001]]):
+            theta = sign * float(theta)
+            assert debye1(theta) == pytest.approx(_debye1_oracle(theta), rel=1e-15, abs=0), theta
 
     def test_negative_argument(self):
-        assert debye1(-2.0) == pytest.approx(1.6069472846098100721, abs=1e-12)
+        assert debye1(-2.0) == pytest.approx(1.6069472846098100721, rel=1e-15, abs=0)
         # identity D1(-t) = D1(t) + t/2
         for t in [0.5, 1.0, 3.0, 12.0]:
-            assert debye1(-t) == pytest.approx(debye1(t) + t / 2.0, abs=1e-11)
+            assert debye1(-t) == pytest.approx(debye1(t) + t / 2.0, rel=1e-15, abs=0)
+
+    def test_finite_at_large_arguments(self):
+        # the integral is pi^2/6 once e^(-theta) underflows
+        for theta in (709.0, 710.0, 1e4, 1e300):
+            assert debye1(theta) == pytest.approx(math.pi**2 / 6.0 / theta, rel=1e-15, abs=0)
+            assert debye1(-theta) == pytest.approx(debye1(theta) + theta / 2.0, rel=1e-15, abs=0)
 
     def test_frank_tau_at_12(self):
         tau = 1.0 - 4.0 / 12.0 * (1.0 - debye1(12.0))
         assert tau == pytest.approx(0.71, abs=5e-3)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            debye1(0.0)
+        for bad in (0.0, math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError):
+                debye1(bad)
 
 
 # ---------------------------------------------------------------------------

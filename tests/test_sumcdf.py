@@ -13,8 +13,8 @@ import pytest
 from sumdist import jointdensity
 from sumdist.copula import CopulaFamily, CopulaSpec, spec_from_rho
 from sumdist.errors import DomainError, QuantileOutOfRange
-from sumdist.grid import GridSpec
-from sumdist.jointdensity import JointDensityModel, joint_pdf
+from sumdist.grid import PAPER_GRID, GridSpec
+from sumdist.jointdensity import JointDensityModel, joint_pdf, joint_pdf_grid
 from sumdist.specfun import std_normal_cdf
 from sumdist.sumcdf import (
     TABLE2_RHOS,
@@ -73,6 +73,17 @@ class TestDistributionTable:
                 mode=TableMode.REFINED,
             )
 
+    def test_rejects_non_finite_raw(self):
+        # a NaN compares false with every bound, so it needs its own check
+        with pytest.raises(DomainError, match="not finite"):
+            DistributionTable(
+                z_values=np.array([0.0, 1.0]),
+                F_values=np.array([0.5, 1.0]),
+                raw_F_values=np.array([0.5, np.nan]),
+                spec=CopulaSpec.frank(138.8),
+                mode=TableMode.PAPER_EXACT,
+            )
+
     def test_arrays_read_only(self):
         t = cdf_paper_exact(CopulaSpec.gauss(0.5), GridSpec(half_width=2.0, step=0.5, z_min=-2.0, z_max=2.0, z_step=0.5))
         with pytest.raises(ValueError):
@@ -103,7 +114,55 @@ def literal_lattice_reference(spec, grid):
     return np.array(out)
 
 
+def per_row_kahan_reference(spec, grid):
+    """The per-row Kahan reduction that ``cdf_paper_exact`` replaced: the reference for its sums.
+
+    Each lattice column x_i is summed along y by a Kahan prefix sum, and the
+    columns' values at the saturated boundary index are Kahan-summed over i.
+    """
+    dens = joint_pdf_grid(JointDensityModel(spec), grid)
+    n = grid.n_cells
+    m_z = np.rint((grid.z_values() + 2.0 * grid.half_width) / grid.step).astype(int)
+
+    def kahan_add(acc, values):
+        total, comp = acc
+        y = values - comp
+        t = total + y
+        return t, (t - total) - y
+
+    acc = (np.zeros(n + 1), np.zeros(n + 1))
+    prefix = np.empty_like(dens)
+    for j in range(n + 1):
+        acc = kahan_add(acc, dens[:, j])
+        prefix[:, j] = acc[0]
+    acc = (np.zeros(m_z.shape), np.zeros(m_z.shape))
+    for i in range(n + 1):
+        acc = kahan_add(acc, prefix[i, np.clip(m_z - i, 0, n)])
+    return acc[0] * grid.step * grid.step
+
+
+def _assert_within_ulps(got, want, ulps):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.all(np.abs(got - want) <= ulps * np.spacing(np.abs(want))), np.max(np.abs(got - want))
+
+
 class TestPaperExact:
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("rho", [0.9, 0.3])
+    def test_matches_per_row_reduction(self, family, rho):
+        spec = spec_from_rho(family, rho)
+        _assert_within_ulps(cdf_paper_exact(spec).raw_F_values, per_row_kahan_reference(spec, PAPER_GRID), 4)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_matches_per_row_reduction_past_both_saturations(self, family):
+        # z from -6 to 6 on a [-2, 2] lattice: boundary indices m < 0 and m > 2n
+        grid = GridSpec(half_width=2.0, step=0.5, z_min=-6.0, z_max=6.0, z_step=0.5)
+        spec = spec_from_rho(family, 0.5)
+        got = cdf_paper_exact(spec, grid).raw_F_values
+        _assert_within_ulps(got, per_row_kahan_reference(spec, grid), 4)
+        assert got[0] > 0.0 and got[0] == got[3]  # z <= -4.5 keeps the column y_0 whole
+        assert got[-1] == got[-4]  # z >= 4.5 keeps every point
+
     def test_matches_literal_loop_on_small_grids(self):
         grid = GridSpec(half_width=1.5, step=0.5, z_min=-1.5, z_max=1.5, z_step=0.5)
         for spec in [CopulaSpec.gauss(0.5), CopulaSpec.clayton(5.0), CopulaSpec.student_t(0.9, 4.0)]:
