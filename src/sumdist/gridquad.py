@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["kahan_cumsum", "fsum_matrix", "antidiagonal_sums"]
+__all__ = ["kahan_cumsum", "antidiagonal_sums"]
 
 # unit roundoff of IEEE double precision
 _U = 2.0**-53
@@ -34,12 +34,6 @@ def kahan_cumsum(values: Iterable[float]) -> list[float]:
         total = t
         out.append(total)
     return out
-
-
-def fsum_matrix(matrix: np.ndarray) -> float:
-    """Exactly-rounded sum of all entries (fsum of row fsums)."""
-    m = np.asarray(matrix, dtype=float)
-    return math.fsum(math.fsum(row) for row in m)
 
 
 def antidiagonal_sums(matrix: np.ndarray) -> np.ndarray:

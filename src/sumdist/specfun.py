@@ -54,7 +54,6 @@ __all__ = [
     "student_t_inv_cdf",
     "student_t_cdf_array",
     "student_t_inv_cdf_array",
-    "bivariate_t_pdf",
     "ln_gamma",
     "reg_incomplete_beta",
     "debye1",
@@ -694,28 +693,6 @@ def student_t_inv_cdf_array(p, nu: float) -> np.ndarray:
     return x.reshape(shape)
 
 
-def bivariate_t_pdf(x: float, y: float, rho: float, nu: float) -> float:
-    """Bivariate Student-t density with correlation rho and nu > 0 dof.
-
-    gamma((nu+2)/2) / (gamma(nu/2) pi nu sqrt(1-rho^2))
-        * [1 + (x^2 - 2 rho x y + y^2) / (nu (1 - rho^2))]^(-(nu+2)/2)
-    """
-    if not (nu > 0.0):
-        raise DomainError(f"bivariate_t_pdf requires nu > 0, got {nu!r}")
-    if not (-1.0 < rho < 1.0):
-        raise DomainError(f"bivariate_t_pdf requires |rho| < 1, got {rho!r}")
-    r2 = 1.0 - rho * rho
-    ln_c = (
-        ln_gamma(0.5 * (nu + 2.0))
-        - ln_gamma(0.5 * nu)
-        - math.log(math.pi * nu)
-        - 0.5 * math.log(r2)
-    )
-    # grouped so that swapping x and y gives the bitwise-identical result
-    q = (x * x + y * y - 2.0 * rho * (x * y)) / (nu * r2)
-    return math.exp(ln_c - 0.5 * (nu + 2.0) * math.log1p(q))
-
-
 # ---------------------------------------------------------------------------
 # Debye function D1
 # ---------------------------------------------------------------------------
@@ -734,6 +711,15 @@ _DEBYE1_SWITCH = 2.0
 _PI2_6 = math.pi * math.pi / 6.0
 
 
+def _debye1_series(t2: float) -> float:
+    """S = sum_k c_k t^(2k-2) at t2 = t^2: D1(t) = 1 - t/4 + t2 S, and
+    Frank's Kendall tau is 4 t S."""
+    p = 0.0
+    for c in reversed(_DEBYE1_BERNOULLI):
+        p = p * t2 + c
+    return p
+
+
 def debye1(theta: float) -> float:
     """Debye function D1(theta) = (1/theta) * integral_0^theta t/(e^t - 1) dt.
 
@@ -747,10 +733,7 @@ def debye1(theta: float) -> float:
     t = abs(theta)
     if t < _DEBYE1_SWITCH:
         t2 = theta * theta
-        p = 0.0
-        for c in reversed(_DEBYE1_BERNOULLI):
-            p = p * t2 + c
-        return 1.0 - 0.25 * theta + t2 * p
+        return 1.0 - 0.25 * theta + t2 * _debye1_series(t2)
     q = math.exp(-t)
     qk = q
     tail = 0.0

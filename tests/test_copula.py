@@ -1,8 +1,8 @@
 """Copula CDF/density and dependence-conversion tests.
 
 Oracle values: mpmath (40 digits) for closed forms and Debye-based
-conversions; scipy multivariate normal / 1-D conditional reduction for the
-elliptical CDFs.
+conversions; for the elliptical CDFs, scipy's Owen's T (the closed-form
+bivariate normal CDF) and a 30-digit mpmath integral over the t quantile.
 """
 
 import math
@@ -141,6 +141,13 @@ def _frank_tau_oracle(theta) -> "mpmath.mpf":
 
 
 class TestFrankInversion:
+    @pytest.mark.parametrize("theta", [1e-6, -1e-6, 1e-4, 1e-2, 0.5, 1.99, 2.01])
+    def test_tau_against_oracle(self, theta):
+        # below |theta| = 2 the series, above it 1 - 4 (1 - D1) / theta
+        with mpmath.workdps(30):
+            expected = float(_frank_tau_oracle(theta))
+        assert tau_from_theta(CopulaFamily.FRANK, theta) == pytest.approx(expected, rel=1e-15, abs=0)
+
     @pytest.mark.parametrize("theta", [1000.0, -1000.0, 1e4])
     def test_tau_at_extreme_theta(self, theta):
         tau = tau_from_theta(CopulaFamily.FRANK, theta)
@@ -185,6 +192,48 @@ class TestFrankInversion:
 
 
 
+def _gauss_cdf_owens_t(rho, u1, u2):
+    """Bivariate normal CDF at the normal quantiles of u1, u2 by Owen's T:
+    Phi2(h, k) = (Phi(h) + Phi(k)) / 2 - T(h, a_h) - T(k, a_k) - beta, for
+    h, k != 0 (Owen 1956)."""
+    from scipy import special
+
+    h, k = special.ndtri(u1), special.ndtri(u2)
+    r = math.sqrt(1.0 - rho * rho)
+    beta = 0.0 if h * k > 0.0 else 0.5
+    return float(
+        0.5 * (special.ndtr(h) + special.ndtr(k))
+        - special.owens_t(h, (k - rho * h) / (h * r))
+        - special.owens_t(k, (h - rho * k) / (k * r))
+        - beta
+    )
+
+
+def _t_cdf_oracle(rho, nu, u1, u2):
+    """t copula CDF at 30 digits: the integral over x up to T_nu^-1(u1) of
+    t_nu(x) T_{nu+1}((b - rho x) sqrt((nu + 1) / ((nu + x^2)(1 - rho^2)))),
+    b = T_nu^-1(u2), with the t CDF from mpmath's incomplete beta."""
+    with mpmath.workdps(30):
+        rho, nu = mpmath.mpf(rho), mpmath.mpf(nu)
+
+        def cdf(x, df):
+            half = mpmath.betainc(df / 2, 0.5, 0, df / (df + x * x), regularized=True) / 2
+            return half if x < 0 else 1 - half
+
+        def pdf(x):
+            c = mpmath.gamma((nu + 1) / 2) / (mpmath.sqrt(mpmath.pi * nu) * mpmath.gamma(nu / 2))
+            return c * (1 + x * x / nu) ** (-(nu + 1) / 2)
+
+        def quantile(p):
+            return mpmath.findroot(lambda x: cdf(x, nu) - p, specfun.student_t_inv_cdf(p, float(nu)))
+
+        a, b = quantile(u1), quantile(u2)
+        scale = mpmath.sqrt((nu + 1) / (1 - rho * rho))
+        pts = [-mpmath.inf, *(p for p in (-1e6, -1e3, -30, -3) if p < a), a]
+        c = mpmath.quad(lambda x: pdf(x) * cdf((b - rho * x) * scale / mpmath.sqrt(nu + x * x), nu + 1), pts)
+        return float(c)
+
+
 class TestCopulaCdf:
     def test_gumbel_at_one_is_independence(self):
         assert copula_cdf(CopulaSpec.gumbel(1.0), 0.3, 0.7) == pytest.approx(0.21, abs=1e-12)
@@ -198,7 +247,7 @@ class TestCopulaCdf:
     def test_uniform_margins_on_grid(self):
         us = (np.arange(1, 100) / 100.0).tolist()
         for spec in example_specs():
-            tol = 1e-12 if spec.family not in (CopulaFamily.GAUSS, CopulaFamily.STUDENT_T) else 1e-5
+            tol = 1e-12 if spec.family not in (CopulaFamily.GAUSS, CopulaFamily.STUDENT_T) else 1e-13
             for u in us:
                 assert abs(copula_cdf(spec, u, 1.0) - u) <= tol
 
@@ -220,23 +269,65 @@ class TestCopulaCdf:
         # C(1/2, 1/2) = 1/4 + asin(rho) / (2 pi), any elliptical copula
         for rho in [0.9, 0.5, -0.3]:
             expected = 0.25 + math.asin(rho) / (2.0 * math.pi)
-            assert copula_cdf(CopulaSpec.gauss(rho), 0.5, 0.5) == pytest.approx(expected, abs=5e-8)
+            assert copula_cdf(CopulaSpec.gauss(rho), 0.5, 0.5) == pytest.approx(expected, rel=0, abs=1e-13)
+            assert copula_cdf(CopulaSpec.student_t(rho, 4.0), 0.5, 0.5) == pytest.approx(expected, rel=0, abs=1e-13)
 
     def test_gauss_quadrature_spot_values(self):
         # scipy multivariate_normal oracle
         assert copula_cdf(CopulaSpec.gauss(0.5), 0.3, 0.7) == pytest.approx(0.26690384886736307, abs=5e-8)
         assert copula_cdf(CopulaSpec.gauss(-0.4), 0.2, 0.8) == pytest.approx(0.1237942352878575, abs=5e-8)
 
+    @pytest.mark.parametrize(
+        "rho, u1, u2",
+        [
+            (0.5, 0.3, 0.7),
+            (-0.4, 0.2, 0.8),
+            *((rho, u1, u2) for rho in (0.999, -0.95) for u1, u2 in [(0.3, 0.6), (0.4, 0.45), (0.8, 0.9)]),
+            *((rho, u, 0.6) for rho in (0.9, 0.999, -0.95) for u in (1e-10, 1e-300, 1.0 - 1e-6)),
+            (0.999, 1.0 - 1e-6, 1.0 - 1e-6),
+            (-0.95, 1e-10, 1.0 - 1e-6),
+            (0.5, 1e-300, 1e-200),
+            # h's step between 0 and 1 is about sqrt(1 - rho^2) wide in z
+            (1.0 - 1e-6, 0.3, 0.3),
+            (-1.0 + 1e-6, 0.3, 0.7),
+            (-0.9999, 0.7, 0.8),
+        ],
+    )
+    def test_gauss_against_owens_t(self, rho, u1, u2):
+        assert copula_cdf(CopulaSpec.gauss(rho), u1, u2) == pytest.approx(
+            _gauss_cdf_owens_t(rho, u1, u2), rel=0, abs=1e-13
+        )
+
     def test_t_quadrature_spot_values(self):
-        # 1-D conditional-reduction oracle (adaptive quadrature)
+        # 1-D conditional-reduction oracle (adaptive quadrature); the second
+        # value is 2.3e-12 above the 30-digit oracle of test_t_against_mpmath
         assert copula_cdf(CopulaSpec.student_t(0.9, 4.0), 0.5, 0.5) == pytest.approx(
-            0.42821685343564697, abs=5e-6
+            0.42821685343564697, abs=5e-12
         )
         assert copula_cdf(CopulaSpec.student_t(0.5, 4.0), 0.3, 0.7) == pytest.approx(
-            0.26142783673014414, abs=5e-6
+            0.26142783673014414, abs=5e-12
         )
         assert copula_cdf(CopulaSpec.student_t(0.5, 3.0), 0.25, 0.65) == pytest.approx(
-            0.21097475414554231, abs=5e-6
+            0.21097475414554231, abs=5e-12
+        )
+
+    @pytest.mark.parametrize(
+        "rho, nu, u1, u2",
+        [
+            (0.9, 0.5, 0.3, 0.6),
+            (0.9, 1.0, 0.3, 0.6),
+            (0.9, 3.0, 0.3, 0.6),
+            (0.9, 4.0, 0.3, 0.6),
+            (0.5, 4.0, 0.3, 0.7),
+            (0.999, 0.5, 0.8, 0.95),
+            (-0.6, 1.0, 0.05, 0.9),
+            (-0.95, 3.0, 0.7, 0.8),
+            (0.5, 1.0, 1e-6, 0.3),
+        ],
+    )
+    def test_t_against_mpmath(self, rho, nu, u1, u2):
+        assert copula_cdf(CopulaSpec.student_t(rho, nu), u1, u2) == pytest.approx(
+            _t_cdf_oracle(rho, nu, u1, u2), rel=0, abs=1e-13
         )
 
     def test_domain(self):
@@ -244,6 +335,19 @@ class TestCopulaCdf:
             copula_cdf(CopulaSpec.gauss(0.5), -0.1, 0.5)
         with pytest.raises(DomainError):
             copula_cdf(CopulaSpec.gauss(0.5), 0.5, 1.1)
+
+    @given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_elliptical_cdf_bounds_and_symmetry(self, u1, u2):
+        for spec in [
+            CopulaSpec.gauss(0.9),
+            CopulaSpec.gauss(-0.95),
+            CopulaSpec.student_t(0.9, 4.0),
+            CopulaSpec.student_t(-0.5, 1.0),
+        ]:
+            v = copula_cdf(spec, u1, u2)
+            assert max(0.0, u1 + u2 - 1.0) <= v <= min(u1, u2)
+            assert copula_cdf(spec, u2, u1) == v
 
     @given(st.floats(min_value=0.01, max_value=0.99), st.floats(min_value=0.01, max_value=0.99))
     @settings(max_examples=60)
@@ -299,11 +403,7 @@ class TestCopulaDensity:
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_density_matches_mixed_partial_of_cdf(self, family):
-        # central finite difference of C at interior points; Archimedean
-        # closed forms only (elliptical CDFs are quadratures, checked via
-        # their bivariate densities elsewhere)
-        if family in (CopulaFamily.GAUSS, CopulaFamily.STUDENT_T):
-            pytest.skip("elliptical CDF is itself a quadrature")
+        # central finite difference of C at interior points
         spec = spec_from_rho(family, 0.9)
         h = 1e-4
         grid = [0.15, 0.3, 0.5, 0.7, 0.85]

@@ -62,18 +62,21 @@ class TestJointPdf:
         assert math.isfinite(v) and v > 0.0
 
     def test_t_composition_against_direct_ratio(self):
-        # independent route: bivariate t density at the t-quantiles of
-        # Phi(x), Phi(y), divided by the univariate t densities
+        # independent route: scipy's bivariate t density at the t-quantiles
+        # of Phi(x), Phi(y), divided by its univariate t densities
+        from scipy import stats
+
         rho, nu = 0.9, 4.0
         m = JointDensityModel(CopulaSpec.student_t(rho, nu))
+        bivariate = stats.multivariate_t(loc=[0.0, 0.0], shape=[[1.0, rho], [rho, 1.0]], df=nu)
         for x, y in [(-1.0, 0.5), (0.0, 0.0), (2.0, 1.5), (3.5, -2.0)]:
             q1 = specfun.student_t_inv_cdf(specfun.std_normal_cdf(x), nu)
             q2 = specfun.student_t_inv_cdf(specfun.std_normal_cdf(y), nu)
             direct = (
-                specfun.bivariate_t_pdf(q1, q2, rho, nu)
-                / (specfun.student_t_pdf(q1, nu) * specfun.student_t_pdf(q2, nu))
-                * specfun.std_normal_pdf(x)
-                * specfun.std_normal_pdf(y)
+                bivariate.pdf([q1, q2])
+                / (stats.t.pdf(q1, nu) * stats.t.pdf(q2, nu))
+                * stats.norm.pdf(x)
+                * stats.norm.pdf(y)
             )
             assert joint_pdf(m, x, y) == pytest.approx(direct, rel=1e-10)
 

@@ -18,7 +18,6 @@ from sumdist.errors import DomainError
 from sumdist.specfun import (
     _INV_SQRT_2,
     _P_LOW,
-    bivariate_t_pdf,
     debye1,
     ln_gamma,
     reg_incomplete_beta,
@@ -314,46 +313,6 @@ class TestStudentTInvCdf:
             student_t_inv_cdf(0.0, 4.0)
         with pytest.raises(DomainError):
             student_t_inv_cdf(0.5, 0.0)
-
-
-class TestBivariateTPdf:
-    def test_center_independence(self):
-        # Gamma(3)/(Gamma(2) pi 4) = 1/(2 pi)
-        assert bivariate_t_pdf(0.0, 0.0, 0.0, 4.0) == pytest.approx(0.15915494309189533577, rel=1e-13)
-
-    def test_known_values(self):
-        assert bivariate_t_pdf(1.0, -0.5, 0.3, 5.0) == pytest.approx(0.059797757996174642547, rel=1e-12)
-        assert bivariate_t_pdf(1.2, -0.3, 0.6, 2.5) == pytest.approx(0.032861606930388219209, rel=1e-12)
-
-    @given(
-        st.floats(min_value=-10.0, max_value=10.0),
-        st.floats(min_value=-10.0, max_value=10.0),
-        st.floats(min_value=-0.95, max_value=0.95),
-        st.sampled_from([1.0, 2.5, 4.0, 8.0]),
-    )
-    @settings(max_examples=200)
-    def test_exchangeable_and_positive(self, x, y, rho, nu):
-        v = bivariate_t_pdf(x, y, rho, nu)
-        assert v > 0.0
-        assert bivariate_t_pdf(y, x, rho, nu) == v
-
-    def test_box_mass(self):
-        # mass over [-40, 40]^2 for nu=4, rho=0.5; oracle via 1-D conditional
-        # reduction with adaptive quadrature: 0.9999959511288078
-        n = 1200
-        h = 80.0 / n
-        mids = [-40.0 + (i + 0.5) * h for i in range(n)]
-        rows = []
-        for x in mids:
-            rows.append(math.fsum(bivariate_t_pdf(x, y, 0.5, 4.0) for y in mids) * h * h)
-        total = math.fsum(rows)
-        assert total == pytest.approx(0.9999959511288078, abs=1e-6)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            bivariate_t_pdf(0.0, 0.0, 1.0, 4.0)
-        with pytest.raises(DomainError):
-            bivariate_t_pdf(0.0, 0.0, 0.5, -1.0)
 
 
 def _debye1_oracle(theta: float) -> float:
