@@ -26,7 +26,7 @@ from .errors import DomainError, QuantileOutOfRange
 from .grid import GridSpec
 from .jointdensity import JointDensityModel, joint_pdf_grid
 from .sampler import RandomSource, sample_sum
-from .sumcdf import TABLE2_RHOS, TableMode, cdf_paper_exact, cdf_refined, quantile, quantile_sweep
+from .sumcdf import TABLE2_RHOS, TableMode, _z_lattice_indices, cdf_paper_exact, cdf_refined, quantile, quantile_sweep
 
 _FAMILIES = {f.value: f for f in CopulaFamily}
 _FLOAT_FMT = "%.17g"
@@ -39,18 +39,20 @@ def _build_spec(copula: str, rho: float | None, theta: float | None, nu: float |
             raise click.UsageError(f"--theta is not a {copula} copula parameter")
         if rho is None:
             raise click.UsageError(f"--rho is required for the {copula} copula")
-        if family is CopulaFamily.GAUSS:
-            if nu is not None:
-                raise click.UsageError("--nu applies to the t copula only")
-            return CopulaSpec.gauss(rho)
-        return CopulaSpec.student_t(rho, 4.0 if nu is None else nu)
-    # Archimedean: exactly one of --theta / --rho (the latter via the
-    # rank-correlation pipeline)
-    if nu is not None:
-        raise click.UsageError("--nu applies to the t copula only")
-    if (rho is None) == (theta is None):
-        raise click.UsageError(f"{copula} copula needs exactly one of --rho or --theta")
+        if family is CopulaFamily.GAUSS and nu is not None:
+            raise click.UsageError("--nu applies to the t copula only")
+    else:
+        # Archimedean: exactly one of --theta / --rho (the latter via the
+        # rank-correlation pipeline)
+        if nu is not None:
+            raise click.UsageError("--nu applies to the t copula only")
+        if (rho is None) == (theta is None):
+            raise click.UsageError(f"{copula} copula needs exactly one of --rho or --theta")
     try:
+        if family is CopulaFamily.GAUSS:
+            return CopulaSpec.gauss(rho)
+        if family is CopulaFamily.STUDENT_T:
+            return CopulaSpec.student_t(rho, 4.0 if nu is None else nu)
         if theta is not None:
             return CopulaSpec(family, theta=theta)
         return spec_from_rho(family, rho)
@@ -58,9 +60,13 @@ def _build_spec(copula: str, rho: float | None, theta: float | None, nu: float |
         raise click.UsageError(str(exc))
 
 
-def _build_grid(half_width, step, z_min, z_max, z_step) -> GridSpec:
+def _build_grid(half_width, step, z_min, z_max, z_step, z_on_lattice=True) -> GridSpec:
+    """The grid of the flags; the integration modes also need every z on the x/y lattice."""
     try:
-        return GridSpec(half_width=half_width, step=step, z_min=z_min, z_max=z_max, z_step=z_step)
+        grid = GridSpec(half_width=half_width, step=step, z_min=z_min, z_max=z_max, z_step=z_step)
+        if z_on_lattice:
+            _z_lattice_indices(grid)
+        return grid
     except DomainError as exc:
         raise click.UsageError(f"invalid grid: {exc}")
 
@@ -218,7 +224,8 @@ def quantile_cmd(copula, rho, theta, nu, half_width, step, z_min, z_max, z_step,
 def density(copula, rho, theta, nu, half_width, step, z_min, z_max, z_step, fmt, output):
     """Tabulate the joint density on the grid lattice (x-major ascending)."""
     spec = _build_spec(copula, rho, theta, nu)
-    grid = _build_grid(half_width, step, z_min, z_max, z_step)
+    # the density lattice is x/y only; z flags are recorded but unused
+    grid = _build_grid(half_width, step, z_min, z_max, z_step, z_on_lattice=False)
     matrix = joint_pdf_grid(JointDensityModel(spec), grid)
     axis = grid.axis_points()
     n1 = axis.size
@@ -297,6 +304,12 @@ def sweep(families, rhos, qs, nu, half_width, step, z_min, z_max, z_step, mode, 
         raise click.UsageError(f"--families contains an unknown family: {exc}")
     if len(set(qs)) != len(qs):
         raise click.UsageError(f"--qs lists a level more than once: {','.join(map(repr, qs))}")
+    if CopulaFamily.STUDENT_T in fams:
+        # a bad --nu is a flag error, caught before any cell runs
+        try:
+            CopulaSpec.student_t(rhos[0], nu)
+        except DomainError as exc:
+            raise click.BadParameter(str(exc), param_hint="--nu")
     grid = _build_grid(half_width, step, z_min, z_max, z_step)
     table_mode = TableMode(mode)
     try:

@@ -14,6 +14,7 @@ public scalar operations wrap the same kernels.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -128,6 +129,11 @@ class CopulaSpec:
     @staticmethod
     def frank(theta: float) -> "CopulaSpec":
         return CopulaSpec(CopulaFamily.FRANK, theta=theta)
+
+    @functools.cached_property
+    def _t_log_norm(self) -> float:
+        # once per spec, not once per density block
+        return _t_log_norm_of(self.rho, self.nu)
 
     def describe(self) -> dict:
         """Family tag and its parameters, for output metadata."""
@@ -302,7 +308,8 @@ def _gauss_kernel(rho, z1, z2):
     return np.exp(-quad / (2.0 * r2)) / math.sqrt(r2)
 
 
-def _t_kernel(rho, nu, q1, q2):
+def _t_log_norm_of(rho, nu):
+    """Log of the t copula density's constant factor."""
     r2 = 1.0 - rho * rho
     # log of gamma((nu+2)/2) / (gamma(nu/2) pi nu sqrt(1-rho2)); the
     # denominator constant is the squared univariate normalizer
@@ -315,10 +322,14 @@ def _t_kernel(rho, nu, q1, q2):
     ln_den_c = 2.0 * (
         specfun.ln_gamma(0.5 * (nu + 1.0)) - specfun.ln_gamma(0.5 * nu) - 0.5 * math.log(math.pi * nu)
     )
+    return ln_num_c - ln_den_c
+
+
+def _t_kernel(rho, nu, ln_norm, q1, q2):
+    r2 = 1.0 - rho * rho
     quad = (q1 * q1 + q2 * q2 - 2.0 * rho * (q1 * q2)) / (nu * r2)
     ln_c = (
-        ln_num_c
-        - ln_den_c
+        ln_norm
         - 0.5 * (nu + 2.0) * np.log1p(quad)
         + 0.5 * (nu + 1.0) * (np.log1p(q1 * q1 / nu) + np.log1p(q2 * q2 / nu))
     )
@@ -382,7 +393,7 @@ def _density_from_coords(spec: CopulaSpec, c1, c2):
     if fam is CopulaFamily.GAUSS:
         return _gauss_kernel(spec.rho, c1, c2)
     if fam is CopulaFamily.STUDENT_T:
-        return _t_kernel(spec.rho, spec.nu, c1, c2)
+        return _t_kernel(spec.rho, spec.nu, spec._t_log_norm, c1, c2)
     if fam is CopulaFamily.CLAYTON:
         return _clayton_kernel(spec.theta, c1, c2)
     if fam is CopulaFamily.GUMBEL:

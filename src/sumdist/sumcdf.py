@@ -12,7 +12,12 @@ Two integration modes are provided:
 * ``REFINED`` integrates cell midpoints over whole cells below the boundary
   line plus an exact triangular treatment of the cells the line crosses
   (three-point edge-midpoint rule, exact for quadratics), giving clean
-  second-order convergence.
+  second-order convergence.  It builds two density grids, at the cell
+  centers and at the east edge midpoints (x_i + s/2, y_j).  Every family is
+  exchangeable, c(u, v) = c(v, u), and its kernel is bitwise symmetric in
+  its arguments, so the north edge-midpoint grid (x_i, y_j + s/2) is the
+  transpose of the east one; a matrix and its transpose have the same
+  anti-diagonals, so the east sums serve for both.
 
 Both modes reduce each density lattice to its correctly rounded
 anti-diagonal sums (the boundary line is an anti-diagonal) and accumulate
@@ -129,7 +134,7 @@ def _z_lattice_indices(grid: GridSpec) -> np.ndarray:
     if np.any(np.abs(ratio - m) > _LATTICE_TOL * np.maximum(1.0, np.abs(m))):
         raise DomainError(
             "z values must be commensurate with the x/y lattice: "
-            f"(z + 2*half_width)/step must be integral, got offender near z={zs[np.argmax(np.abs(ratio - m))]!r}"
+            f"(z + 2*half_width)/step must be integral, got offender near z={float(zs[np.argmax(np.abs(ratio - m))])!r}"
         )
     return m.astype(int)
 
@@ -165,11 +170,13 @@ def cdf_refined(spec: CopulaSpec, grid: GridSpec = PAPER_GRID) -> DistributionTa
     step = grid.step
     mids = grid.cell_midpoints()
     lower_edges = grid.axis_points()[:-1]
-    # each grid is reduced as soon as it is built, so one is alive at a time
+    # each grid is reduced as soon as it is built, so one is alive at a time.
+    # The north grid f(x_i, y_j + s/2) is the transpose of the east grid, as
+    # the density is exchangeable bit for bit, so its correctly rounded
+    # anti-diagonal sums are the east ones and it is never built
     with _axis_memo():
         diag_center = antidiagonal_sums(_grid_on_axes(model, mids, mids)).tolist()
         diag_east = antidiagonal_sums(_grid_on_axes(model, mids, lower_edges)).tolist()  # (x_i + s/2, y_j)
-        diag_north = antidiagonal_sums(_grid_on_axes(model, lower_edges, mids)).tolist()  # (x_i, y_j + s/2)
     cum_center = kahan_cumsum(diag_center)
 
     zs = grid.z_values()
@@ -183,7 +190,7 @@ def cdf_refined(spec: CopulaSpec, grid: GridSpec = PAPER_GRID) -> DistributionTa
         full = cum_center[min(m - 2, 2 * n - 2)] if m >= 2 else 0.0
         tri = 0.0
         if 0 <= m - 1 <= 2 * n - 2:
-            tri = (diag_east[m - 1] + diag_north[m - 1] + diag_center[m - 1]) / 6.0
+            tri = (diag_east[m - 1] + diag_east[m - 1] + diag_center[m - 1]) / 6.0  # east, north, center
         raw[k] = (full + tri) * step * step
     return DistributionTable(
         z_values=zs,

@@ -108,11 +108,52 @@ class TestValidation:
         result = runner.invoke(main, ["dist", "--copula", "gumbel", "--theta", "0.5"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["dist", "--copula", "gauss", "--rho", "1.0"], "requires -1 < rho < 1, got 1.0"),
+            (["dist", "--copula", "gauss", "--rho", "nan"], "requires -1 < rho < 1, got nan"),
+            (["dist", "--copula", "t", "--rho", "0.5", "--nu", "-1"], "requires nu > 0, got -1.0"),
+            (["sample", "--copula", "gauss", "--rho", "-1", "--n", "5"], "requires -1 < rho < 1, got -1.0"),
+            (["sweep", "--families", "t", "--nu", "-2"], "requires nu > 0, got -2.0"),
+            (["reproduce-table2", "--nu", "nan"], "requires nu > 0, got nan"),
+        ],
+    )
+    def test_invalid_elliptical_parameters(self, runner, args, message):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert "Traceback" not in result.output
+
+    def test_sweep_ignores_nu_without_t(self, runner, tmp_path):
+        args = ["sweep", "--families", "gauss", "--rhos", "0.5", "--nu", "-2", "--output", str(tmp_path / "s.csv")]
+        assert runner.invoke(main, args).exit_code == 0
+
     def test_bad_grid(self, runner):
         result = runner.invoke(
             main, ["dist", "--copula", "gauss", "--rho", "0.5", "--step", "0.033"]
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["dist", "--copula", "gauss", "--rho", "0.5", "--z-step", "0.03"],
+            ["dist", "--copula", "gauss", "--rho", "0.5", "--z-min", "-5.02"],
+            ["quantile", "--copula", "clayton", "--rho", "0.5", "--mode", "refined", "--z-step", "0.03"],
+            ["sweep", "--families", "gauss", "--rhos", "0.5", "--z-step", "0.07"],
+        ],
+    )
+    def test_z_grid_off_the_lattice(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        # a plain float, not a numpy repr
+        assert re.search(r"offender near z=-?\d+\.\d+\n", result.output), result.output
+
+    def test_density_accepts_any_z_grid(self, runner, tmp_path):
+        # the density lattice is x/y only
+        args = ["density", "--copula", "gauss", "--rho", "0.5", "--step", "0.5", "--z-step", "0.03"]
+        assert runner.invoke(main, [*args, "--output", str(tmp_path / "d.csv")]).exit_code == 0
 
     def test_quantile_out_of_range_is_numerical_failure(self, runner, tmp_path):
         result = runner.invoke(

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from sumdist import specfun
-from sumdist.copula import CopulaFamily, CopulaSpec, copula_density, spec_from_rho
+from sumdist import jointdensity, specfun
+from sumdist.copula import CopulaFamily, CopulaSpec, _axis_coordinate, _clamp_u, _density_from_coords, copula_density, spec_from_rho
 from sumdist.errors import DomainError
 from sumdist.grid import GridSpec
 from sumdist.jointdensity import JointDensityModel, joint_pdf, joint_pdf_grid
@@ -129,6 +129,76 @@ class TestJointPdfGrid:
             GridSpec(half_width=5.0, step=-0.05)
         with pytest.raises(DomainError):
             joint_pdf_grid(m, "not a grid")
+
+
+def unblocked_grid(model, xs, ys):
+    """The density grid in one whole-grid pass: the reference for the row blocks."""
+    spec = model.spec
+    u1 = _clamp_u(specfun.std_normal_cdf_array(xs))
+    u2 = _clamp_u(specfun.std_normal_cdf_array(ys))
+    c1, c2 = _axis_coordinate(spec, u1), _axis_coordinate(spec, u2)
+    dens = np.asarray(_density_from_coords(spec, c1[:, None], c2[None, :]), dtype=float)
+    weight = np.outer(specfun.std_normal_pdf_array(xs), specfun.std_normal_pdf_array(ys))
+    out = dens * weight
+    out[weight < 1e-300] = 0.0
+    return out
+
+
+EDGE_SPECS = [
+    CopulaSpec.clayton(60.0),
+    CopulaSpec.gumbel(40.0),
+    CopulaSpec.gumbel(1.0),  # independence branch
+    CopulaSpec.frank(1e-10),  # independence branch
+]
+SYMMETRY_SPECS = [spec_from_rho(f, rho) for f in ALL_FAMILIES for rho in (0.9, 0.5, 0.1)] + EDGE_SPECS
+
+
+class TestGridOnAxes:
+    @pytest.mark.parametrize("spec", SYMMETRY_SPECS, ids=lambda s: repr(s.describe()))
+    def test_swapping_the_axes_transposes_the_grid(self, spec):
+        # refined mode takes the north edge-midpoint grid to be the
+        # transpose of the east one; a family that is not exchangeable
+        # (a rotated copula, say) breaks this
+        grid = GridSpec(step=0.05)
+        mids, edges = grid.cell_midpoints(), grid.axis_points()[:-1]
+        model = JointDensityModel(spec)
+        east = jointdensity._grid_on_axes(model, mids, edges)
+        north = jointdensity._grid_on_axes(model, edges, mids)
+        np.testing.assert_array_equal(east, north.T)
+
+    @pytest.mark.parametrize("spec", SYMMETRY_SPECS, ids=lambda s: repr(s.describe()))
+    def test_blocks_match_one_pass(self, spec):
+        # 200 x 201 points: 81 rows a block, the last one 38 rows
+        grid = GridSpec(step=0.05)
+        xs, ys = grid.cell_midpoints(), grid.axis_points()
+        model = JointDensityModel(spec)
+        assert jointdensity._BLOCK_CELLS // ys.size == 81 and xs.size % 81 != 0
+        np.testing.assert_array_equal(jointdensity._grid_on_axes(model, xs, ys), unblocked_grid(model, xs, ys))
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize(
+        "nx, ny",
+        [
+            (1, 201),  # a 1-row axis
+            (201, 1),  # one column: every row in a single block
+            (30, 40),  # fits in one block
+            (3, 20000),  # rows wider than a block: one row a block
+        ],
+    )
+    def test_block_shapes(self, family, nx, ny):
+        model = JointDensityModel(spec_from_rho(family, 0.7))
+        xs, ys = np.linspace(-5.0, 5.0, nx), np.linspace(-4.9, 4.9, ny)
+        got = jointdensity._grid_on_axes(model, xs, ys)
+        assert got.shape == (nx, ny)
+        np.testing.assert_array_equal(got, unblocked_grid(model, xs, ys))
+
+    def test_many_small_blocks(self, monkeypatch):
+        # 7-row blocks over 41 rows: five full blocks and a 6-row remainder
+        monkeypatch.setattr(jointdensity, "_BLOCK_CELLS", 7 * 41)
+        axis = GridSpec(step=0.25).axis_points()
+        for spec in SYMMETRY_SPECS:
+            model = JointDensityModel(spec)
+            np.testing.assert_array_equal(jointdensity._grid_on_axes(model, axis, axis), unblocked_grid(model, axis, axis))
 
 
 class TestMarginalRecovery:

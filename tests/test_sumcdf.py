@@ -14,6 +14,7 @@ from sumdist import jointdensity
 from sumdist.copula import CopulaFamily, CopulaSpec, spec_from_rho
 from sumdist.errors import DomainError, QuantileOutOfRange
 from sumdist.grid import PAPER_GRID, GridSpec
+from sumdist.gridquad import antidiagonal_sums, kahan_cumsum
 from sumdist.jointdensity import JointDensityModel, joint_pdf, joint_pdf_grid
 from sumdist.specfun import std_normal_cdf
 from sumdist.sumcdf import (
@@ -213,7 +214,42 @@ class TestPaperExact:
             assert np.all(np.abs(f1 - f2) <= 4.0 * np.abs(f2 - f4) + 1e-6)
 
 
+def three_grid_refined_raw(spec, grid):
+    """Raw refined F from three density grids, the north one built explicitly.
+
+    This is the reduction ``cdf_refined`` had before it took the north
+    grid's anti-diagonal sums from the east grid.
+    """
+    model = JointDensityModel(spec)
+    n = grid.n_cells
+    mids = grid.cell_midpoints()
+    edges = grid.axis_points()[:-1]
+    center = antidiagonal_sums(jointdensity._grid_on_axes(model, mids, mids)).tolist()
+    east = antidiagonal_sums(jointdensity._grid_on_axes(model, mids, edges)).tolist()
+    north = antidiagonal_sums(jointdensity._grid_on_axes(model, edges, mids)).tolist()
+    cum_center = kahan_cumsum(center)
+    m_z = np.rint((grid.z_values() + 2.0 * grid.half_width) / grid.step).astype(int)
+    raw = []
+    for m in m_z.tolist():
+        full = cum_center[min(m - 2, 2 * n - 2)] if m >= 2 else 0.0
+        tri = 0.0
+        if 0 <= m - 1 <= 2 * n - 2:
+            tri = (east[m - 1] + north[m - 1] + center[m - 1]) / 6.0
+        raw.append((full + tri) * grid.step * grid.step)
+    return np.array(raw)
+
+
 class TestRefined:
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("rho", [0.9, 0.5, 0.1])
+    @pytest.mark.parametrize("step", [0.05, 0.025])
+    def test_matches_three_grid_reference(self, family, rho, step):
+        # the east grid's anti-diagonal sums stand in for the north grid's
+        # without changing a bit of F
+        spec = spec_from_rho(family, rho)
+        grid = GridSpec(step=step, z_step=step)
+        np.testing.assert_array_equal(cdf_refined(spec, grid).raw_F_values, three_grid_refined_raw(spec, grid))
+
     def test_gauss_analytic_anchor(self):
         # closed form: Z ~ N(0, sqrt(2 + 2 rho)) for the Gauss copula
         for rho in [0.1, 0.5, 0.9]:
