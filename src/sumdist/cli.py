@@ -26,7 +26,7 @@ from .errors import DomainError, QuantileOutOfRange
 from .grid import GridSpec
 from .jointdensity import JointDensityModel, joint_pdf_grid
 from .sampler import RandomSource, sample_sum
-from .sumcdf import TABLE2_RHOS, TableMode, _z_lattice_indices, cdf_paper_exact, cdf_refined, quantile, quantile_sweep
+from .sumcdf import TABLE2_RHOS, TableMode, cdf_paper_exact, cdf_refined, quantile, quantile_sweep
 
 _FAMILIES = {f.value: f for f in CopulaFamily}
 _FLOAT_FMT = "%.17g"
@@ -65,7 +65,7 @@ def _build_grid(half_width, step, z_min, z_max, z_step, z_on_lattice=True) -> Gr
     try:
         grid = GridSpec(half_width=half_width, step=step, z_min=z_min, z_max=z_max, z_step=z_step)
         if z_on_lattice:
-            _z_lattice_indices(grid)
+            grid.z_lattice_indices()
         return grid
     except DomainError as exc:
         raise click.UsageError(f"invalid grid: {exc}")

@@ -371,20 +371,23 @@ def _gumbel_kernel(theta, u1, u2):
     return np.exp(ln_c)
 
 
+def _log_abs_expm1(x):
+    # log|e^x - 1|, written as x + log(1 - e^-x) for x > 0 so it cannot overflow
+    return np.maximum(x, 0.0) + np.log(-np.expm1(-np.abs(x)))
+
+
 def _frank_kernel(theta, u1, u2):
-    # combined form of the two-term density: -theta g e^(-theta(u1+u2)) /
-    # (g + g1 g2)^2 with g = e^(-theta) - 1, g_i = e^(-theta u_i) - 1.
-    # Frank is radially symmetric, c(u1, u2) = c(1-u1, 1-u2); evaluating on
-    # the u1 + u2 <= 1 side keeps g + g1 g2 away from its large-theta
-    # cancellation near the upper corner.
-    reflect = u1 + u2 > 1.0
-    v1 = np.where(reflect, 1.0 - u1, u1)
-    v2 = np.where(reflect, 1.0 - u2, u2)
-    g = math.expm1(-theta)
-    g1 = np.expm1(-theta * v1)
-    g2 = np.expm1(-theta * v2)
-    denom = g + g1 * g2
-    return -theta * g * np.exp(-theta * (v1 + v2)) / (denom * denom)
+    # c = theta (1 - e^-theta) e^(-theta (u1 + u2)) / D^2 with
+    # D = e^(-theta u1) (1 - e^(-theta u2)) + e^(-theta u2) (1 - e^(-theta (1 - u2))),
+    # two terms with the sign of theta, so D does not cancel.  D divided by
+    # e^(-theta (u1 + u2) / 2) is e^h (1 - e^(-theta u2)) + e^-h (1 - e^(-theta (1 - u2)))
+    # with h = theta (u2 - u1) / 2, summed in log space.  Taking (u1, u2) as
+    # (min, max) keeps the kernel bitwise symmetric.
+    v1 = np.minimum(u1, u2)
+    v2 = np.maximum(u1, u2)
+    h = 0.5 * theta * (v2 - v1)
+    ln_d = np.logaddexp(h + _log_abs_expm1(-theta * v2), _log_abs_expm1(-theta * (1.0 - v2)) - h)
+    return np.exp(math.log(abs(theta)) + _log_abs_expm1(-theta) - 2.0 * ln_d)
 
 
 def _density_from_coords(spec: CopulaSpec, c1, c2):

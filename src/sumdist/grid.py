@@ -37,6 +37,10 @@ class GridSpec:
             raise DomainError(
                 f"half_width/step = {ratio!r} must be an integer so the lattice closes exactly"
             )
+        if round(ratio) < 1:
+            raise DomainError(
+                f"half_width/step = {ratio!r} rounds to 0: the lattice needs at least one cell on each side of 0"
+            )
         if not self.z_min < self.z_max:
             raise DomainError(f"need z_min < z_max, got {self.z_min!r} >= {self.z_max!r}")
         if not self.z_step > 0.0:
@@ -57,6 +61,23 @@ class GridSpec:
     def z_values(self) -> np.ndarray:
         count = int(round((self.z_max - self.z_min) / self.z_step)) + 1
         return self.z_min + self.z_step * np.arange(count)
+
+    def z_lattice_indices(self) -> np.ndarray:
+        """Each z as an integer multiple of step above -2*half_width.
+
+        Both integration modes rely on the boundary line y = z - x passing
+        exactly through lattice points, which requires (z + 2h)/step to be an
+        integer for every z in the grid.
+        """
+        zs = self.z_values()
+        ratio = (zs + 2.0 * self.half_width) / self.step
+        m = np.rint(ratio)
+        if np.any(np.abs(ratio - m) > _LATTICE_TOL * np.maximum(1.0, np.abs(m))):
+            raise DomainError(
+                "z values must be commensurate with the x/y lattice: "
+                f"(z + 2*half_width)/step must be integral, got offender near z={float(zs[np.argmax(np.abs(ratio - m))])!r}"
+            )
+        return m.astype(int)
 
 
 PAPER_GRID = GridSpec()

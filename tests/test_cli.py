@@ -150,6 +150,17 @@ class TestValidation:
         # a plain float, not a numpy repr
         assert re.search(r"offender near z=-?\d+\.\d+\n", result.output), result.output
 
+    @pytest.mark.parametrize("mode", ["paper-exact", "refined"])
+    def test_grid_without_cells(self, runner, tmp_path, mode):
+        # half_width/step rounds to 0: no lattice cell at all
+        out = tmp_path / "d.csv"
+        args = ["dist", "--copula", "gauss", "--rho", "0.5", "--half-width", "1e-12", "--step", "1"]
+        args += ["--z-min", "-1", "--z-max", "1", "--z-step", "1", "--mode", mode, "--output", str(out)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "rounds to 0" in result.output
+        assert not out.exists()
+
     def test_density_accepts_any_z_grid(self, runner, tmp_path):
         # the density lattice is x/y only
         args = ["density", "--copula", "gauss", "--rho", "0.5", "--step", "0.5", "--z-step", "0.03"]
@@ -376,9 +387,11 @@ class TestSweep:
         result = runner.invoke(main, [*args, "--output", str(out)])
         assert result.exit_code == 0, result.output
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        # re-pinned when Frank's theta became the exact root of tau(theta): only
-        # the three Frank rows moved, by at most 1.2e-10
-        assert digest == "5b8c0863d513d145c833ed5857c63ae3a50fd540447ca4e913dbe3c018ea0902"
+        # re-pinned when the anti-diagonal sums became plain sums in a fixed
+        # order, no longer correctly rounded (quantiles moved by at most 1.9e-14
+        # relative), and the Frank density's denominator a sum without
+        # cancellation (only the Frank rows moved, by at most 1.2e-14 relative)
+        assert digest == "b75b73cb33103ceb09f5404ce092f85b568b1cc36289fcee6eced74e60363f15"
 
     @pytest.mark.parametrize(
         "flag, value",

@@ -440,6 +440,25 @@ class TestCopulaDensity:
             total += float(np.sum(_density_from_coords(spec, c1, coords[None, :])))
         assert total * step * step == pytest.approx(1.0, abs=1e-3)
 
+    @pytest.mark.parametrize("theta", [12.0, 51.37, 79.42, 138.8, -12.0, -51.37])
+    def test_frank_matches_high_precision_density(self, theta):
+        # near u1 + u2 = 1 and near u1 = u2, where the textbook denominator
+        # e^-theta - 1 + (e^(-theta u1) - 1)(e^(-theta u2) - 1) cancels; the
+        # oracle evaluates it with 50 digits to spare beyond the cancellation
+        points = [
+            (0.5, 0.5), (0.3, 0.7), (0.49, 0.51 + 1e-12), (0.2, 0.8 - 1e-9), (0.05, 0.95),
+            (0.1, 0.1 + 1e-9), (0.7, 0.7), (0.9, 0.9 - 1e-12), (0.25, 0.25 + 1e-6),
+        ]
+        spec = CopulaSpec.frank(theta)
+        for u1, u2 in points:
+            with mpmath.workdps(50 + int(abs(theta))):
+                t, a, b = mpmath.mpf(theta), mpmath.mpf(u1), mpmath.mpf(u2)
+                g, g1, g2 = mpmath.expm1(-t), mpmath.expm1(-t * a), mpmath.expm1(-t * b)
+                want = float(-t * g * mpmath.exp(-t * (a + b)) / (g + g1 * g2) ** 2)
+            got = copula_density(spec, u1, u2)
+            assert got == pytest.approx(want, rel=1e-13, abs=0), (u1, u2)
+            assert copula_density(spec, u2, u1) == got
+
     def test_large_theta_stability(self):
         # log-space kernels must not overflow at the clamp corner
         for spec in [CopulaSpec.clayton(50.0), CopulaSpec.gumbel(50.0), CopulaSpec.frank(50.0)]:

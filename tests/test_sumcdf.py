@@ -3,6 +3,9 @@
 The lattice mode is checked against a literal transcription of the
 reference loop on small grids; the refined mode against adaptive 2-D
 quadrature (scipy) and the closed-form normal answer for the Gauss family.
+``antidiagonal_sums`` is checked bitwise against a literal loop in its
+fixed summation order, and against ``math.fsum`` within the error bound of
+recursive summation.
 """
 
 import math
@@ -14,14 +17,14 @@ from sumdist import jointdensity
 from sumdist.copula import CopulaFamily, CopulaSpec, spec_from_rho
 from sumdist.errors import DomainError, QuantileOutOfRange
 from sumdist.grid import PAPER_GRID, GridSpec
-from sumdist.gridquad import antidiagonal_sums, kahan_cumsum
-from sumdist.jointdensity import JointDensityModel, joint_pdf, joint_pdf_grid
+from sumdist.jointdensity import JointDensityModel, _grid_on_axes, joint_pdf, joint_pdf_grid
 from sumdist.specfun import std_normal_cdf
 from sumdist.sumcdf import (
     TABLE2_RHOS,
     DistributionTable,
     QuantileReport,
     TableMode,
+    antidiagonal_sums,
     cdf_paper_exact,
     cdf_refined,
     quantile,
@@ -29,6 +32,130 @@ from sumdist.sumcdf import (
 )
 
 ALL_FAMILIES = list(CopulaFamily)
+
+# unit roundoff of IEEE double precision
+U = 2.0**-53
+
+
+def _diagonals(m: np.ndarray) -> list[list[float]]:
+    """The anti-diagonals i + j = s of a square matrix, each in ascending row order."""
+    n = m.shape[0]
+    rows = m.tolist()
+    return [[rows[i][s - i] for i in range(max(0, s - n + 1), min(s, n - 1) + 1)] for s in range(2 * n - 1)]
+
+
+def _ascending_row_sums(m: np.ndarray) -> np.ndarray:
+    """Each anti-diagonal added term by term in ascending row order: the reference for ``antidiagonal_sums``."""
+    out = []
+    for diagonal in _diagonals(m):
+        total = 0.0
+        for v in diagonal:
+            total += v
+        out.append(total)
+    return np.array(out)
+
+
+def _fsum_diagonals(m: np.ndarray) -> np.ndarray:
+    """The correctly rounded sum of each anti-diagonal."""
+    return np.array([math.fsum(d) for d in _diagonals(m)])
+
+
+def _kahan_add(acc, values):
+    """One step of Kahan-compensated summation on (total, compensation)."""
+    total, comp = acc
+    y = values - comp
+    t = total + y
+    return t, (t - total) - y
+
+
+def _stress_matrices(case: str) -> list[np.ndarray]:
+    """Matrices chosen to stress a summation: ties, subnormals, cancellation, zeros."""
+    if case == "small":
+        out = []
+        for n in (1, 2, 3):
+            rng = np.random.default_rng(n)
+            out += [rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, n)) for _ in range(200)]
+        return out
+    if case == "ties":
+        # 1 + 2**-53 is halfway between 1 and its successor, and
+        # 1 + 2**-52 + 2**-53 halfway between it and the next: the two
+        # round in opposite directions under round-half-even
+        half_ulp = np.ldexp(1.0, -53)
+        out = []
+        for tail in ([half_ulp, 0.0], [np.ldexp(1.0, -52), half_ulp], [half_ulp, np.ldexp(1.0, -106)]):
+            m = np.zeros((3, 3))
+            m[0, 2], m[1, 1], m[2, 0] = 1.0, *tail
+            out.append(m)
+        rng = np.random.default_rng(11)
+        for n in (2, 3, 5, 8):
+            for _ in range(300):
+                ints = rng.integers(-8, 9, (n, n)).astype(float)
+                out.append(np.ldexp(ints, rng.integers(-60, 1, (n, n))))
+        return out
+    if case == "subnormals":
+        rng = np.random.default_rng(12)
+        out = [np.full((4, 4), 5e-324)]
+        for n in (2, 3, 6):
+            for _ in range(200):
+                ints = rng.integers(-9, 10, (n, n)).astype(float)
+                out.append(np.ldexp(ints, rng.integers(-1074, -1015, (n, n))))
+        return out
+    if case == "mixed_signs":
+        rng = np.random.default_rng(13)
+        out = []
+        for n in (3, 7, 16):
+            for _ in range(100):
+                sign = rng.choice([-1.0, 1.0], (n, n))
+                out.append(sign * 10.0 ** rng.uniform(-17.0, 17.0, (n, n)))
+        return out
+    if case == "zero_diagonals":
+        m = np.random.default_rng(14).standard_normal((6, 6))
+        i, j = np.indices(m.shape)
+        m[(i + j) % 3 == 0] = 0.0
+        return [np.zeros((5, 5)), m]
+    assert case == "clayton_cell"
+    # the density grids of one refined cell
+    model = JointDensityModel(spec_from_rho(CopulaFamily.CLAYTON, 0.9))
+    mids = PAPER_GRID.cell_midpoints()
+    lower_edges = PAPER_GRID.axis_points()[:-1]
+    return [_grid_on_axes(model, xs, ys) for xs, ys in ((mids, mids), (mids, lower_edges), (lower_edges, mids))]
+
+
+STRESS_CASES = ["small", "ties", "subnormals", "mixed_signs", "zero_diagonals", "clayton_cell"]
+
+
+class TestAntidiagonalSums:
+    @pytest.mark.parametrize("case", STRESS_CASES)
+    def test_adds_each_diagonal_in_ascending_row_order(self, case):
+        # the reproducibility contract: a fixed order of additions, so fixed bits
+        for m in _stress_matrices(case):
+            got = antidiagonal_sums(m)
+            want = _ascending_row_sums(m)
+            assert got.shape == want.shape == (2 * m.shape[0] - 1,)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), np.flatnonzero(got != want)
+
+    @pytest.mark.parametrize("case", STRESS_CASES)
+    def test_within_recursive_summation_bound(self, case):
+        # the accuracy contract: a recursive sum of k terms is within
+        # (k - 1) u sum|a| of the exact sum (Rump, "Error estimation of
+        # floating-point summation and dot product", BIT 2012), and math.fsum
+        # within half an ulp, at most u |sum|, of it
+        for m in _stress_matrices(case):
+            got = antidiagonal_sums(m)
+            want = _fsum_diagonals(m)
+            diagonals = _diagonals(m)
+            terms = np.array([len(d) for d in diagonals])
+            mass = np.array([math.fsum(abs(v) for v in d) for d in diagonals])
+            bound = (terms - 1) * U * mass + U * np.abs(want)
+            assert np.all(np.abs(got - want) <= bound), np.max(np.abs(got - want) - bound)
+
+    def test_entries_in_order(self):
+        m = np.arange(9.0).reshape(3, 3)
+        assert antidiagonal_sums(m).tolist() == [0.0, 4.0, 12.0, 12.0, 8.0]
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            antidiagonal_sums(np.zeros((2, 3)))
 
 
 class TestGridSpec:
@@ -40,6 +167,8 @@ class TestGridSpec:
         assert len(g.z_values()) == 201
 
     def test_validation(self):
+        with pytest.raises(DomainError, match="rounds to 0"):
+            GridSpec(half_width=1e-12, step=1.0)  # no cell at all
         with pytest.raises(DomainError):
             GridSpec(step=0.0)
         with pytest.raises(DomainError):
@@ -48,6 +177,19 @@ class TestGridSpec:
             GridSpec(z_min=2.0, z_max=-2.0)
         with pytest.raises(DomainError):
             GridSpec(z_step=-0.1)
+
+    def test_z_lattice_indices(self):
+        g = GridSpec(half_width=1.0, step=0.5, z_min=-3.0, z_max=1.0, z_step=0.5)
+        assert g.z_lattice_indices().tolist() == [-2, -1, 0, 1, 2, 3, 4, 5, 6]
+
+    @pytest.mark.parametrize("integrate", [cdf_paper_exact, cdf_refined])
+    def test_smallest_grid(self, integrate):
+        # one cell on each side of 0: a 3 x 3 lattice, 2 x 2 cells
+        grid = GridSpec(half_width=1.0, step=1.0, z_min=-3.0, z_max=3.0, z_step=1.0)
+        table = integrate(CopulaSpec.gauss(0.5), grid)
+        assert table.z_values.tolist() == [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]
+        assert np.all(np.isfinite(table.raw_F_values))
+        assert 0.0 < table.F_values[-1] <= 1.0
 
     def test_midpoints(self):
         g = GridSpec(half_width=1.0, step=0.5, z_min=-1.0, z_max=1.0, z_step=0.5)
@@ -124,27 +266,40 @@ def per_row_kahan_reference(spec, grid):
     dens = joint_pdf_grid(JointDensityModel(spec), grid)
     n = grid.n_cells
     m_z = np.rint((grid.z_values() + 2.0 * grid.half_width) / grid.step).astype(int)
-
-    def kahan_add(acc, values):
-        total, comp = acc
-        y = values - comp
-        t = total + y
-        return t, (t - total) - y
-
     acc = (np.zeros(n + 1), np.zeros(n + 1))
     prefix = np.empty_like(dens)
     for j in range(n + 1):
-        acc = kahan_add(acc, dens[:, j])
+        acc = _kahan_add(acc, dens[:, j])
         prefix[:, j] = acc[0]
     acc = (np.zeros(m_z.shape), np.zeros(m_z.shape))
     for i in range(n + 1):
-        acc = kahan_add(acc, prefix[i, np.clip(m_z - i, 0, n)])
+        acc = _kahan_add(acc, prefix[i, np.clip(m_z - i, 0, n)])
     return acc[0] * grid.step * grid.step
 
 
-def _assert_within_ulps(got, want, ulps):
+def _assert_within_summation_bound(got, want, points):
+    """|got - want| <= (3N + 8) u want for F from a lattice of N points per axis.
+
+    Both sides sum the same non-negative density values.  Every rounding in
+    a sum of non-negative terms scales a partial sum by some 1 + d with
+    |d| <= u, so a term carried through k roundings moves F by at most
+    k u of its share, and F by at most k u F over all terms (to first
+    order).  In ``cdf_paper_exact`` a density value passes through at most
+    N - 1 roundings in its anti-diagonal, 2N - 2 in the cumulative sum over
+    the 2N - 1 diagonals, one in adding the saturated column and two in
+    the products by step, 3N in all.  In ``cdf_refined`` the cell-center
+    path is the same (the added triangle term stands in for the saturated
+    column), and the triangle path has N - 1 + 2 + 1 + 2 = N + 4 <= 3N
+    (east + east is exact doubling).  The references round each diagonal
+    correctly or Kahan-sum each column (u or 2u), Kahan-sum the rest (2u),
+    and round two products (2u); the refined triangle adds three more
+    roundings (east + north, + center, / 6).  So each is within 7u F of
+    the exact sum, the two within (3N + 7) u F, and the test allows one u
+    more for the second-order terms.  Observed differences are about 1e-15.
+    """
     got, want = np.asarray(got), np.asarray(want)
-    assert np.all(np.abs(got - want) <= ulps * np.spacing(np.abs(want))), np.max(np.abs(got - want))
+    bound = (3 * points + 8) * U * want
+    assert np.all(np.abs(got - want) <= bound), np.max(np.abs(got - want) / want)
 
 
 class TestPaperExact:
@@ -152,7 +307,8 @@ class TestPaperExact:
     @pytest.mark.parametrize("rho", [0.9, 0.3])
     def test_matches_per_row_reduction(self, family, rho):
         spec = spec_from_rho(family, rho)
-        _assert_within_ulps(cdf_paper_exact(spec).raw_F_values, per_row_kahan_reference(spec, PAPER_GRID), 4)
+        got = cdf_paper_exact(spec).raw_F_values
+        _assert_within_summation_bound(got, per_row_kahan_reference(spec, PAPER_GRID), PAPER_GRID.n_cells + 1)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_matches_per_row_reduction_past_both_saturations(self, family):
@@ -160,9 +316,29 @@ class TestPaperExact:
         grid = GridSpec(half_width=2.0, step=0.5, z_min=-6.0, z_max=6.0, z_step=0.5)
         spec = spec_from_rho(family, 0.5)
         got = cdf_paper_exact(spec, grid).raw_F_values
-        _assert_within_ulps(got, per_row_kahan_reference(spec, grid), 4)
+        _assert_within_summation_bound(got, per_row_kahan_reference(spec, grid), grid.n_cells + 1)
         assert got[0] > 0.0 and got[0] == got[3]  # z <= -4.5 keeps the column y_0 whole
         assert got[-1] == got[-4]  # z >= 4.5 keeps every point
+
+    def test_accumulates_in_fixed_order(self):
+        # the order of every addition is part of the result: diagonals in
+        # ascending order, the saturated column y_0 from x_n down to x_0
+        grid = GridSpec(half_width=2.0, step=0.25, z_min=-5.0, z_max=5.0, z_step=0.25)
+        spec = spec_from_rho(CopulaFamily.GUMBEL, 0.7)
+        dens = joint_pdf_grid(JointDensityModel(spec), grid)
+        n = grid.n_cells
+        below, total = [0.0], 0.0
+        for d in _ascending_row_sums(dens).tolist():
+            total += d
+            below.append(total)
+        saturated, total = [0.0], 0.0
+        for v in dens[::-1, 0].tolist():
+            total += v
+            saturated.insert(0, total)
+        m_z = np.rint((grid.z_values() + 2.0 * grid.half_width) / grid.step).astype(int).tolist()
+        want = [(below[min(max(m, -1), 2 * n) + 1] + saturated[min(max(m + 1, 0), n + 1)]) * grid.step * grid.step for m in m_z]
+        got = cdf_paper_exact(spec, grid).raw_F_values
+        assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
 
     def test_matches_literal_loop_on_small_grids(self):
         grid = GridSpec(half_width=1.5, step=0.5, z_min=-1.5, z_max=1.5, z_step=0.5)
@@ -218,16 +394,20 @@ def three_grid_refined_raw(spec, grid):
     """Raw refined F from three density grids, the north one built explicitly.
 
     This is the reduction ``cdf_refined`` had before it took the north
-    grid's anti-diagonal sums from the east grid.
+    grid's anti-diagonal sums from the east grid: correctly rounded
+    anti-diagonal sums, accumulated with Kahan summation.
     """
     model = JointDensityModel(spec)
     n = grid.n_cells
     mids = grid.cell_midpoints()
     edges = grid.axis_points()[:-1]
-    center = antidiagonal_sums(jointdensity._grid_on_axes(model, mids, mids)).tolist()
-    east = antidiagonal_sums(jointdensity._grid_on_axes(model, mids, edges)).tolist()
-    north = antidiagonal_sums(jointdensity._grid_on_axes(model, edges, mids)).tolist()
-    cum_center = kahan_cumsum(center)
+    center = _fsum_diagonals(_grid_on_axes(model, mids, mids)).tolist()
+    east = _fsum_diagonals(_grid_on_axes(model, mids, edges)).tolist()
+    north = _fsum_diagonals(_grid_on_axes(model, edges, mids)).tolist()
+    acc, cum_center = (0.0, 0.0), []
+    for d in center:
+        acc = _kahan_add(acc, d)
+        cum_center.append(acc[0])
     m_z = np.rint((grid.z_values() + 2.0 * grid.half_width) / grid.step).astype(int)
     raw = []
     for m in m_z.tolist():
@@ -244,11 +424,20 @@ class TestRefined:
     @pytest.mark.parametrize("rho", [0.9, 0.5, 0.1])
     @pytest.mark.parametrize("step", [0.05, 0.025])
     def test_matches_three_grid_reference(self, family, rho, step):
-        # the east grid's anti-diagonal sums stand in for the north grid's
-        # without changing a bit of F
+        # the east grid's anti-diagonal sums stand in for the north grid's,
+        # which add the same entries in the reverse order
         spec = spec_from_rho(family, rho)
         grid = GridSpec(step=step, z_step=step)
-        np.testing.assert_array_equal(cdf_refined(spec, grid).raw_F_values, three_grid_refined_raw(spec, grid))
+        got = cdf_refined(spec, grid).raw_F_values
+        _assert_within_summation_bound(got, three_grid_refined_raw(spec, grid), grid.n_cells)
+
+    @pytest.mark.parametrize("rho, q99", [(0.997, 4.6217), (0.999, 4.6648)])
+    def test_frank_near_comonotone(self, rho, q99):
+        # theta = 79.4 and 138.8: the Frank kernel's denominator must not cancel
+        grid = GridSpec(step=0.025, z_step=0.025)
+        table = cdf_refined(spec_from_rho(CopulaFamily.FRANK, rho), grid)
+        assert np.all(np.isfinite(table.raw_F_values))
+        assert quantile(table, 0.99) == pytest.approx(q99, abs=1e-4)
 
     def test_gauss_analytic_anchor(self):
         # closed form: Z ~ N(0, sqrt(2 + 2 rho)) for the Gauss copula
