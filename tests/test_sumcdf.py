@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from sumdist import jointdensity
 from sumdist.copula import CopulaFamily, CopulaSpec, spec_from_rho
@@ -518,6 +519,24 @@ class TestBounds:
             table = cdf_paper_exact(spec_from_rho(family, rho))
             assert table.F_values[0] <= 0.01
             assert table.F_values[-1] >= 0.98
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda spec: cdf_paper_exact(spec, PAPER_GRID),
+            lambda spec: cdf_refined(spec, GridSpec(step=0.025, z_step=0.025)),
+        ],
+        ids=["paper_exact", "refined"],
+    )
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_inside_makarov_band(self, family, build):
+        # whatever the copula, max(2 Phi(z/2) - 1, 0) <= F_Z(z) <= min(2 Phi(z/2), 1)
+        # (Makarov); the tables keep at least 0.006 away from either edge
+        for rho in TABLE2_RHOS:
+            table = build(spec_from_rho(family, rho))
+            edge = 2.0 * ndtr(table.z_values / 2.0)
+            assert np.all(edge - 1.0 <= table.F_values), rho
+            assert np.all(table.F_values <= edge), rho
 
 
 class TestQuantile:
