@@ -386,11 +386,8 @@ def _frank_kernel(theta, u1, u2):
     v2 = np.maximum(u1, u2)
     p = -np.expm1(-t * v2)
     q = -np.expm1(-t * (1.0 - v2))
-    if theta > 0.0:  # w >= 0
-        w, a, b = 0.5 * t * (v2 - v1), p, q
-    else:
-        w = 0.5 * t * (v1 + v2 - 1.0)
-        a, b = np.where(w >= 0.0, p, q), np.where(w >= 0.0, q, p)
+    w = 0.5 * t * (v2 - v1) if theta > 0.0 else 0.5 * t * (v1 + v2 - 1.0)
+    a, b = np.where(w >= 0.0, p, q), np.where(w >= 0.0, q, p)
     e = np.exp(-2.0 * np.abs(w))
     return t * -math.expm1(-t) * e / (a + e * b) ** 2
 

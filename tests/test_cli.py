@@ -123,6 +123,7 @@ class TestValidation:
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
         assert message in result.output
+        assert "Traceback" not in result.output
 
     @pytest.mark.parametrize(
         "args, message",

@@ -374,14 +374,16 @@ _TINY = 2.0**-1022  # the smallest normal double
 
 # |kernel - scalar| <= rtol |scalar| + atol.  Largest values seen on the
 # point sets below: 2.8e-16 (pdf), 6.2e-16 (cdf), 1.4e-15 (inverse cdf),
-# 5.8e-15 (t inverse) relative.  The t CDF's core side is 1/2 (1 - I), whose
-# cancellation turns an ulp of I into up to 1.8e-12 relative (nu = 200,
-# T = 3.1e-5), but never more than 2^-52 absolute.
+# 7.5e-16 (t CDF, tail side), 5.8e-15 (t inverse) relative.  The t CDF's
+# core side (x^2 < nu) is 1/2 (1 - I), whose cancellation turns an ulp of I
+# into up to 1.8e-12 relative (nu = 200, T = 3.1e-5), but never more than
+# 2^-52 absolute; the tail side is computed directly and gets no atol.
 _AGREE = {
     "pdf": (1e-14, 0.0),
     "cdf": (1e-14, 0.0),
     "inv_cdf": (1e-14, 0.0),
-    "t_cdf": (1e-14, _EPS),
+    "t_cdf": (1e-14, 0.0),
+    "t_cdf_core": (1e-14, _EPS),
     "t_inv_cdf": (5e-14, 0.0),
 }
 
@@ -399,6 +401,15 @@ def _assert_agrees(kernel, scalar, values, bound) -> None:
     assert got.shape == values.shape
     rtol, atol = bound
     np.testing.assert_allclose(got, expected, rtol=rtol, atol=atol)
+
+
+def _assert_t_cdf_agrees(nu: float, values: np.ndarray) -> None:
+    """``_assert_agrees`` for the t CDF, with the bound of each side."""
+    with np.errstate(over="ignore"):
+        core = values * values < nu
+    kernel, scalar = lambda a: student_t_cdf_array(a, nu), lambda v: student_t_cdf(v, nu)
+    _assert_agrees(kernel, scalar, values[~core], _AGREE["t_cdf"])
+    _assert_agrees(kernel, scalar, values[core], _AGREE["t_cdf_core"])
 
 
 def _normal_points() -> np.ndarray:
@@ -468,9 +479,7 @@ class TestArrayKernels:
     @pytest.mark.parametrize("nu", _NUS)
     def test_t_cdf_accuracy(self, nu):
         x = _t_points(nu)
-        _assert_agrees(
-            lambda a: student_t_cdf_array(a, nu), lambda v: student_t_cdf(v, nu), x, _AGREE["t_cdf"]
-        )
+        _assert_t_cdf_agrees(nu, x)
         np.testing.assert_allclose(student_t_cdf_array(x, nu), t_dist.cdf(x, nu), rtol=0.0, atol=1e-10)
 
     @pytest.mark.parametrize("nu", _NUS)
@@ -512,7 +521,8 @@ class TestArrayKernels:
             (std_normal_pdf_array, std_normal_pdf, _AGREE["pdf"]),
             (std_normal_cdf_array, std_normal_cdf, _AGREE["cdf"]),
             (std_normal_inv_cdf_array, std_normal_inv_cdf, _AGREE["inv_cdf"]),
-            (lambda a: student_t_cdf_array(a, 4.0), lambda v: student_t_cdf(v, 4.0), _AGREE["t_cdf"]),
+            # x^2 < 4 at every point: all on the core side
+            (lambda a: student_t_cdf_array(a, 4.0), lambda v: student_t_cdf(v, 4.0), _AGREE["t_cdf_core"]),
             (lambda a: student_t_inv_cdf_array(a, 4.0), lambda v: student_t_inv_cdf(v, 4.0), _AGREE["t_inv_cdf"]),
         ],
     )
