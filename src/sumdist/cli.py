@@ -5,6 +5,9 @@ artifact embeds the full configuration needed to regenerate it (family,
 parameters, grid, mode, seed, version).  A one-line summary with a SHA-256
 checksum of the output bytes goes to standard output.
 
+CSV floats are written as ``%.17g``, byte for byte, but formatted in numpy
+rather than by one Python call per value (see ``csvwriter``).
+
 Exit codes: 2 for flag/validation errors, 1 for numerical failures (for
 example a quantile level the table does not bracket).
 """
@@ -15,7 +18,6 @@ import hashlib
 import json
 import os
 import tempfile
-from itertools import chain
 
 import click
 import numpy as np
@@ -29,7 +31,6 @@ from .sampler import RandomSource, sample_sum
 from .sumcdf import TABLE2_RHOS, TableMode, cdf_paper_exact, cdf_refined, quantile, quantile_sweep
 
 _FAMILIES = {f.value: f for f in CopulaFamily}
-_FLOAT_FMT = "%.17g"
 
 
 def _build_spec(copula: str, rho: float | None, theta: float | None, nu: float | None) -> CopulaSpec:
@@ -103,32 +104,23 @@ def _mode_option(fn):
     )(fn)
 
 
-def _fmt_float(v: float) -> str:
-    return _FLOAT_FMT % (v,)
-
-
-def _serialize(meta: dict, columns: dict[str, list], fmt: str) -> bytes:
+def _serialize(meta: dict, columns: dict, fmt: str) -> bytes:
     """CSV: '# meta: {...}' comment, header row, then data rows;
     JSON: object with 'meta' and 'data'.  Both round-trip losslessly.
 
-    The CSV body is one format string applied once to all values.  A column
-    holding only floats gets ``%.17g``; any other column is rendered first
-    (``%.17g`` for floats, ``str`` otherwise) and gets ``%s``.
+    Columns are lists or numpy arrays.  In CSV, a float64 array or a column
+    that holds only floats is written as ``%.17g`` of each value, any other
+    column as ``%.17g`` of its floats and ``str`` of its other values.  The
+    bytes are exactly those of ``%.17g`` applied to one value at a time, but
+    ``csvwriter`` formats the floats in numpy, a block of rows at a time.
     """
     if fmt == "json":
-        payload = {"meta": meta, "data": columns}
+        data = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in columns.items()}
+        payload = {"meta": meta, "data": data}
         return (json.dumps(payload, indent=1, sort_keys=True) + "\n").encode()
-    cols = list(columns.values())
-    tokens = []
-    for k, col in enumerate(cols):
-        if all(issubclass(t, float) for t in set(map(type, col))):
-            tokens.append(_FLOAT_FMT)
-        else:
-            cols[k] = [_fmt_float(v) if isinstance(v, float) else str(v) for v in col]
-            tokens.append("%s")
-    row_fmt = ",".join(tokens) + "\n"
-    body = (row_fmt * len(cols[0])) % tuple(chain.from_iterable(zip(*cols)))
-    return ("# meta: " + json.dumps(meta, sort_keys=True) + "\n" + ",".join(columns) + "\n" + body).encode()
+    from .csvwriter import csv_bytes  # only CSV output needs it; kept out of the CLI import
+
+    return csv_bytes(meta, columns)
 
 
 def _write_artifact(data: bytes, path: str) -> str:
@@ -145,7 +137,7 @@ def _write_artifact(data: bytes, path: str) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _emit(meta: dict, columns: dict[str, list], fmt: str, output: str | None, default_name: str) -> None:
+def _emit(meta: dict, columns: dict, fmt: str, output: str | None, default_name: str) -> None:
     path = output or f"{default_name}.{fmt}"
     digest = _write_artifact(_serialize(meta, columns, fmt), path)
     brief = " ".join(f"{k}={v}" for k, v in meta.items() if k not in ("version", "command"))
@@ -195,7 +187,7 @@ def dist(copula, rho, theta, nu, half_width, step, z_min, z_max, z_step, mode, f
     grid = _build_grid(half_width, step, z_min, z_max, z_step)
     table = _compute_table(spec, grid, mode)
     meta = _spec_meta("dist", spec, mode=mode, **_grid_meta(grid))
-    _emit(meta, {"z": table.z_values.tolist(), "F": table.F_values.tolist()}, fmt, output, f"dist_{copula}")
+    _emit(meta, {"z": table.z_values, "F": table.F_values}, fmt, output, f"dist_{copula}")
 
 
 @main.command(name="quantile")
@@ -232,7 +224,7 @@ def density(copula, rho, theta, nu, half_width, step, z_min, z_max, z_step, fmt,
     xs = np.repeat(axis, n1)
     ys = np.tile(axis, n1)
     meta = _spec_meta("density", spec, **_grid_meta(grid))
-    _emit(meta, {"x": xs.tolist(), "y": ys.tolist(), "f": matrix.ravel().tolist()}, fmt, output, f"density_{copula}")
+    _emit(meta, {"x": xs, "y": ys, "f": matrix.ravel()}, fmt, output, f"density_{copula}")
 
 
 @main.command()
@@ -256,7 +248,7 @@ def sample(copula, rho, theta, nu, n, seed, fmt, output):
     meta = _spec_meta("sample", spec, n=n, seed=seed)
     _emit(
         meta,
-        {"x": sample_set.pairs[:, 0].tolist(), "y": sample_set.pairs[:, 1].tolist()},
+        {"x": sample_set.pairs[:, 0], "y": sample_set.pairs[:, 1]},
         fmt,
         output,
         f"sample_{copula}",

@@ -45,6 +45,15 @@ UEPS = 1e-12
 # exact independence density (avoids 0/0 in the Gumbel/Frank formulas)
 _INDEP_TOL = 1e-9
 
+# the t copula's nu range.  Over the Table 2 rhos, on the default grid, both
+# table modes give valid tables from nu = 0.19 up; at 0.18 the rho = 0.9
+# table overshoots 1 (by 6e-4), and at 0.03 and below the t quantile divides
+# by an underflowed density.  Up to nu = 1e6 the largest gap between each
+# table and the Gauss table (its nu -> infinity limit) is 0.0619 / nu to
+# within 1e-9; above, rounding error takes over: 5e-8 more at nu = 2e7, 2e-6
+# at 1e9, and at 1e12 the tables overshoot 1
+_T_NU_MIN, _T_NU_MAX = 0.2, 1e6
+
 # below this tau, Frank's theta = 9 tau (1 + 0.81 tau^2) to within 1.3e-4 theta^4
 # relative, which is under 2e-16 for theta < 1e-3
 _FRANK_SERIES_TAU = 1e-3 / 9.0
@@ -71,7 +80,7 @@ class CopulaSpec:
     Exactly the parameters relevant to the family may be set:
 
     * Gauss: ``rho`` in (-1, 1)
-    * Student-t: ``rho`` in (-1, 1) and finite ``nu`` > 0
+    * Student-t: ``rho`` in (-1, 1) and ``nu`` in [0.2, 1e6]
     * Clayton: finite ``theta`` > 0
     * Gumbel: finite ``theta`` >= 1
     * Frank: finite ``theta`` != 0
@@ -96,6 +105,8 @@ class CopulaSpec:
                     raise DomainError(f"t copula requires nu > 0, got {self.nu!r}")
                 if math.isinf(self.nu):
                     raise DomainError(f"t copula requires a finite nu, got {self.nu!r}")
+                if not (_T_NU_MIN <= self.nu <= _T_NU_MAX):
+                    raise DomainError(f"t copula requires {_T_NU_MIN:g} <= nu <= {_T_NU_MAX:g}, got {self.nu!r}")
             elif self.nu is not None:
                 raise DomainError("gauss copula takes no nu parameter")
         else:

@@ -577,7 +577,9 @@ def student_t_inv_cdf(p: float, nu: float) -> float:
     """Quantile function of the Student-t: x with |T_nu(x) - p| <= 1e-10.
 
     Safeguarded Newton iteration on ``student_t_cdf`` with the analytic
-    density as derivative; the bracket is grown geometrically first.
+    density as derivative; the bracket is grown geometrically first.  Where
+    the density underflows to 0 on the way (at tiny nu, the quantile can lie
+    beyond 1e300) there is no Newton step, and a ``DomainError`` says so.
     """
     if not (nu > 0.0):
         raise DomainError(f"student_t_inv_cdf requires nu > 0, got {nu!r}")
@@ -591,7 +593,7 @@ def student_t_inv_cdf(p: float, nu: float) -> float:
     while student_t_cdf(hi, nu) < pu:
         lo = hi
         hi *= 4.0
-        if hi > 1e300:  # pragma: no cover - unreachable for p in (0,1)
+        if hi > 1e300:  # x * x overflows out there, so the t density is 0
             break
     x = 0.5 * (lo + hi)
     for _ in range(200):
@@ -602,14 +604,23 @@ def student_t_inv_cdf(p: float, nu: float) -> float:
             lo = x
         if abs(f) <= 1e-13:
             break
-        step = f / student_t_pdf(x, nu)
-        x_new = x - step
+        density = student_t_pdf(x, nu)
+        if density == 0.0:
+            raise _density_underflow(p, nu, x)
+        x_new = x - f / density
         if not (lo < x_new < hi):
             x_new = 0.5 * (lo + hi)
         if x_new == x:
             break
         x = x_new
     return x if p > 0.5 else -x
+
+
+def _density_underflow(p: float, nu: float, x: float) -> DomainError:
+    return DomainError(
+        f"student_t_inv_cdf({p!r}, nu={nu!r}): the t density underflows to 0 at x={x:.6g}, "
+        "so the Newton step is undefined"
+    )
 
 
 def _student_t_pdf_flat(x: np.ndarray, nu: float) -> np.ndarray:
@@ -672,7 +683,11 @@ def student_t_inv_cdf_array(p, nu: float) -> np.ndarray:
         lo[act[~above]] = xa[~above]
         live = ~(np.abs(f) <= 1e-13)
         act, xa, f = act[live], xa[live], f[live]
-        x_new = xa - f / _student_t_pdf_flat(xa, nu)
+        density = _student_t_pdf_flat(xa, nu)
+        if not density.all():
+            k = np.argmin(density)
+            raise _density_underflow(float(flat[act[k]]), nu, float(xa[k]))
+        x_new = xa - f / density
         la, ha = lo[act], hi[act]
         outside = ~((la < x_new) & (x_new < ha))
         x_new[outside] = 0.5 * (la[outside] + ha[outside])

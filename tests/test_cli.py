@@ -12,12 +12,16 @@ import sys
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sumdist
 from sumdist import __version__
 from sumdist.cli import _serialize, main
 from sumdist.copula import CopulaFamily, CopulaSpec
+from sumdist.csvwriter import BLOCK_ROWS
 from sumdist.grid import GridSpec
+from sumdist.sampler import RandomSource
 from sumdist.sumcdf import cdf_paper_exact, quantile_sweep
 
 
@@ -117,6 +121,11 @@ class TestValidation:
             (["sample", "--copula", "gauss", "--rho", "-1", "--n", "5"], "requires -1 < rho < 1, got -1.0"),
             (["sweep", "--families", "t", "--nu", "-2"], "requires nu > 0, got -2.0"),
             (["reproduce-table2", "--nu", "nan"], "requires nu > 0, got nan"),
+            # before, these exited 1 after RuntimeWarnings in the kernels
+            (["dist", "--copula", "t", "--rho", "0.5", "--nu", "1e-3"], "requires 0.2 <= nu <= 1e+06, got 0.001"),
+            (["dist", "--copula", "t", "--rho", "0.5", "--nu", "1e300"], "requires 0.2 <= nu <= 1e+06, got 1e+300"),
+            (["sample", "--copula", "t", "--rho", "0.5", "--nu", "0.01", "--n", "5"], "requires 0.2 <= nu <= 1e+06, got 0.01"),
+            (["sweep", "--families", "t", "--nu", "2e6"], "requires 0.2 <= nu <= 1e+06, got 2000000.0"),
         ],
     )
     def test_invalid_elliptical_parameters(self, runner, args, message):
@@ -236,15 +245,17 @@ class TestSample:
         assert result.exit_code == 2
         assert "--seed invalid" in result.output
 
-    def test_numerical_failure_is_not_blamed_on_seed(self, runner, tmp_path):
-        # at nu = 0.01 some chi-square draws underflow to 0
+    def test_numerical_failure_is_not_blamed_on_seed(self, runner, tmp_path, monkeypatch):
+        # a chi-square draw that underflows to 0, as real draws do at nu = 0.01,
+        # below the t copula's nu range
+        monkeypatch.setattr(RandomSource, "chi_square_block", lambda self, nu, m: np.zeros(m))
         out = tmp_path / "s.csv"
         result = runner.invoke(
             main,
-            ["sample", "--copula", "t", "--rho", "0.5", "--nu", "0.01", "--n", "2000", "--seed", "1", "--output", str(out)],
+            ["sample", "--copula", "t", "--rho", "0.5", "--nu", "0.5", "--n", "2000", "--seed", "1", "--output", str(out)],
         )
         assert result.exit_code == 1
-        assert "nu=0.01" in result.output
+        assert "nu=0.5" in result.output
         assert "--seed" not in result.output
         assert not out.exists()
 
@@ -352,6 +363,61 @@ class TestSerialize:
     )
     def test_matches_per_value_writer(self, columns):
         assert _serialize(self.META, columns, "csv") == _serialize_per_value(self.META, columns)
+
+    # the writer formats floats in numpy; each test below holds its bytes to
+    # those of %.17g applied to one value at a time
+
+    def _assert_float_bytes(self, values):
+        x = np.asarray(values, dtype=np.float64)
+        want = "".join("%.17g\n" % v for v in x.tolist()).encode()
+        header = _serialize(self.META, {"v": []}, "csv")
+        assert _serialize(self.META, {"v": x}, "csv") == header + want
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20261018)
+        # every bit pattern equally likely, both signs: mostly beyond 1e16 or below 1e-4
+        self._assert_float_bytes(rng.integers(0, 2**64, 3 * 10**5, dtype=np.uint64).view(np.float64))
+        # the exponent drawn from 2^-15 .. 2^55, around the fixed-notation range
+        sign = rng.integers(0, 2, 10**6, dtype=np.uint64) << np.uint64(63)
+        exponent = rng.integers(1023 - 15, 1023 + 56, 10**6, dtype=np.uint64) << np.uint64(52)
+        self._assert_float_bytes((sign | exponent | rng.integers(0, 2**52, 10**6, dtype=np.uint64)).view(np.float64))
+
+    @given(st.lists(st.floats(), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_any_floats(self, values):
+        self._assert_float_bytes(values)
+
+    def test_neighbours_of_powers_of_ten(self):
+        # 50 doubles either side of 10^k; where log10 rounds across the power,
+        # the first guess of the decimal exponent is one off
+        powers = np.array([10.0**k for k in range(-6, 19)])
+        x = (powers.view(np.int64)[:, None] + np.arange(-50, 51)).view(np.float64).ravel()
+        self._assert_float_bytes(np.concatenate([x, -x, [1e-4, 1e16]]))
+
+    def test_half_way_ties_round_to_even(self):
+        # x = odd / 2^(17 - e) in [10^e, 10^(e+1)): x * 10^(16 - e) = odd * 5^(16 - e) / 2
+        # lies exactly half-way between two 17-digit integers
+        rng = np.random.default_rng(7)
+        values = []
+        for e in range(-4, 16):
+            scale = 2 ** (17 - e)
+            lo, hi = math.ceil(10.0**e * scale) // 2, min(10 ** (e + 1) * scale, 2**53) // 2
+            values.append((2 * rng.integers(lo, hi, 500) + 1) / scale)
+        x = np.concatenate(values)
+        self._assert_float_bytes(np.concatenate([x, -x]))
+
+    def test_integers_powers_of_two_and_specials(self):
+        ints = [*range(-1000, 1001), 2**53 - 1, 2**53, 2**53 + 2, *np.random.default_rng(3).integers(0, 2**53, 1000).tolist()]
+        powers = [2.0**k for k in range(-1074, 1024)]
+        specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
+        self._assert_float_bytes([*map(float, ints), *powers, *(-v for v in powers), *specials])
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+    def test_row_blocks(self, n):
+        rng = np.random.default_rng(n)
+        columns = {"x": rng.standard_normal(n), "k": list(range(n)), "y": (1e-6 * rng.standard_normal(n)).tolist()}
+        want = _serialize_per_value(self.META, {**columns, "x": columns["x"].tolist()})
+        assert _serialize(self.META, columns, "csv") == want
 
 
 class TestSweep:
@@ -476,5 +542,13 @@ class TestImport:
         src = os.path.dirname(os.path.dirname(sumdist.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         code = "import sys, sumdist.cli; print('concurrent.futures' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "False"
+
+    def test_cli_import_leaves_the_csv_writer_out(self):
+        # every run compiles the writer it imports; only CSV output needs it
+        src = os.path.dirname(os.path.dirname(sumdist.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys, sumdist.cli; print('sumdist.csvwriter' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "False"

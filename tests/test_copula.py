@@ -80,6 +80,18 @@ class TestCopulaSpecValidation:
         with pytest.raises(DomainError, match=name):
             make(value)
 
+    @pytest.mark.parametrize("nu", [0.2, 1e6])
+    def test_t_nu_range_edges_accepted(self, nu):
+        assert CopulaSpec.student_t(0.5, nu).nu == nu
+
+    @pytest.mark.parametrize(
+        "nu", [math.nextafter(0.2, 0.0), math.nextafter(1e6, math.inf), 1e-3, 0.01, 1e9, 1e300]
+    )
+    def test_t_nu_outside_range_rejected(self, nu):
+        # below 0.2 and above 1e6 the tables fail or lose accuracy (see copula._T_NU_MIN)
+        with pytest.raises(DomainError, match=r"requires 0\.2 <= nu <= 1e\+06, got "):
+            CopulaSpec.student_t(0.5, nu)
+
     def test_irrelevant_parameters_rejected(self):
         with pytest.raises(DomainError):
             CopulaSpec(CopulaFamily.GAUSS, rho=0.5, theta=2.0)

@@ -313,6 +313,14 @@ class TestStudentTInvCdf:
         with pytest.raises(DomainError):
             student_t_inv_cdf(0.5, 0.0)
 
+    def test_density_underflow_is_domain_error(self):
+        # at nu = 1e-3 the quantile of 0.01 lies beyond 1e300, where the t
+        # density underflows; the scalar divided by zero, the kernel warned
+        with pytest.raises(DomainError, match=r"nu=0\.001\): the t density underflows"):
+            student_t_inv_cdf(0.01, 1e-3)
+        with pytest.raises(DomainError, match=r"nu=0\.001\): the t density underflows"):
+            student_t_inv_cdf_array(np.array([0.3, 0.01]), 1e-3)
+
 
 def _debye1_oracle(theta: float) -> float:
     """D1 by mpmath quadrature of its defining integral, at 30 digits."""

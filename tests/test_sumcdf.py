@@ -539,6 +539,24 @@ class TestBounds:
             assert np.all(table.F_values <= edge), rho
 
 
+    @pytest.mark.parametrize("mode", list(TableMode))
+    def test_t_nu_range_edges(self, mode):
+        # the edges of CopulaSpec's nu range, over the Table 2 rhos in both modes
+        build = cdf_paper_exact if mode is TableMode.PAPER_EXACT else cdf_refined
+        for rho in TABLE2_RHOS:
+            # nu = 0.2: a table (at 0.18 the rho = 0.9 one overshoots 1), inside the band
+            table = build(CopulaSpec.student_t(rho, 0.2), GridSpec())
+            edge = 2.0 * ndtr(table.z_values / 2.0)
+            assert np.all(edge - 1.0 <= table.F_values) and np.all(table.F_values <= edge), rho
+        # nu = 1e6: the gap to the Gauss limit is still its 0.0619 / nu (0.0642 at
+        # 2e6; 1.1 at 2e7, where rounding error has taken over)
+        nu, gaps = 1e6, []
+        for rho in TABLE2_RHOS:
+            t_values = build(CopulaSpec.student_t(rho, nu), GridSpec()).F_values
+            gaps.append(np.max(np.abs(t_values - build(CopulaSpec.gauss(rho), GridSpec()).F_values)))
+        assert 0.061 < max(gaps) * nu < 0.063
+
+
 class TestQuantile:
     def test_lattice_convention(self):
         table = cdf_paper_exact(CopulaSpec.gauss(0.9))
