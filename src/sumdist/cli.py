@@ -28,7 +28,7 @@ from .errors import DomainError, QuantileOutOfRange
 from .grid import GridSpec
 from .jointdensity import JointDensityModel, joint_pdf_grid
 from .sampler import RandomSource, sample_sum
-from .sumcdf import TABLE2_RHOS, TableMode, cdf_paper_exact, cdf_refined, quantile, quantile_sweep
+from .sumcdf import TABLE2_RHOS, TableMode, integrators, quantile, quantile_sweep
 
 _FAMILIES = {f.value: f for f in CopulaFamily}
 
@@ -98,7 +98,7 @@ def _output_options(fn):
 def _mode_option(fn):
     return click.option(
         "--mode",
-        type=click.Choice([TableMode.PAPER_EXACT.value, TableMode.REFINED.value]),
+        type=click.Choice([mode.value for mode in integrators()]),
         default=TableMode.PAPER_EXACT.value,
         show_default=True,
     )(fn)
@@ -163,9 +163,7 @@ def _grid_meta(grid: GridSpec) -> dict:
 
 def _compute_table(spec, grid, mode):
     try:
-        if mode == TableMode.REFINED.value:
-            return cdf_refined(spec, grid)
-        return cdf_paper_exact(spec, grid)
+        return integrators()[TableMode(mode)](spec, grid)
     except DomainError as exc:
         raise click.ClickException(str(exc))
 
@@ -190,11 +188,18 @@ def dist(copula, rho, theta, nu, half_width, step, z_min, z_max, z_step, mode, f
     _emit(meta, {"z": table.z_values, "F": table.F_values}, fmt, output, f"dist_{copula}")
 
 
+def _unit_interval_levels(_ctx, _param, values: tuple[float, ...]) -> tuple[float, ...]:
+    for v in values:
+        if not (0.0 < v < 1.0):
+            raise click.BadParameter(f"values must lie in (0, 1), got {v!r}")
+    return values
+
+
 @main.command(name="quantile")
 @_copula_options
 @_grid_options
 @_mode_option
-@click.option("--q", "levels", type=float, multiple=True, default=(0.95, 0.99), show_default=True, help="Quantile levels (repeatable).")
+@click.option("--q", "levels", type=float, multiple=True, default=(0.95, 0.99), show_default=True, callback=_unit_interval_levels, help="Quantile levels in (0, 1) (repeatable).")
 @_output_options
 def quantile_cmd(copula, rho, theta, nu, half_width, step, z_min, z_max, z_step, mode, levels, fmt, output):
     """Extract quantiles of Z = X + Y."""
@@ -255,15 +260,12 @@ def sample(copula, rho, theta, nu, n, seed, fmt, output):
     )
 
 
-def _unit_interval_list(_ctx, _param, value):
+def _unit_interval_list(ctx, param, value):
     try:
         values = tuple(float(v) for v in value.split(","))
     except ValueError:
         raise click.BadParameter(f"expected a comma-separated list of numbers, got {value!r}")
-    for v in values:
-        if not (0.0 < v < 1.0):
-            raise click.BadParameter(f"values must lie in (0, 1), got {v!r}")
-    return values
+    return _unit_interval_levels(ctx, param, values)
 
 
 def _level_name(q: float) -> str:

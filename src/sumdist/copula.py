@@ -69,7 +69,6 @@ class CopulaFamily(enum.Enum):
     FRANK = "frank"
 
 
-_ARCHIMEDEAN = frozenset({CopulaFamily.CLAYTON, CopulaFamily.GUMBEL, CopulaFamily.FRANK})
 _ELLIPTICAL = frozenset({CopulaFamily.GAUSS, CopulaFamily.STUDENT_T})
 
 

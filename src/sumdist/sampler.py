@@ -347,56 +347,60 @@ def empirical_cdf(samples: SampleSet, z_values) -> DistributionTable:
 
 
 def _as_pairs(data) -> np.ndarray:
-    if isinstance(data, SampleSet):
-        return np.asarray(data.pairs, dtype=float)
-    arr = np.asarray(data, dtype=float)
+    arr = np.asarray(data.pairs if isinstance(data, SampleSet) else data, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise DomainError(f"expected an (n, 2) array of pairs, got shape {arr.shape}")
+    # NaN has no rank; +-inf orders like any other value
+    nan_rows = np.isnan(arr).any(axis=1)
+    if nan_rows.any():
+        k = int(np.argmax(nan_rows))
+        raise DomainError(f"pair {k} is ({float(arr[k, 0])!r}, {float(arr[k, 1])!r}): NaN cannot be ranked")
     return arr
 
 
-def _merge_count_inversions(values: list) -> int:
-    """Inversions of a sequence via bottom-up merge sort, O(n log n)."""
-    n = len(values)
-    arr = values
-    buf = [0.0] * n
+def _run_lengths(same: np.ndarray) -> np.ndarray:
+    """Lengths of the runs of equal values in a sorted sequence, where
+    ``same[k]`` says whether value k + 1 equals value k."""
+    return np.diff(np.flatnonzero(np.concatenate(([True], ~same, [True]))))
+
+
+def _tied_pairs(same: np.ndarray) -> int:
+    lengths = _run_lengths(same)
+    return int(np.sum(lengths * (lengths - 1) // 2))
+
+
+def _inversions(ranks: np.ndarray) -> int:
+    """Pairs i < j with ranks[i] > ranks[j], for integer ranks in [0, n)."""
+    n = ranks.size
+    index = np.arange(n)
+    merged = ranks
     inversions = 0
     width = 1
     while width < n:
-        for lo in range(0, n - width, 2 * width):
-            mid = lo + width
-            hi = min(lo + 2 * width, n)
-            i, j, k = lo, mid, lo
-            while i < mid and j < hi:
-                if arr[j] < arr[i]:
-                    inversions += mid - i
-                    buf[k] = arr[j]
-                    j += 1
-                else:
-                    buf[k] = arr[i]
-                    i += 1
-                k += 1
-            buf[k:hi] = arr[i:mid] if i < mid else arr[j:hi]
-            arr[lo:hi] = buf[lo:hi]
+        pair = index // (2 * width)
+        keys = pair * n + merged
+        right = (index // width) % 2 == 1
+        # pairs before p hold p * width left keys (their blocks are whole)
+        not_above = np.searchsorted(keys[~right], keys[right], side="right") - pair[right] * width
+        inversions += int(np.sum(width - not_above))
+        merged = np.sort(keys) - pair * n
         width *= 2
     return inversions
 
 
-def _tied_pair_count(sorted_values: np.ndarray) -> int:
-    total = 0
-    run = 1
-    for a, b in zip(sorted_values, sorted_values[1:]):
-        if b == a:
-            run += 1
-        else:
-            total += run * (run - 1) // 2
-            run = 1
-    total += run * (run - 1) // 2
-    return total
-
-
 def estimate_tau(data) -> float:
-    """Sample Kendall's tau (tau-b) by merge-sort concordance counting."""
+    """Sample Kendall's tau (tau-b).
+
+    With the pairs sorted by x, then y, the pairs of pairs tied in x, in y
+    and in both are sums of L(L - 1)/2 over runs of equal values, and the
+    discordant ones are the inversions of y's ranks.  Those are counted by
+    Knight's bottom-up merge (W. R. Knight, "A computer method for
+    calculating Kendall's tau with ungrouped data", JASA 61, 1966), one
+    whole-array pass per level: at width w each aligned block of w ranks is
+    sorted, and block 2p + 1 merges into block 2p.  Keyed p * n + rank
+    (below n^2), all left blocks form one sorted array, so one searchsorted
+    finds the left ranks each right rank passes, and one sort merges.
+    """
     pairs = _as_pairs(data)
     n = pairs.shape[0]
     if n < 2:
@@ -404,22 +408,14 @@ def estimate_tau(data) -> float:
     order = np.lexsort((pairs[:, 1], pairs[:, 0]))
     x = pairs[order, 0]
     y = pairs[order, 1]
+    y_sorted = np.sort(y)
+    same_x = x[1:] == x[:-1]
     total = n * (n - 1) // 2
-    ties_x = _tied_pair_count(x)
-    ties_y = _tied_pair_count(np.sort(y))
-    # pairs tied in both coordinates
-    both_order = np.lexsort((y, x))
-    ties_both = 0
-    run = 1
-    for k in range(1, n):
-        if x[both_order[k]] == x[both_order[k - 1]] and y[both_order[k]] == y[both_order[k - 1]]:
-            run += 1
-        else:
-            ties_both += run * (run - 1) // 2
-            run = 1
-    ties_both += run * (run - 1) // 2
-    discordant_ish = _merge_count_inversions(list(y))
-    concordant_minus_discordant = total - ties_x - ties_y + ties_both - 2 * discordant_ish
+    ties_x = _tied_pairs(same_x)
+    ties_y = _tied_pairs(y_sorted[1:] == y_sorted[:-1])
+    ties_both = _tied_pairs(same_x & (y[1:] == y[:-1]))
+    discordant = _inversions(np.searchsorted(y_sorted, y))
+    concordant_minus_discordant = total - ties_x - ties_y + ties_both - 2 * discordant
     denom = math.sqrt(float(total - ties_x)) * math.sqrt(float(total - ties_y))
     if denom == 0.0:
         raise DomainError("tau undefined: all pairs tied in one coordinate")
@@ -428,15 +424,12 @@ def estimate_tau(data) -> float:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.size)
     sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    lengths = _run_lengths(sorted_vals[1:] == sorted_vals[:-1])
+    # the run at sorted positions i .. j shares the rank (i + j)/2 + 1, where
+    # i + j = 2 * (j + 1) - length - 1
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(0.5 * (2 * np.cumsum(lengths) - lengths - 1) + 1.0, lengths)
     return ranks
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -47,6 +47,7 @@ __all__ = [
     "QuantileReport",
     "cdf_paper_exact",
     "cdf_refined",
+    "integrators",
     "quantile",
     "quantile_sweep",
     "TABLE2_RHOS",
@@ -237,16 +238,20 @@ class QuantileReport:
                 raise DomainError(f"{fam}: quantiles must not decrease as the level rises, got {vals!r}")
 
 
+def integrators() -> dict[TableMode, Callable[[CopulaSpec, GridSpec], DistributionTable]]:
+    """The F_Z routine of each integration mode, read from the module on each
+    call, so that a wrapper set on ``cdf_paper_exact`` or ``cdf_refined`` is used."""
+    return {TableMode.PAPER_EXACT: cdf_paper_exact, TableMode.REFINED: cdf_refined}
+
+
 def _sweep_cell(
     family: CopulaFamily, rho: float, qs: Sequence[float], nu: float, grid: GridSpec, mode: TableMode
 ) -> tuple[float, ...]:
     spec = spec_from_rho(family, rho, nu)
-    if mode is TableMode.PAPER_EXACT:
-        table = cdf_paper_exact(spec, grid)
-    elif mode is TableMode.REFINED:
-        table = cdf_refined(spec, grid)
-    else:
+    integrate = integrators().get(mode)
+    if integrate is None:
         raise DomainError(f"sweep mode must be an integration mode, got {mode!r}")
+    table = integrate(spec, grid)
     return tuple(quantile(table, q) for q in qs)
 
 

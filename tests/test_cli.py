@@ -192,6 +192,16 @@ class TestValidation:
         args = ["density", "--copula", "gauss", "--rho", "0.5", "--step", "0.5", "--z-step", "0.03"]
         assert runner.invoke(main, [*args, "--output", str(tmp_path / "d.csv")]).exit_code == 0
 
+    @pytest.mark.parametrize("level", ["1.5", "0", "nan"])
+    def test_quantile_level_outside_unit_interval(self, runner, tmp_path, level):
+        # rejected before any table is built, like sweep --qs
+        out = tmp_path / "q.csv"
+        args = ["quantile", "--copula", "gauss", "--rho", "0.9", "--q", "0.95", "--q", level, "--output", str(out)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "Invalid value for '--q': values must lie in (0, 1)" in result.output
+        assert not out.exists()
+
     def test_quantile_out_of_range_is_numerical_failure(self, runner, tmp_path):
         result = runner.invoke(
             main,

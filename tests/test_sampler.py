@@ -5,6 +5,7 @@ oracles (Kolmogorov-Smirnov, Kendall tau) come from scipy.
 """
 
 import functools
+import itertools
 import math
 from decimal import Decimal, localcontext
 
@@ -380,6 +381,46 @@ class TestEstimateTau:
         ss = normal_margin_sample_1e5(CopulaFamily.GAUSS)
         assert estimate_tau(ss) == estimate_tau(ss.pairs)
 
+    def test_matches_scipy_with_duplicated_pairs_and_infinities(self):
+        rng = np.random.default_rng(7)
+        base = np.column_stack([rng.integers(0, 5, 40), rng.normal(size=40).round(1)]).astype(float)
+        base[rng.integers(0, 40, 6), 0] = np.inf
+        base[rng.integers(0, 40, 6), 1] = -np.inf
+        for _ in range(5):
+            pairs = base[rng.integers(0, 40, 300)]  # whole pairs repeat
+            ref = stats.kendalltau(pairs[:, 0], pairs[:, 1]).statistic
+            assert estimate_tau(pairs) == pytest.approx(ref, abs=1e-13)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=2, max_size=40))
+    def test_equals_pairwise_count(self, points):
+        # concordant minus discordant, and the ties, counted pair by pair: the
+        # same integers in the same formula give the same double
+        pairs = np.array(points, dtype=float)
+        pairs[pairs == 3] = np.inf
+        pairs[pairs == -3] = -np.inf
+        total = len(pairs) * (len(pairs) - 1) // 2
+        score = ties_x = ties_y = ties_both = 0
+        for (x1, y1), (x2, y2) in itertools.combinations(pairs.tolist(), 2):
+            dx, dy = (x2 > x1) - (x2 < x1), (y2 > y1) - (y2 < y1)
+            score += dx * dy
+            ties_x += dx == 0
+            ties_y += dy == 0
+            ties_both += dx == dy == 0
+        if ties_x == total or ties_y == total:
+            with pytest.raises(DomainError, match="all pairs tied in one coordinate"):
+                estimate_tau(pairs)
+            return
+        expected = score / (math.sqrt(float(total - ties_x)) * math.sqrt(float(total - ties_y)))
+        assert estimate_tau(pairs) == expected
+
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_all_tied_in_one_coordinate(self, column):
+        pairs = np.column_stack([np.arange(6.0), np.arange(6.0)])
+        pairs[:, column] = 2.5
+        with pytest.raises(DomainError, match="tau undefined: all pairs tied in one coordinate"):
+            estimate_tau(pairs)
+
     def test_too_small(self):
         with pytest.raises(DomainError):
             estimate_tau(np.array([[1.0, 2.0]]))
@@ -407,9 +448,37 @@ class TestEstimateSpearman:
             stats.spearmanr(a, b).statistic, abs=1e-12
         )
 
+    def test_matches_scipy_with_ties(self):
+        # tied values share the mean of their ranks
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            a = rng.integers(0, 8, 400).astype(float)
+            b = (0.5 * a + rng.integers(0, 8, 400)).astype(float)
+            b[rng.integers(0, 400, 20)] = np.inf
+            assert estimate_spearman_rho(np.column_stack([a, b])) == pytest.approx(
+                stats.spearmanr(a, b).statistic, abs=1e-13
+            )
+
+    def test_constant_ranks(self):
+        pairs = np.column_stack([np.arange(6.0), np.full(6, -np.inf)])
+        with pytest.raises(DomainError, match="spearman rho undefined: constant ranks"):
+            estimate_spearman_rho(pairs)
+
     def test_too_small(self):
         with pytest.raises(DomainError):
             estimate_spearman_rho(np.array([[1.0, 2.0]]))
+
+
+@pytest.mark.parametrize("estimator", [estimate_tau, estimate_spearman_rho])
+class TestRankInputs:
+    def test_nan_pair_is_rejected(self, estimator):
+        pairs = np.array([[1.0, 2.0], [np.nan, 1.0], [3.0, 0.5], [2.0, np.nan]])
+        with pytest.raises(DomainError, match=r"pair 1 is \(nan, 1\.0\): NaN cannot be ranked"):
+            estimator(pairs)
+
+    def test_infinities_are_ranked(self, estimator):
+        pairs = np.array([[-np.inf, 1.0], [0.0, 2.0], [np.inf, np.inf], [1.0, -np.inf]])
+        assert estimator(pairs) == estimator(np.array([[-9.0, 1.0], [0.0, 2.0], [9.0, 9.0], [1.0, -9.0]]))
 
 
 class TestSampleSetValidation:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from sumdist import jointdensity
+from sumdist import jointdensity, sumcdf
 from sumdist.copula import CopulaFamily, CopulaSpec, spec_from_rho
 from sumdist.errors import DomainError, QuantileOutOfRange
 from sumdist.grid import PAPER_GRID, GridSpec
@@ -28,6 +28,7 @@ from sumdist.sumcdf import (
     antidiagonal_sums,
     cdf_paper_exact,
     cdf_refined,
+    integrators,
     quantile,
     quantile_sweep,
 )
@@ -645,6 +646,23 @@ class TestQuantileSweep:
         quantile_sweep(ALL_FAMILIES, rhos, grid=GridSpec(step=0.1, z_step=0.1))
         # one lattice axis per family: the coordinate depends on the family
         assert sorted(f.value for f in calls) == sorted(f.value for f in ALL_FAMILIES)
+
+    def test_mode_routine_is_looked_up_per_call(self, monkeypatch):
+        assert integrators() == {TableMode.PAPER_EXACT: cdf_paper_exact, TableMode.REFINED: cdf_refined}
+        calls = []
+
+        def counted(spec, grid):
+            calls.append(spec.family)
+            return cdf_refined(spec, grid)
+
+        monkeypatch.setattr(sumcdf, "cdf_refined", counted)
+        grid = GridSpec(step=0.2, z_step=0.2)
+        quantile_sweep([CopulaFamily.GAUSS, CopulaFamily.FRANK], [0.5], grid=grid, mode=TableMode.REFINED)
+        assert calls == [CopulaFamily.GAUSS, CopulaFamily.FRANK]
+
+    def test_rejects_non_integration_mode(self):
+        with pytest.raises(DomainError, match="sweep mode must be an integration mode"):
+            quantile_sweep([CopulaFamily.GAUSS], [0.5], mode=TableMode.EMPIRICAL)
 
     def test_overshoot_error_names_its_cause(self):
         # at step 0.2 the paper-exact lattice overshoots F = 1 near z = 5
