@@ -18,6 +18,7 @@ import hashlib
 import json
 import os
 import tempfile
+from collections.abc import Iterable, Iterator
 
 import click
 import numpy as np
@@ -104,37 +105,44 @@ def _mode_option(fn):
     )(fn)
 
 
-def _serialize(meta: dict, columns: dict, fmt: str) -> bytes:
-    """CSV: '# meta: {...}' comment, header row, then data rows;
-    JSON: object with 'meta' and 'data'.  Both round-trip losslessly.
+def _serialize(meta: dict, columns: dict, fmt: str) -> Iterator[bytes]:
+    """The artifact's bytes, in blocks.  CSV: '# meta: {...}' comment, header
+    row, then data rows; JSON: object with 'meta' and 'data'.  Both
+    round-trip losslessly.
 
     Columns are lists or numpy arrays.  In CSV, a float64 array or a column
     that holds only floats is written as ``%.17g`` of each value, any other
     column as ``%.17g`` of its floats and ``str`` of its other values.  The
     bytes are exactly those of ``%.17g`` applied to one value at a time, but
     ``csvwriter`` formats the floats in numpy, a block of rows at a time.
+    JSON is one block.
     """
     if fmt == "json":
         data = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in columns.items()}
         payload = {"meta": meta, "data": data}
-        return (json.dumps(payload, indent=1, sort_keys=True) + "\n").encode()
-    from .csvwriter import csv_bytes  # only CSV output needs it; kept out of the CLI import
+        return iter([(json.dumps(payload, indent=1, sort_keys=True) + "\n").encode()])
+    from .csvwriter import csv_blocks  # only CSV output needs it; kept out of the CLI import
 
-    return csv_bytes(meta, columns)
+    return csv_blocks(meta, columns)
 
 
-def _write_artifact(data: bytes, path: str) -> str:
+def _write_artifact(blocks: Iterable[bytes], path: str) -> str:
+    """Write the byte blocks to ``path`` as they come, through a temp file
+    and a rename, and return the SHA-256 of their concatenation."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    digest = hashlib.sha256()
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sumdist-", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            for block in blocks:
+                digest.update(block)
+                handle.write(block)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    return hashlib.sha256(data).hexdigest()
+    return digest.hexdigest()
 
 
 def _emit(meta: dict, columns: dict, fmt: str, output: str | None, default_name: str) -> None:

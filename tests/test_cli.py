@@ -1,13 +1,16 @@
 """CLI contract tests: flags, exit codes, serialization round-trips."""
 
+import functools
 import hashlib
 import json
 import math
 import os
+import pathlib
 import re
 import shlex
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -16,12 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sumdist
-from sumdist import __version__
+from sumdist import __version__, cli, csvwriter, sampler
 from sumdist.cli import _serialize, main
 from sumdist.copula import CopulaFamily, CopulaSpec
 from sumdist.csvwriter import BLOCK_ROWS
 from sumdist.grid import GridSpec
-from sumdist.sampler import RandomSource
+from sumdist.sampler import CHUNK_PAIRS, RandomSource
 from sumdist.sumcdf import cdf_paper_exact, quantile_sweep
 
 
@@ -270,30 +273,38 @@ class TestSample:
         assert not out.exists()
 
     # a sample set is a pure function of (spec, seed, n), and so are its bytes.
-    # All six were re-pinned when the array kernels of specfun took exp, log
-    # and log1p from numpy instead of math (the normal quantile, and for t
-    # the t CDF): at most 1.8e-15 relative, on 20 to 120 of the 4000 values
+    # The first six were re-pinned when the array kernels of specfun took exp,
+    # log and log1p from numpy instead of math (the normal quantile, and for
+    # t the t CDF): at most 1.8e-15 relative, on 20 to 120 of the 4000 values.
+    # n = 70000 crosses the 65536-pair chunk and the CSV row blocks; those
+    # five are the bytes of the whole-chunk sampler and writer, which the
+    # blocked ones keep
     @pytest.mark.parametrize(
         "args, digest",
         [
-            (["--copula", "gauss", "--rho", "0.9"], "74dfe49054303e2f4e96e526153118f61e3b3dc8ee631d55649ceaccc725bfca"),
-            (["--copula", "t", "--rho", "0.9"], "5be7a60b7722fc36dfcca9fa60d7d5c647a59bef9fed335abf9e9d62639646f3"),
-            (["--copula", "clayton", "--rho", "0.9"], "77c716954a49902ab8f89f3b0f95200724591d0028b6845470d5191c8381804e"),
-            (["--copula", "gumbel", "--rho", "0.9"], "261bf231a3303b4a418e10247e60e015e89dcd85d244dfe7bd2bc8dae67ea0a9"),
+            (["--copula", "gauss", "--rho", "0.9", "--n", "2000"], "74dfe49054303e2f4e96e526153118f61e3b3dc8ee631d55649ceaccc725bfca"),
+            (["--copula", "t", "--rho", "0.9", "--n", "2000"], "5be7a60b7722fc36dfcca9fa60d7d5c647a59bef9fed335abf9e9d62639646f3"),
+            (["--copula", "clayton", "--rho", "0.9", "--n", "2000"], "77c716954a49902ab8f89f3b0f95200724591d0028b6845470d5191c8381804e"),
+            (["--copula", "gumbel", "--rho", "0.9", "--n", "2000"], "261bf231a3303b4a418e10247e60e015e89dcd85d244dfe7bd2bc8dae67ea0a9"),
             # re-pinned earlier when Frank's theta became the exact root of
             # tau(theta); with the former theta 12.025352564014565 the bytes
             # were as before
-            (["--copula", "frank", "--rho", "0.9"], "412d2caf1a444d47864bced922671a46d14a99521b3e5293e28714ca7c0a0d91"),
+            (["--copula", "frank", "--rho", "0.9", "--n", "2000"], "412d2caf1a444d47864bced922671a46d14a99521b3e5293e28714ca7c0a0d91"),
             (
-                ["--copula", "gumbel", "--rho", "0.5", "--format", "json"],
+                ["--copula", "gumbel", "--rho", "0.5", "--n", "2000", "--format", "json"],
                 "d370b1b747fc1caccad8aacef824a1c9677716307f4ef0dbb84d215a1d130301",
             ),
+            (["--copula", "gauss", "--rho", "0.9", "--n", "70000"], "7a380a5f766f876c2c5d0f5a5cf7a64c92681830caf04b82dfb413cbf80e2dcf"),
+            (["--copula", "t", "--rho", "0.9", "--n", "70000"], "19cc7ac7ddd45c6f7a6456c98eb3da77197104c6074be2ebdf202634c0678eb8"),
+            (["--copula", "clayton", "--rho", "0.9", "--n", "70000"], "bd511dd3b8172b8482cfcc3d4df6c1b6a41ac2f25bad8c33d56ec4516393b907"),
+            (["--copula", "gumbel", "--rho", "0.9", "--n", "70000"], "4b323f5a3f2eb80d0794a8d1f8eb9655c591fdf30597acefa5e59bc4090bb9dd"),
+            (["--copula", "frank", "--rho", "0.9", "--n", "70000"], "1c25ae342a43b66c0ef06b3e22d483e7ef1c6fe2f8ee4773a1097d4d782261be"),
         ],
-        ids=["gauss", "t", "clayton", "gumbel", "frank", "json"],
+        ids=["gauss", "t", "clayton", "gumbel", "frank", "json", "gauss-70000", "t-70000", "clayton-70000", "gumbel-70000", "frank-70000"],
     )
     def test_artifact_bytes_pinned(self, runner, tmp_path, args, digest):
         out = tmp_path / "s.out"
-        result = runner.invoke(main, ["sample", *args, "--n", "2000", "--seed", "7", "--output", str(out)])
+        result = runner.invoke(main, ["sample", *args, "--seed", "7", "--output", str(out)])
         assert result.exit_code == 0, result.output
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
@@ -308,6 +319,46 @@ class TestSample:
         assert pairs.shape == (1000, 2) and np.all(np.isfinite(pairs))
         # close to countermonotone: y = -x up to the copula's spread
         assert np.corrcoef(pairs.T)[0, 1] < -0.99
+
+
+def _sample_run(copula, n, out):
+    """The pairs that ``sumdist sample`` draws, and the CSV bytes it writes to ``out``."""
+    drawn = []
+
+    def recording(*args):
+        drawn.append(sampler.sample_sum(*args))
+        return drawn[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "sample_sum", recording)
+        args = ["sample", "--copula", copula, "--rho", "0.9", "--n", str(n), "--seed", "7", "--output", str(out)]
+        result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    return drawn[0].pairs, out.read_bytes()
+
+
+@functools.lru_cache(maxsize=None)
+def _default_sample_run(copula, n):
+    with tempfile.TemporaryDirectory() as directory:
+        return _sample_run(copula, n, pathlib.Path(directory) / "s.csv")
+
+
+class TestBlockSize:
+    """The elementwise stages work lane by lane, so neither the sampler's
+    block of pairs nor the writer's block of rows moves a bit."""
+
+    # blocks of 7 and 4099 pairs straddle the chunk boundary at 65536; a
+    # block of one pair costs one kernel call a pair (26-39 s a family at
+    # that n), so it runs on fewer pairs
+    @pytest.mark.parametrize("block, n", [(1, 1000), (7, CHUNK_PAIRS + 777), (4099, CHUNK_PAIRS + 777)])
+    @pytest.mark.parametrize("copula", ["gauss", "t", "clayton", "gumbel", "frank"])
+    def test_sample_independent_of_block_size(self, monkeypatch, tmp_path, copula, block, n):
+        want_pairs, want_bytes = _default_sample_run(copula, n)
+        monkeypatch.setattr(sampler, "BLOCK_PAIRS", block)
+        monkeypatch.setattr(csvwriter, "BLOCK_ROWS", block)
+        pairs, data = _sample_run(copula, n, tmp_path / "s.csv")
+        assert pairs.tobytes() == want_pairs.tobytes()
+        assert data == want_bytes
 
 
 class TestDensity:
@@ -344,6 +395,11 @@ class TestDensity:
         assert digest == "03313a5a7c386710f10007b6309a761429b4a15de66cdab881c740951f6e66e3"
 
 
+def _csv(meta, columns):
+    """The CSV artifact's bytes, joined from ``_serialize``'s blocks."""
+    return b"".join(_serialize(meta, columns, "csv"))
+
+
 def _serialize_per_value(meta, columns):
     """The CSV writer that formats value by value: the reference for ``_serialize``."""
     names = list(columns)
@@ -372,7 +428,7 @@ class TestSerialize:
         ids=["sweep", "specials", "ints", "numpy", "one-row", "no-rows"],
     )
     def test_matches_per_value_writer(self, columns):
-        assert _serialize(self.META, columns, "csv") == _serialize_per_value(self.META, columns)
+        assert _csv(self.META, columns) == _serialize_per_value(self.META, columns)
 
     # the writer formats floats in numpy; each test below holds its bytes to
     # those of %.17g applied to one value at a time
@@ -380,8 +436,8 @@ class TestSerialize:
     def _assert_float_bytes(self, values):
         x = np.asarray(values, dtype=np.float64)
         want = "".join("%.17g\n" % v for v in x.tolist()).encode()
-        header = _serialize(self.META, {"v": []}, "csv")
-        assert _serialize(self.META, {"v": x}, "csv") == header + want
+        header = _csv(self.META, {"v": []})
+        assert _csv(self.META, {"v": x}) == header + want
 
     def test_random_bit_patterns(self):
         rng = np.random.default_rng(20261018)
@@ -427,7 +483,7 @@ class TestSerialize:
         rng = np.random.default_rng(n)
         columns = {"x": rng.standard_normal(n), "k": list(range(n)), "y": (1e-6 * rng.standard_normal(n)).tolist()}
         want = _serialize_per_value(self.META, {**columns, "x": columns["x"].tolist()})
-        assert _serialize(self.META, columns, "csv") == want
+        assert _csv(self.META, columns) == want
 
 
 class TestSweep:

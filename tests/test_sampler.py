@@ -486,6 +486,21 @@ class TestSampleSetValidation:
         with pytest.raises(DomainError):
             SampleSet(pairs=np.zeros((3, 2)), spec=CopulaSpec.gauss(0.5), seed=0, n=4)
 
+    @pytest.mark.parametrize(
+        "pairs, named",
+        [([[np.nan, 0.0], [1.0, 1.0]], r"pair 0 is \(nan, 0\.0\)"), ([[1.0, 1.0], [np.inf, -np.inf]], r"pair 1 is \(inf, -inf\)")],
+        ids=["nan-coordinate", "inf-minus-inf"],
+    )
+    def test_nan_sum_is_rejected(self, pairs, named):
+        # both used to give an empirical CDF stuck at 0.5, at z = 5 and at z = 1e300
+        with pytest.raises(DomainError, match=named + ": its sum is NaN"):
+            SampleSet(pairs=np.array(pairs), spec=CopulaSpec.gauss(0.5), seed=0, n=2)
+
+    def test_infinite_coordinate_with_finite_partner_is_accepted(self):
+        ss = SampleSet(pairs=np.array([[np.inf, 1.0], [1.0, 1.0]]), spec=CopulaSpec.gauss(0.5), seed=0, n=2)
+        assert empirical_cdf(ss, [5.0]).F_values[0] == 0.5
+        assert empirical_cdf(ss, [np.inf]).F_values[0] == 1.0
+
     def test_pairs_read_only(self):
         ss = sample_sum(CopulaSpec.gauss(0.5), 10, RandomSource(1))
         with pytest.raises(ValueError):
