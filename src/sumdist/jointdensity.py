@@ -8,6 +8,13 @@ A density grid is filled in blocks of whole rows, about ``_BLOCK_CELLS``
 points each.  Every block has its own kernel call, weights and underflow
 floor, so each elementwise pass of a kernel works on cache-sized
 temporaries; the entries are the same bits as one whole-grid pass.
+
+Every family is exchangeable, c(u, v) = c(v, u), and its kernel is bitwise
+symmetric in its arguments, so a grid whose two axes are equal is a
+symmetric matrix.  Such a grid is evaluated on its upper triangle only, and
+the rest is mirrored from it; the entries are still the bits of the
+whole-grid pass.  A family that is not exchangeable (a rotated copula,
+say) must not take that path.
 """
 
 from __future__ import annotations
@@ -99,6 +106,13 @@ def _grid_on_axes(model: JointDensityModel, xs: np.ndarray, ys: np.ndarray) -> n
     n x n grid costs at most O(n) special-function evaluations plus
     vectorized elementary operations.  The grid is built in blocks of
     ``max(1, _BLOCK_CELLS // len(ys))`` rows.
+
+    When ``xs`` and ``ys`` hold the same bits, the grid is symmetric: each
+    block of rows is evaluated on the columns from its first row on only,
+    and the part right of its diagonal square is mirrored into the rows
+    below it.  This relies on the kernels being bitwise exchangeable (see
+    the module docstring); a non-exchangeable family must take the full
+    path.
     """
     spec = model.spec
     memo = _AXIS_MEMO.get()
@@ -106,14 +120,23 @@ def _grid_on_axes(model: JointDensityModel, xs: np.ndarray, ys: np.ndarray) -> n
         memo = {}
     c1, pdf_x = _axis_terms(spec, np.asarray(xs, dtype=float), memo)
     c2, pdf_y = _axis_terms(spec, np.asarray(ys, dtype=float), memo)
+    # axes with equal bytes share their memo entries
+    square = c1 is c2
     out = np.empty((c1.size, c2.size))
     rows = max(1, _BLOCK_CELLS // max(c2.size, 1))
     for start in range(0, c1.size, rows):
         block = slice(start, start + rows)
-        dens = np.asarray(_density_from_coords(spec, c1[block, None], c2[None, :]), dtype=float)
-        weight = np.outer(pdf_x[block], pdf_y)
-        np.multiply(dens, weight, out=out[block])
-        out[block][weight < _UNDERFLOW_FLOOR] = 0.0
+        cols = slice(start if square else 0, None)
+        dens = np.asarray(_density_from_coords(spec, c1[block, None], c2[None, cols]), dtype=float)
+        weight = np.outer(pdf_x[block], pdf_y[cols])
+        np.multiply(dens, weight, out=out[block, cols])
+        out[block, cols][weight < _UNDERFLOW_FLOOR] = 0.0
+        if square:
+            # the block's own square on the diagonal is filled; mirror the
+            # columns right of it, which share no memory with their target
+            # (numpy would copy an overlapping source first)
+            right = slice(start + rows, None)
+            out[right, block] = out[block, right].T
     return out
 
 

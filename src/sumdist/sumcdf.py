@@ -20,12 +20,18 @@ Two integration modes are provided:
   anti-diagonals, so the east sums serve for both, up to the order in which
   each diagonal is added.
 
+The same symmetry makes every grid with equal axes (paper-exact's lattice,
+refined's cell centers) a symmetric matrix, which the density layer
+evaluates on its upper triangle only (see :mod:`sumdist.jointdensity`).
+
 Both modes reduce each density lattice to its anti-diagonal sums (the
 boundary line is an anti-diagonal) and accumulate them in ascending order;
 paper-exact mode adds the lower saturation, a suffix sum of the column y_0.
 Every sum is a plain recursive sum in a fixed order, so tables are bitwise
 reproducible; its rounding error, at most (n - 1) u of the summed mass for
-n terms, is far below the lattice error of either mode.
+n terms, is far below the lattice error of either mode.  The anti-diagonal
+sums take the rows in blocks, each added in one numpy reduction that keeps
+the ascending row order.
 """
 
 from __future__ import annotations
@@ -121,19 +127,39 @@ def _clamp_monotone(raw: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum.accumulate(np.maximum(raw, 0.0)), 1.0)
 
 
+# entries per block of rows in antidiagonal_sums: its skewed buffer, about
+# 128 KB, stays in cache
+_REDUCE_CELLS = 16384
+
+
 def antidiagonal_sums(matrix: np.ndarray) -> np.ndarray:
     """Sums over the anti-diagonals i + j = s of a square matrix, s = 0 .. 2n-2.
 
-    Row i is added into entries i .. i+n-1 in ascending i, so each entry is
-    the recursive sum of its diagonal in ascending row order.
+    Each entry is the recursive sum of its diagonal in ascending row order,
+    starting from 0.  The rows are taken in blocks of ``r`` (about
+    ``_REDUCE_CELLS`` entries): a block is copied into a zero buffer of
+    r + 1 rows, skewed so that its row k starts k columns in, below a first
+    row holding the running sums of the diagonals it touches.  Reducing that
+    buffer along axis 0 adds its rows in ascending order, and the zeros
+    around the skew leave a sum unchanged, as a running sum is never -0.
     """
     m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise ValueError(f"antidiagonal_sums expects a square matrix with n >= 1, got shape {m.shape}")
     n = m.shape[0]
-    if m.shape != (n, n):
-        raise ValueError(f"antidiagonal_sums expects a square matrix, got {m.shape}")
     out = np.zeros(2 * n - 1)
-    for i, row in enumerate(m):
-        out[i : i + n] += row
+    rows = max(1, _REDUCE_CELLS // n)
+    for start in range(0, n, rows):
+        r = min(rows, n - start)
+        width = n + r - 1
+        # one flat buffer: its first (r + 1) * width entries are the rows of
+        # the reduction, and read with a row stride of width + 1 they hold
+        # the skewed block
+        flat = np.zeros((r + 1) * width + r)
+        buffer = flat[: (r + 1) * width].reshape(r + 1, width)
+        buffer[0] = out[start : start + width]
+        flat[width:].reshape(r, width + 1)[:, :n] = m[start : start + r]
+        np.add.reduce(buffer, axis=0, out=out[start : start + width])
     return out
 
 
@@ -171,7 +197,9 @@ def cdf_refined(spec: CopulaSpec, grid: GridSpec = PAPER_GRID) -> DistributionTa
     # each grid is reduced as soon as it is built, so one is alive at a time.
     # The north grid f(x_i, y_j + s/2) is the transpose of the east grid, as
     # the density is exchangeable bit for bit, so its anti-diagonal sums are
-    # the east ones up to the order of addition, and it is never built
+    # the east ones up to the order of addition, and it is never built.  The
+    # same symmetry has the center grid, whose axes are equal, evaluated on
+    # its upper triangle; the east grid is not square and is evaluated whole
     with _axis_memo():
         diag_center = antidiagonal_sums(_grid_on_axes(model, mids, mids))
         diag_east = antidiagonal_sums(_grid_on_axes(model, mids, lower_edges))  # (x_i + s/2, y_j)

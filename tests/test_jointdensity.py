@@ -112,6 +112,10 @@ class TestJointPdfGrid:
         assert g[0, 0] == pytest.approx(specfun.std_normal_pdf(1.0) ** 2, rel=1e-12)
 
     def test_symmetric_matrix_on_centered_grid(self):
+        # equal axes take the triangle path, so outside the diagonal blocks
+        # this holds by construction; the kernels' exchangeability is checked
+        # by test_swapping_the_axes_transposes_the_grid and the
+        # unblocked_grid comparisons
         grid = GridSpec(half_width=2.0, step=0.25, z_min=-2.0, z_max=2.0, z_step=0.25)
         for m in models_at():
             g = joint_pdf_grid(m, grid)
@@ -212,6 +216,74 @@ class TestGridOnAxes:
         for spec in SYMMETRY_SPECS:
             model = JointDensityModel(spec)
             np.testing.assert_array_equal(jointdensity._grid_on_axes(model, axis, axis), unblocked_grid(model, axis, axis))
+
+
+# the extremes of each family's parameter range, for the triangle path
+TRIANGLE_SPECS = SYMMETRY_SPECS + [
+    CopulaSpec.clayton(200.0),
+    CopulaSpec.frank(-12.0),
+    spec_from_rho(CopulaFamily.FRANK, 0.999),
+    CopulaSpec.student_t(0.9, 0.5),
+]
+
+
+def _kernel_points(monkeypatch) -> list[int]:
+    """Wrap the density kernel that _grid_on_axes calls; the list gets the
+    number of points of each call."""
+    points = []
+
+    def counted(spec, c1, c2):
+        points.append(np.broadcast(c1, c2).size)
+        return _density_from_coords(spec, c1, c2)
+
+    monkeypatch.setattr(jointdensity, "_density_from_coords", counted)
+    return points
+
+
+class TestSquareGrid:
+    # block heights for each axis size: the default, and patched ones that do
+    # and do not divide n (a height above n is one ragged block)
+    @pytest.mark.parametrize(
+        "n, heights",
+        [
+            (1, (None, 1, 2)),
+            (2, (None, 1, 3)),
+            (40, (None, 8, 7)),
+            (41, (None, 1, 6)),
+            (201, (None, 67, 7)),  # the default 81 rows does not divide 201
+            (400, (None, 7)),  # the default 40 rows divides 400
+        ],
+        ids=lambda v: str(v) if isinstance(v, int) else "rows=" + "/".join("default" if h is None else str(h) for h in v),
+    )
+    def test_triangle_matches_one_pass(self, n, heights, monkeypatch):
+        axis = np.linspace(-5.0, 5.0, n)
+        for spec in TRIANGLE_SPECS:
+            model = JointDensityModel(spec)
+            want = unblocked_grid(model, axis, axis)
+            for height in heights:
+                with monkeypatch.context() as patch:
+                    if height is not None:
+                        patch.setattr(jointdensity, "_BLOCK_CELLS", height * n)
+                    got = jointdensity._grid_on_axes(model, axis, axis)
+                np.testing.assert_array_equal(got, want, err_msg=f"{spec.describe()} rows={height}")
+
+    def test_equal_axes_evaluate_the_upper_triangle(self, monkeypatch):
+        # 40-row blocks of a 400 x 400 grid: block k evaluates 40 (400 - 40 k)
+        # points, 88,000 in all
+        axis = GridSpec(step=0.025).cell_midpoints()
+        model = JointDensityModel(spec_from_rho(CopulaFamily.CLAYTON, 0.9))
+        whole = jointdensity._grid_on_axes(model, axis, axis)
+        points = _kernel_points(monkeypatch)
+        copy = jointdensity._grid_on_axes(model, axis, axis.copy())
+        assert sum(points) == 88_000
+        np.testing.assert_array_equal(copy, whole)
+
+    def test_unequal_axes_evaluate_every_point(self, monkeypatch):
+        axis = GridSpec(step=0.025).cell_midpoints()
+        model = JointDensityModel(spec_from_rho(CopulaFamily.CLAYTON, 0.9))
+        points = _kernel_points(monkeypatch)
+        jointdensity._grid_on_axes(model, axis, np.nextafter(axis, np.inf))
+        assert sum(points) == 160_000
 
 
 class TestMarginalRecovery:

@@ -9,6 +9,8 @@ recursive summation.
 """
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,8 +158,76 @@ class TestAntidiagonalSums:
         assert antidiagonal_sums(m).tolist() == [0.0, 4.0, 12.0, 12.0, 8.0]
 
     def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            antidiagonal_sums(np.zeros((2, 3)))
+        for shape in ((2, 3), (2, 2, 2)):
+            with pytest.raises(ValueError, match=rf"square matrix with n >= 1, got shape {re.escape(str(shape))}"):
+                antidiagonal_sums(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(0, 0), ()], ids=["0x0", "0-d"])
+    def test_rejects_empty_and_scalar(self, shape):
+        with pytest.raises(ValueError, match=rf"square matrix with n >= 1, got shape {re.escape(str(shape))}"):
+            antidiagonal_sums(np.zeros(shape))
+
+    # row-block heights: the default, every row its own block, and heights
+    # that do not divide n (a height above n is one ragged block)
+    @pytest.mark.parametrize("height", [None, 1, 2, 7, 500])
+    @pytest.mark.parametrize("n", [1, 2, 3, 129, 300])
+    def test_row_blocks(self, n, height, monkeypatch):
+        if height is not None:
+            monkeypatch.setattr(sumcdf, "_REDUCE_CELLS", height * n)
+        rng = np.random.default_rng(n)
+        m = rng.choice([-1.0, 1.0], (n, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (n, n))
+        want = _ascending_row_sums(m)
+        assert np.array_equal(antidiagonal_sums(m).view(np.int64), want.view(np.int64))
+
+    def test_default_blocks_are_ragged(self):
+        # the row-block tests above cover a last block shorter than the rest
+        for n in (129, 300):
+            assert n % (sumcdf._REDUCE_CELLS // n) != 0
+
+    def test_non_contiguous_input(self):
+        m = np.random.default_rng(15).standard_normal((57, 57))
+        for view in (m[::-1], m.T, m[::2, ::2], m[1:, :-1]):
+            assert not view.flags.c_contiguous
+            want = _ascending_row_sums(np.ascontiguousarray(view))
+            assert np.array_equal(antidiagonal_sums(view).view(np.int64), want.view(np.int64))
+
+    def test_integer_matrix(self):
+        m = np.arange(-200, 200).reshape(20, 20)
+        got = antidiagonal_sums(m)
+        assert got.dtype == np.float64
+        assert got.tolist() == _ascending_row_sums(m.astype(float)).tolist()
+
+
+class TestAllocations:
+    # tracemalloc sees numpy's buffers; both bounds would fail for a copy of
+    # the whole matrix or grid per pass
+
+    def test_antidiagonal_sums_allocates_a_small_fraction_of_the_matrix(self):
+        m = np.random.default_rng(16).random((1001, 1001))
+        antidiagonal_sums(m[:3, :3])
+        tracemalloc.start()
+        try:
+            antidiagonal_sums(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m.nbytes / 10
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_square_grid_allocates_the_output_plus_blocks(self, family):
+        # blocks of 16,384 float64 entries, as jointdensity._BLOCK_CELLS sets
+        # them; the kernels hold at most 13 such temporaries at once (Frank)
+        axis = GridSpec(step=0.025).cell_midpoints()
+        model = JointDensityModel(spec_from_rho(family, 0.9))
+        _grid_on_axes(model, axis, axis)
+        tracemalloc.start()
+        try:
+            grid = _grid_on_axes(model, axis, axis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.shape == (400, 400)
+        assert peak <= grid.nbytes + 16 * 16384 * 8
 
 
 class TestGridSpec:
