@@ -8,6 +8,9 @@ checksum of the output bytes goes to standard output.
 CSV floats are written as ``%.17g``, byte for byte, but formatted in numpy
 rather than by one Python call per value (see ``csvwriter``).
 
+Modules only some commands need are imported when those commands run: the
+CSV writer, and the sampler, which only ``sample`` uses.
+
 Exit codes: 2 for flag/validation errors, 1 for numerical failures (for
 example a quantile level the table does not bracket).
 """
@@ -28,7 +31,6 @@ from .copula import CopulaFamily, CopulaSpec, spec_from_rho
 from .errors import DomainError, QuantileOutOfRange
 from .grid import GridSpec
 from .jointdensity import JointDensityModel, joint_pdf_grid
-from .sampler import RandomSource, sample_sum
 from .sumcdf import TABLE2_RHOS, TableMode, integrators, quantile, quantile_sweep
 
 _FAMILIES = {f.value: f for f in CopulaFamily}
@@ -240,6 +242,13 @@ def density(copula, rho, theta, nu, half_width, step, z_min, z_max, z_step, fmt,
     _emit(meta, {"x": xs, "y": ys, "f": matrix.ravel()}, fmt, output, f"density_{copula}")
 
 
+def sample_sum(spec: CopulaSpec, n: int, rng):
+    """``sampler.sample_sum``, with the sampler imported on the first draw."""
+    from .sampler import sample_sum as draw
+
+    return draw(spec, n, rng)
+
+
 @main.command()
 @_copula_options
 @click.option("--n", type=int, required=True, help="Number of (x, y) pairs.")
@@ -250,6 +259,8 @@ def sample(copula, rho, theta, nu, n, seed, fmt, output):
     spec = _build_spec(copula, rho, theta, nu)
     if n < 1:
         raise click.UsageError(f"--n must be >= 1, got {n}")
+    from .sampler import RandomSource  # only sampling needs it; kept out of the CLI import
+
     try:
         rng = RandomSource(seed)
     except DomainError as exc:

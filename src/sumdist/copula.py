@@ -315,10 +315,31 @@ def _axis_coordinate(spec: CopulaSpec, u):
     return u
 
 
+def _grid(c1, c2) -> np.ndarray:
+    """An empty float array of the broadcast shape of two coordinates (0-d
+    for two scalars), for a kernel to compute in.
+
+    The kernels below hold their intermediate results in a few such arrays
+    and update them in place, with the operations and the order of the
+    plain expressions, so the bits are the same.  They never write into
+    their arguments, which are axis arrays shared by every grid of a sweep.
+    """
+    return np.empty(np.broadcast_shapes(np.shape(c1), np.shape(c2)))
+
+
 def _gauss_kernel(rho, z1, z2):
     r2 = 1.0 - rho * rho
-    quad = rho * rho * (z1 * z1 + z2 * z2) - 2.0 * rho * (z1 * z2)
-    return np.exp(-quad / (2.0 * r2)) / math.sqrt(r2)
+    # exp(-quad / (2 r2)) / sqrt(r2), quad = rho^2 (z1^2 + z2^2) - 2 rho z1 z2
+    quad = np.add(z1 * z1, z2 * z2, out=_grid(z1, z2))
+    quad *= rho * rho
+    cross = np.multiply(z1, z2, out=_grid(z1, z2))
+    cross *= 2.0 * rho
+    quad -= cross
+    np.negative(quad, out=quad)
+    quad /= 2.0 * r2
+    np.exp(quad, out=quad)
+    quad /= math.sqrt(r2)
+    return quad
 
 
 def _t_log_norm_of(rho, nu):
@@ -340,28 +361,49 @@ def _t_log_norm_of(rho, nu):
 
 def _t_kernel(rho, nu, ln_norm, q1, q2):
     r2 = 1.0 - rho * rho
-    quad = (q1 * q1 + q2 * q2 - 2.0 * rho * (q1 * q2)) / (nu * r2)
-    ln_c = (
-        ln_norm
-        - 0.5 * (nu + 2.0) * np.log1p(quad)
-        + 0.5 * (nu + 1.0) * (np.log1p(q1 * q1 / nu) + np.log1p(q2 * q2 / nu))
-    )
-    return np.exp(ln_c)
+    # quad = (q1^2 + q2^2 - 2 rho q1 q2) / (nu r2)
+    quad = np.add(q1 * q1, q2 * q2, out=_grid(q1, q2))
+    cross = np.multiply(q1, q2, out=_grid(q1, q2))
+    cross *= 2.0 * rho
+    quad -= cross
+    quad /= nu * r2
+    # ln c = ln_norm - (nu + 2)/2 log1p(quad) + (nu + 1)/2 (log1p(q1^2 / nu) + log1p(q2^2 / nu))
+    ln_c = np.log1p(quad, out=quad)
+    ln_c *= 0.5 * (nu + 2.0)
+    np.subtract(ln_norm, ln_c, out=ln_c)
+    margins = np.add(np.log1p(q1 * q1 / nu), np.log1p(q2 * q2 / nu), out=cross)
+    margins *= 0.5 * (nu + 1.0)
+    ln_c += margins
+    return np.exp(ln_c, out=ln_c)
 
 
 def _clayton_kernel(theta, u1, u2):
     # evaluated in log space: u^(-theta) overflows already for
     # theta ~ 50 at the clamp boundary
-    a1 = -theta * np.log(u1)
-    a2 = -theta * np.log(u2)
-    m = np.maximum(a1, a2)
-    ln_s = m + np.log(np.exp(a1 - m) + np.exp(a2 - m) - np.exp(-m))
-    ln_c = (
-        math.log1p(theta)
-        - (1.0 + 2.0 * theta) / theta * ln_s
-        - (theta + 1.0) * (np.log(u1) + np.log(u2))
-    )
-    return np.exp(ln_c)
+    l1 = np.log(u1)
+    l2 = np.log(u2)
+    a1 = -theta * l1
+    a2 = -theta * l2
+    # ln s = m + log(e^(a1 - m) + e^(a2 - m) - e^-m), m = max(a1, a2)
+    m = np.maximum(a1, a2, out=_grid(u1, u2))
+    ln_s = np.subtract(a1, m, out=_grid(u1, u2))
+    np.exp(ln_s, out=ln_s)
+    term = np.subtract(a2, m, out=_grid(u1, u2))
+    np.exp(term, out=term)
+    ln_s += term
+    np.negative(m, out=term)
+    np.exp(term, out=term)
+    ln_s -= term
+    np.log(ln_s, out=ln_s)
+    ln_s += m
+    # ln c = log1p(theta) - (1 + 2 theta) / theta ln s - (theta + 1) (log u1 + log u2)
+    ln_c = ln_s
+    ln_c *= (1.0 + 2.0 * theta) / theta
+    np.subtract(math.log1p(theta), ln_c, out=ln_c)
+    term = np.add(l1, l2, out=term)
+    term *= theta + 1.0
+    ln_c -= term
+    return np.exp(ln_c, out=ln_c)
 
 
 def _gumbel_kernel(theta, u1, u2):
@@ -369,19 +411,30 @@ def _gumbel_kernel(theta, u1, u2):
     b = -np.log(u2)
     la = np.log(a)
     lb = np.log(b)
-    m = np.maximum(theta * la, theta * lb)
-    ln_big_a = m + np.log(np.exp(theta * la - m) + np.exp(theta * lb - m))
-    ln_sigma = ln_big_a / theta
-    sigma = np.exp(ln_sigma)
-    ln_c = (
-        -sigma
-        + ln_sigma
-        + np.log(theta - 1.0 + sigma)
-        + (theta - 1.0) * (la + lb)
-        - 2.0 * ln_big_a
-        + (a + b)
-    )
-    return np.exp(ln_c)
+    # ln A = m + log(e^(theta la - m) + e^(theta lb - m)), m = max(theta la, theta lb)
+    ln_big_a = np.maximum(theta * la, theta * lb, out=_grid(u1, u2))
+    ln_c = np.subtract(theta * la, ln_big_a, out=_grid(u1, u2))
+    np.exp(ln_c, out=ln_c)
+    sigma = np.subtract(theta * lb, ln_big_a, out=_grid(u1, u2))
+    np.exp(sigma, out=sigma)
+    ln_c += sigma
+    np.log(ln_c, out=ln_c)
+    ln_big_a += ln_c
+    # ln c = -sigma + ln sigma + log(theta - 1 + sigma) + (theta - 1) (la + lb)
+    #        - 2 ln A + (a + b), with ln sigma = ln A / theta; ln sigma - sigma
+    #        is -sigma + ln sigma to the bit
+    np.divide(ln_big_a, theta, out=ln_c)
+    np.exp(ln_c, out=sigma)
+    ln_c -= sigma
+    sigma += theta - 1.0
+    ln_c += np.log(sigma, out=sigma)
+    term = np.add(la, lb, out=sigma)
+    term *= theta - 1.0
+    ln_c += term
+    ln_big_a *= 2.0
+    ln_c -= ln_big_a
+    ln_c += np.add(a, b, out=ln_big_a)
+    return np.exp(ln_c, out=ln_c)
 
 
 def _frank_kernel(theta, u1, u2):
@@ -392,18 +445,45 @@ def _frank_kernel(theta, u1, u2):
     # else (Q, P): free of cancellation and overflow.  Taking (u1, u2) as
     # (min, max) keeps the kernel bitwise symmetric.
     t = abs(theta)
-    v1 = np.minimum(u1, u2)
-    v2 = np.maximum(u1, u2)
-    p = -np.expm1(-t * v2)
-    q = -np.expm1(-t * (1.0 - v2))
-    w = 0.5 * t * (v2 - v1) if theta > 0.0 else 0.5 * t * (v1 + v2 - 1.0)
-    a, b = np.where(w >= 0.0, p, q), np.where(w >= 0.0, q, p)
-    e = np.exp(-2.0 * np.abs(w))
-    return t * -math.expm1(-t) * e / (a + e * b) ** 2
+    v2 = np.maximum(u1, u2, out=_grid(u1, u2))
+    w = np.minimum(u1, u2, out=_grid(u1, u2))
+    if theta > 0.0:
+        np.subtract(v2, w, out=w)
+    else:
+        w += v2
+        w -= 1.0
+    w *= 0.5 * t
+    p = np.multiply(v2, -t, out=_grid(u1, u2))
+    np.expm1(p, out=p)
+    np.negative(p, out=p)
+    q = np.subtract(1.0, v2, out=v2)
+    q *= -t
+    np.expm1(q, out=q)
+    np.negative(q, out=q)
+    ahead = w >= 0.0
+    a = np.where(ahead, p, q)
+    b = p
+    np.copyto(b, q, where=ahead)
+    e = np.abs(w, out=w)
+    e *= -2.0
+    np.exp(e, out=e)
+    b *= e
+    b += a
+    # an array squares in place; a 0-d result squares as a numpy scalar,
+    # by pow, as the scalar path always has (it differs from x * x in about
+    # one case in a thousand)
+    den = b[()]
+    den **= 2
+    e *= t * -math.expm1(-t)
+    e /= den
+    return e
 
 
 def _density_from_coords(spec: CopulaSpec, c1, c2):
-    """Density kernel on transformed coordinates (scalars or arrays)."""
+    """Density kernel on transformed coordinates (scalars or arrays).
+
+    Two scalars give a 0-d array.
+    """
     fam = spec.family
     if fam is CopulaFamily.GAUSS:
         return _gauss_kernel(spec.rho, c1, c2)
@@ -413,10 +493,10 @@ def _density_from_coords(spec: CopulaSpec, c1, c2):
         return _clayton_kernel(spec.theta, c1, c2)
     if fam is CopulaFamily.GUMBEL:
         if abs(spec.theta - 1.0) <= _INDEP_TOL:
-            return np.ones_like(np.asarray(c1 * c2, dtype=float))
+            return np.ones(np.broadcast(c1, c2).shape)
         return _gumbel_kernel(spec.theta, c1, c2)
     if abs(spec.theta) <= _INDEP_TOL:
-        return np.ones_like(np.asarray(c1 * c2, dtype=float))
+        return np.ones(np.broadcast(c1, c2).shape)
     return _frank_kernel(spec.theta, c1, c2)
 
 

@@ -7,7 +7,12 @@ through the family kernels of :mod:`sumdist.copula`.
 A density grid is filled in blocks of whole rows, about ``_BLOCK_CELLS``
 points each.  Every block has its own kernel call, weights and underflow
 floor, so each elementwise pass of a kernel works on cache-sized
-temporaries; the entries are the same bits as one whole-grid pass.
+temporaries; the entries are the same bits as one whole-grid pass.  The
+kernels compute in place in a few block-sized arrays, and the weights of
+every block share one buffer, so a block allocates little.  The block size
+is set by heap residency as well as by cache: what a block frees must not
+let the C allocator hand the top of the heap back to the system, or every
+block faults those pages in again.
 
 Every family is exchangeable, c(u, v) = c(v, u), and its kernel is bitwise
 symmetric in its arguments, so a grid whose two axes are equal is a
@@ -36,9 +41,14 @@ __all__ = ["JointDensityModel", "joint_pdf", "joint_pdf_grid"]
 # exactly 0, preventing denormal noise in grid sums
 _UNDERFLOW_FLOOR = 1e-300
 
-# points per density block: each float64 kernel temporary is about 128 KB,
-# which stays in cache where a whole 400 x 400 grid does not
-_BLOCK_CELLS = 16384
+# points per density block.  Each float64 kernel temporary (64 KiB) stays in
+# cache, where a whole 400 x 400 grid does not.  The size also bounds what a
+# block frees: at 16,384 points a Table 2 sweep freed enough for the C
+# allocator to hand the top of the heap back to the system and fault it in
+# again (270 to 3,200 minor faults per warm sweep; under 100 at 8,192).  At
+# 4,096 the 400-wide rows of a refined sweep pay the per-block overhead (7%
+# slower)
+_BLOCK_CELLS = 8192
 
 # the per-axis terms of the innermost open _axis_memo block, or None
 _AXIS_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar("sumdist_axis_memo", default=None)
@@ -64,12 +74,16 @@ def joint_pdf(model: JointDensityModel, x: float, y: float) -> float:
 
 @contextlib.contextmanager
 def _axis_memo():
-    """Share per-axis terms among the density grids built inside the block.
+    """Share per-axis terms and output arrays among the density grids built
+    inside the block.
 
     An axis transformed once is reused by every later grid in the block.
-    A nested block joins the open one, and the terms are dropped when the
-    outermost block exits, so nothing is cached across calls of the
-    library's entry points.
+    The grids of one shape are written into one array, so a grid built in
+    the block holds until the next grid of its shape is built; a sweep
+    reduces each grid before it builds the next, and keeps the same heap
+    pages from cell to cell.  A nested block joins the open one, and
+    everything is dropped when the outermost block exits, so nothing is
+    cached across calls of the library's entry points.
     """
     if _AXIS_MEMO.get() is not None:
         yield
@@ -105,7 +119,8 @@ def _grid_on_axes(model: JointDensityModel, xs: np.ndarray, ys: np.ndarray) -> n
     :func:`_axis_memo` block once for all the grids built in it.  So an
     n x n grid costs at most O(n) special-function evaluations plus
     vectorized elementary operations.  The grid is built in blocks of
-    ``max(1, _BLOCK_CELLS // len(ys))`` rows.
+    ``max(1, _BLOCK_CELLS // len(ys))`` rows.  Outside such a block the
+    grid is a new array; inside it, the block's array for its shape.
 
     When ``xs`` and ``ys`` hold the same bits, the grid is symmetric: each
     block of rows is evaluated on the columns from its first row on only,
@@ -122,15 +137,21 @@ def _grid_on_axes(model: JointDensityModel, xs: np.ndarray, ys: np.ndarray) -> n
     c2, pdf_y = _axis_terms(spec, np.asarray(ys, dtype=float), memo)
     # axes with equal bytes share their memo entries
     square = c1 is c2
-    out = np.empty((c1.size, c2.size))
+    key = ("grid", c1.size, c2.size)
+    if key not in memo:
+        memo[key] = np.empty((c1.size, c2.size))
+    out = memo[key]
     rows = max(1, _BLOCK_CELLS // max(c2.size, 1))
+    # every block's weights go into one buffer
+    weights = np.empty(min(rows, c1.size) * c2.size)
     for start in range(0, c1.size, rows):
         block = slice(start, start + rows)
         cols = slice(start if square else 0, None)
-        dens = np.asarray(_density_from_coords(spec, c1[block, None], c2[None, cols]), dtype=float)
-        weight = np.outer(pdf_x[block], pdf_y[cols])
-        np.multiply(dens, weight, out=out[block, cols])
-        out[block, cols][weight < _UNDERFLOW_FLOOR] = 0.0
+        target = out[block, cols]
+        weight = np.multiply(pdf_x[block, None], pdf_y[None, cols], out=weights[: target.size].reshape(target.shape))
+        # the kernel's result is freed before the next block's kernel runs
+        np.multiply(_density_from_coords(spec, c1[block, None], c2[None, cols]), weight, out=target)
+        target[weight < _UNDERFLOW_FLOOR] = 0.0
         if square:
             # the block's own square on the diagonal is filled; mirror the
             # columns right of it, which share no memory with their target
@@ -145,6 +166,9 @@ def joint_pdf_grid(model: JointDensityModel, grid: GridSpec) -> np.ndarray:
 
     Entry ``[i][j]`` is ``joint_pdf(x_i, y_j)`` with ``x_i`` and ``y_j``
     running over the lattice points of ``grid`` (both endpoints included).
+    The array is the caller's, except inside an open :func:`_axis_memo`
+    block (a sweep's paper-exact cells), where it is the block's array for
+    its shape.
     """
     if not isinstance(grid, GridSpec):
         raise DomainError(f"joint_pdf_grid requires a GridSpec, got {grid!r}")

@@ -127,9 +127,11 @@ def _clamp_monotone(raw: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum.accumulate(np.maximum(raw, 0.0)), 1.0)
 
 
-# entries per block of rows in antidiagonal_sums: its skewed buffer, about
-# 128 KB, stays in cache
-_REDUCE_CELLS = 16384
+# entries per block of rows in antidiagonal_sums: its skewed buffer, under
+# 80 KB, stays in cache and, allocated once per call, below the size the C
+# allocator maps fresh from the system (128 KiB by default), so it reuses
+# resident heap as the density blocks do
+_REDUCE_CELLS = 8192
 
 
 def antidiagonal_sums(matrix: np.ndarray) -> np.ndarray:
@@ -137,28 +139,31 @@ def antidiagonal_sums(matrix: np.ndarray) -> np.ndarray:
 
     Each entry is the recursive sum of its diagonal in ascending row order,
     starting from 0.  The rows are taken in blocks of ``r`` (about
-    ``_REDUCE_CELLS`` entries): a block is copied into a zero buffer of
-    r + 1 rows, skewed so that its row k starts k columns in, below a first
-    row holding the running sums of the diagonals it touches.  Reducing that
-    buffer along axis 0 adds its rows in ascending order, and the zeros
-    around the skew leave a sum unchanged, as a running sum is never -0.
+    ``_REDUCE_CELLS`` entries): a block is copied into a buffer of r + 1
+    rows, skewed so that its row k starts k columns in and padded with
+    zeros, below a first row holding the running sums of the diagonals it
+    touches.  Reducing that buffer along axis 0 adds its rows in ascending
+    order, and the zeros around the skew leave a sum unchanged, as a running
+    sum is never -0.  One buffer, allocated per call, serves every block.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"antidiagonal_sums expects a square matrix with n >= 1, got shape {m.shape}")
     n = m.shape[0]
     out = np.zeros(2 * n - 1)
-    rows = max(1, _REDUCE_CELLS // n)
+    rows = min(n, max(1, _REDUCE_CELLS // n))
+    # one flat buffer for every block: its first (r + 1) * width entries are
+    # the rows of the reduction, and its entries from width on, read with a
+    # row stride of width + 1, hold the skewed block
+    flat = np.empty((rows + 1) * (n + rows - 1) + rows)
     for start in range(0, n, rows):
         r = min(rows, n - start)
         width = n + r - 1
-        # one flat buffer: its first (r + 1) * width entries are the rows of
-        # the reduction, and read with a row stride of width + 1 they hold
-        # the skewed block
-        flat = np.zeros((r + 1) * width + r)
         buffer = flat[: (r + 1) * width].reshape(r + 1, width)
+        skew = flat[width : (r + 1) * width + r].reshape(r, width + 1)
         buffer[0] = out[start : start + width]
-        flat[width:].reshape(r, width + 1)[:, :n] = m[start : start + r]
+        skew[:, :n] = m[start : start + r]
+        skew[:, n:] = 0.0
         np.add.reduce(buffer, axis=0, out=out[start : start + width])
     return out
 

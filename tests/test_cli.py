@@ -603,18 +603,63 @@ class TestReadme:
         assert commands == set(main.commands)
 
 
+def _fresh_python(code: str) -> str:
+    """Standard output of ``code`` run in a new interpreter that imports this sumdist."""
+    src = os.path.dirname(os.path.dirname(sumdist.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return proc.stdout.strip()
+
+
 class TestImport:
     def test_cli_import_leaves_concurrent_futures_out(self):
-        src = os.path.dirname(os.path.dirname(sumdist.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        code = "import sys, sumdist.cli; print('concurrent.futures' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert proc.stdout.strip() == "False"
+        assert _fresh_python("import sys, sumdist.cli; print('concurrent.futures' in sys.modules)") == "False"
 
     def test_cli_import_leaves_the_csv_writer_out(self):
         # every run compiles the writer it imports; only CSV output needs it
-        src = os.path.dirname(os.path.dirname(sumdist.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        code = "import sys, sumdist.cli; print('sumdist.csvwriter' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert proc.stdout.strip() == "False"
+        assert _fresh_python("import sys, sumdist.cli; print('sumdist.csvwriter' in sys.modules)") == "False"
+
+    def test_cli_import_leaves_the_sampler_out(self):
+        # only `sample` needs it
+        assert _fresh_python("import sys, sumdist.cli; print('sumdist.sampler' in sys.modules)") == "False"
+
+    def test_package_import_loads_no_module(self):
+        code = "import sys, sumdist; print(sorted(m for m in sys.modules if m.startswith('sumdist.')))"
+        assert _fresh_python(code) == "[]"
+
+    def test_public_names(self):
+        assert sumdist.__all__ == sorted(
+            """CopulaFamily CopulaSpec DependenceSummary DistributionTable DomainError GridSpec
+            JointDensityModel PAPER_GRID QuantileOutOfRange QuantileReport RandomSource SampleSet
+            TABLE2_RHOS TableMode __version__ cdf_paper_exact cdf_refined copula_cdf copula_density
+            empirical_cdf estimate_spearman_rho estimate_tau joint_pdf joint_pdf_grid quantile
+            quantile_sweep sample_copula sample_sum spec_from_rho summarize_dependence
+            tau_from_pearson_rho tau_from_theta theta_from_tau""".split()
+        )
+
+    def test_every_public_name_resolves(self):
+        # in a new interpreter, where no module is loaded yet
+        code = (
+            "import sumdist\n"
+            "names = {}\n"
+            "exec('from sumdist import *', names)\n"
+            "missing = [n for n in sumdist.__all__ if n not in names or getattr(sumdist, n) is not names[n]]\n"
+            "print(missing, sorted(set(sumdist.__all__) - set(dir(sumdist))))"
+        )
+        assert _fresh_python(code) == "[] []"
+
+    def test_public_names_are_the_modules_objects(self):
+        from sumdist import copula, jointdensity, sumcdf
+
+        assert sumdist.sample_sum is sampler.sample_sum
+        assert sumdist.CopulaSpec is copula.CopulaSpec
+        assert sumdist.joint_pdf_grid is jointdensity.joint_pdf_grid
+        assert sumdist.quantile_sweep is sumcdf.quantile_sweep
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            sumdist.no_such_name
+
+    def test_sample_sum_is_a_module_global_of_the_cli(self):
+        # the `sample` command calls it by name, so a wrapper set on it is used
+        assert callable(cli.__dict__["sample_sum"])

@@ -183,13 +183,35 @@ class TestGridOnAxes:
         north = jointdensity._grid_on_axes(model, edges, mids)
         np.testing.assert_array_equal(east, north.T)
 
+    def test_memo_block_shares_one_output_per_shape(self):
+        grid = GridSpec(step=0.1)
+        mids, edges, points = grid.cell_midpoints(), grid.axis_points()[:-1], grid.axis_points()
+        model = JointDensityModel(spec_from_rho(CopulaFamily.CLAYTON, 0.9))
+        fresh_east = jointdensity._grid_on_axes(model, mids, edges)
+        fresh_center = jointdensity._grid_on_axes(model, mids, mids)
+        assert jointdensity._grid_on_axes(model, mids, mids) is not fresh_center
+        with jointdensity._axis_memo():
+            east = jointdensity._grid_on_axes(model, mids, edges)
+            np.testing.assert_array_equal(east, fresh_east)
+            # the square path rewrites every entry the east grid left
+            center = jointdensity._grid_on_axes(model, mids, mids)
+            assert center is east
+            np.testing.assert_array_equal(center, fresh_center)
+            assert jointdensity._grid_on_axes(model, points, points).shape == (101, 101)
+            # the caller's copy of a grid outlives the block
+            kept = joint_pdf_grid(model, grid).copy()
+        assert joint_pdf_grid(model, grid) is not joint_pdf_grid(model, grid)
+        np.testing.assert_array_equal(joint_pdf_grid(model, grid), kept)
+
     @pytest.mark.parametrize("spec", SYMMETRY_SPECS, ids=lambda s: repr(s.describe()))
     def test_blocks_match_one_pass(self, spec):
-        # 200 x 201 points: 81 rows a block, the last one 38 rows
+        # 201 x 200 points, in blocks of _BLOCK_CELLS // 200 rows (40 at the
+        # default); the last block is shorter than the rest
         grid = GridSpec(step=0.05)
-        xs, ys = grid.cell_midpoints(), grid.axis_points()
+        xs, ys = grid.axis_points(), grid.cell_midpoints()
         model = JointDensityModel(spec)
-        assert jointdensity._BLOCK_CELLS // ys.size == 81 and xs.size % 81 != 0
+        rows = jointdensity._BLOCK_CELLS // ys.size
+        assert 1 < rows < xs.size and xs.size % rows != 0
         np.testing.assert_array_equal(jointdensity._grid_on_axes(model, xs, ys), unblocked_grid(model, xs, ys))
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -227,6 +249,130 @@ TRIANGLE_SPECS = SYMMETRY_SPECS + [
 ]
 
 
+# -- the density kernels as plain expressions, as they were before they
+# computed in place; the in-place kernels must give the same bits
+
+
+def _reference_gauss(rho, z1, z2):
+    r2 = 1.0 - rho * rho
+    quad = rho * rho * (z1 * z1 + z2 * z2) - 2.0 * rho * (z1 * z2)
+    return np.exp(-quad / (2.0 * r2)) / math.sqrt(r2)
+
+
+def _reference_t(rho, nu, ln_norm, q1, q2):
+    r2 = 1.0 - rho * rho
+    quad = (q1 * q1 + q2 * q2 - 2.0 * rho * (q1 * q2)) / (nu * r2)
+    ln_c = (
+        ln_norm
+        - 0.5 * (nu + 2.0) * np.log1p(quad)
+        + 0.5 * (nu + 1.0) * (np.log1p(q1 * q1 / nu) + np.log1p(q2 * q2 / nu))
+    )
+    return np.exp(ln_c)
+
+
+def _reference_clayton(theta, u1, u2):
+    a1 = -theta * np.log(u1)
+    a2 = -theta * np.log(u2)
+    m = np.maximum(a1, a2)
+    ln_s = m + np.log(np.exp(a1 - m) + np.exp(a2 - m) - np.exp(-m))
+    ln_c = (
+        math.log1p(theta)
+        - (1.0 + 2.0 * theta) / theta * ln_s
+        - (theta + 1.0) * (np.log(u1) + np.log(u2))
+    )
+    return np.exp(ln_c)
+
+
+def _reference_gumbel(theta, u1, u2):
+    a = -np.log(u1)
+    b = -np.log(u2)
+    la = np.log(a)
+    lb = np.log(b)
+    m = np.maximum(theta * la, theta * lb)
+    ln_big_a = m + np.log(np.exp(theta * la - m) + np.exp(theta * lb - m))
+    ln_sigma = ln_big_a / theta
+    sigma = np.exp(ln_sigma)
+    ln_c = (
+        -sigma
+        + ln_sigma
+        + np.log(theta - 1.0 + sigma)
+        + (theta - 1.0) * (la + lb)
+        - 2.0 * ln_big_a
+        + (a + b)
+    )
+    return np.exp(ln_c)
+
+
+def _reference_frank(theta, u1, u2):
+    t = abs(theta)
+    v1 = np.minimum(u1, u2)
+    v2 = np.maximum(u1, u2)
+    p = -np.expm1(-t * v2)
+    q = -np.expm1(-t * (1.0 - v2))
+    w = 0.5 * t * (v2 - v1) if theta > 0.0 else 0.5 * t * (v1 + v2 - 1.0)
+    a, b = np.where(w >= 0.0, p, q), np.where(w >= 0.0, q, p)
+    e = np.exp(-2.0 * np.abs(w))
+    return t * -math.expm1(-t) * e / (a + e * b) ** 2
+
+
+def _reference_density(spec, c1, c2):
+    fam = spec.family
+    if fam is CopulaFamily.GAUSS:
+        return _reference_gauss(spec.rho, c1, c2)
+    if fam is CopulaFamily.STUDENT_T:
+        return _reference_t(spec.rho, spec.nu, spec._t_log_norm, c1, c2)
+    if fam is CopulaFamily.CLAYTON:
+        return _reference_clayton(spec.theta, c1, c2)
+    if fam is CopulaFamily.GUMBEL:
+        if abs(spec.theta - 1.0) <= 1e-9:
+            return np.ones_like(np.asarray(c1 * c2, dtype=float))
+        return _reference_gumbel(spec.theta, c1, c2)
+    if abs(spec.theta) <= 1e-9:
+        return np.ones_like(np.asarray(c1 * c2, dtype=float))
+    return _reference_frank(spec.theta, c1, c2)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+KERNEL_SPECS = TRIANGLE_SPECS + [CopulaSpec.frank(theta) for theta in (-0.58, -3.3, -138.8, 138.8)]
+
+
+class TestKernelsInPlace:
+    @staticmethod
+    def _coords(spec):
+        # a lattice and a second axis that runs into the clamp at both ends
+        xs = GridSpec(step=0.05).axis_points()
+        ys = np.linspace(-8.5, 8.5, 97)
+        return [_axis_coordinate(spec, _clamp_u(specfun.std_normal_cdf_array(a))) for a in (xs, ys)]
+
+    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=lambda s: repr(s.describe()))
+    def test_arrays_match_the_plain_expressions(self, spec):
+        c1, c2 = self._coords(spec)
+        kept1, kept2 = c1.copy(), c2.copy()
+        for a, b in ((c1, c2), (c2, c1)):
+            got = _density_from_coords(spec, a[:, None], b[None, :])
+            want = _reference_density(spec, a[:, None], b[None, :])
+            assert got.shape == (a.size, b.size)
+            np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=repr(spec.describe()))
+        # the arguments are axis arrays shared by every grid of a sweep
+        np.testing.assert_array_equal(_bits(c1), _bits(kept1))
+        np.testing.assert_array_equal(_bits(c2), _bits(kept2))
+
+    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=lambda s: repr(s.describe()))
+    def test_scalars_match_the_plain_expressions(self, spec):
+        # the scalar path squares Frank's denominator by pow, which differs
+        # from x * x about once in a thousand points; 2000 points see it
+        c1, c2 = self._coords(spec)
+        rng = np.random.default_rng(17)
+        pairs = [(float(c1[i]), float(c2[j])) for i, j in zip(rng.integers(0, c1.size, 1000), rng.integers(0, c2.size, 1000))]
+        pairs += [(y, x) for x, y in pairs]
+        got = [float(_density_from_coords(spec, x, y)) for x, y in pairs]
+        want = [float(_reference_density(spec, x, y)) for x, y in pairs]
+        np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=repr(spec.describe()))
+
+
 def _kernel_points(monkeypatch) -> list[int]:
     """Wrap the density kernel that _grid_on_axes calls; the list gets the
     number of points of each call."""
@@ -250,8 +396,8 @@ class TestSquareGrid:
             (2, (None, 1, 3)),
             (40, (None, 8, 7)),
             (41, (None, 1, 6)),
-            (201, (None, 67, 7)),  # the default 81 rows does not divide 201
-            (400, (None, 7)),  # the default 40 rows divides 400
+            (201, (None, 67, 7)),  # the default height does not divide 201
+            (400, (None, 7)),  # the default height divides 400
         ],
         ids=lambda v: str(v) if isinstance(v, int) else "rows=" + "/".join("default" if h is None else str(h) for h in v),
     )
@@ -267,15 +413,26 @@ class TestSquareGrid:
                     got = jointdensity._grid_on_axes(model, axis, axis)
                 np.testing.assert_array_equal(got, want, err_msg=f"{spec.describe()} rows={height}")
 
+    def test_default_heights_of_the_parametrized_sizes(self):
+        # the default case of n = 201 has a ragged last block, that of
+        # n = 400 does not
+        for n, ragged in ((201, True), (400, False)):
+            height = jointdensity._BLOCK_CELLS // n
+            assert 1 < height < n and (n % height != 0) == ragged
+
     def test_equal_axes_evaluate_the_upper_triangle(self, monkeypatch):
-        # 40-row blocks of a 400 x 400 grid: block k evaluates 40 (400 - 40 k)
-        # points, 88,000 in all
+        # h-row blocks of an n x n grid: the block from row s evaluates its
+        # min(h, n - s) rows on the n - s columns from s on (for h = 20,
+        # the default, 84,000 points of 160,000)
         axis = GridSpec(step=0.025).cell_midpoints()
+        n, h = axis.size, jointdensity._BLOCK_CELLS // axis.size
         model = JointDensityModel(spec_from_rho(CopulaFamily.CLAYTON, 0.9))
         whole = jointdensity._grid_on_axes(model, axis, axis)
         points = _kernel_points(monkeypatch)
         copy = jointdensity._grid_on_axes(model, axis, axis.copy())
-        assert sum(points) == 88_000
+        assert 1 < h < n
+        assert sum(points) == sum(min(h, n - s) * (n - s) for s in range(0, n, h))
+        assert sum(points) < 0.6 * n * n
         np.testing.assert_array_equal(copy, whole)
 
     def test_unequal_axes_evaluate_every_point(self, monkeypatch):

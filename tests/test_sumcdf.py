@@ -9,13 +9,18 @@ recursive summation.
 """
 
 import math
+import os
+import platform
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+import sumdist
 from sumdist import jointdensity, sumcdf
 from sumdist.copula import CopulaFamily, CopulaSpec, spec_from_rho
 from sumdist.errors import DomainError, QuantileOutOfRange
@@ -198,6 +203,17 @@ class TestAntidiagonalSums:
         assert got.tolist() == _ascending_row_sums(m.astype(float)).tolist()
 
 
+# block-sized arrays each family's kernel holds at once, numpy's buffers
+# included
+_KERNEL_BLOCKS = {
+    CopulaFamily.GAUSS: 4,
+    CopulaFamily.STUDENT_T: 4,
+    CopulaFamily.CLAYTON: 5,
+    CopulaFamily.GUMBEL: 5,
+    CopulaFamily.FRANK: 4,
+}
+
+
 class TestAllocations:
     # tracemalloc sees numpy's buffers; both bounds would fail for a copy of
     # the whole matrix or grid per pass
@@ -215,8 +231,13 @@ class TestAllocations:
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_square_grid_allocates_the_output_plus_blocks(self, family):
-        # blocks of 16,384 float64 entries, as jointdensity._BLOCK_CELLS sets
-        # them; the kernels hold at most 13 such temporaries at once (Frank)
+        # in blocks of jointdensity._BLOCK_CELLS float64 entries: the shared
+        # weights, and the arrays a kernel holds at once, counting numpy's
+        # buffers for the broadcast operands of an outer-product ufunc (up to
+        # two, of 8,192 entries each), plus half a block for the axis terms.
+        # The out-of-place kernels peaked at 6.2 (t) to 11.9 (Frank) blocks
+        # over the output; Gauss's 5.1 is unchanged
+        blocks = 1 + _KERNEL_BLOCKS[family] + 0.5
         axis = GridSpec(step=0.025).cell_midpoints()
         model = JointDensityModel(spec_from_rho(family, 0.9))
         _grid_on_axes(model, axis, axis)
@@ -227,7 +248,34 @@ class TestAllocations:
         finally:
             tracemalloc.stop()
         assert grid.shape == (400, 400)
-        assert peak <= grid.nbytes + 16 * 16384 * 8
+        assert peak <= grid.nbytes + blocks * jointdensity._BLOCK_CELLS * 8
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or platform.libc_ver()[0] != "glibc", reason="glibc's heap trimming on Linux"
+)
+def test_table2_sweep_keeps_its_heap_resident():
+    # glibc hands a freed heap top above its trim threshold back to the
+    # system; a sweep whose blocks or grids free that much faults the pages
+    # in again for the next one: about 12,300 minor faults per warm Table 2
+    # sweep with 16,384-point blocks, out-of-place kernels and a new output
+    # grid per cell.  With in-place kernels, 8,192-point blocks and one
+    # output grid per shape the sweep takes under 100, with or without
+    # compiled bytecode
+    code = (
+        "import resource\n"
+        "from sumdist import TABLE2_RHOS, CopulaFamily, quantile_sweep\n"
+        "faults = []\n"
+        "for _ in range(2):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    quantile_sweep(list(CopulaFamily), TABLE2_RHOS)\n"
+        "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        "print(faults[1])"
+    )
+    src = os.path.dirname(os.path.dirname(sumdist.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert int(proc.stdout) < 1000
 
 
 class TestGridSpec:
