@@ -27,7 +27,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .copula import CopulaFamily, CopulaSpec, spec_from_rho
+from .copula import DEFAULT_NU, CopulaFamily, CopulaSpec, spec_from_rho
 from .errors import DomainError, QuantileOutOfRange
 from .grid import GridSpec
 from .jointdensity import JointDensityModel, joint_pdf_grid
@@ -56,7 +56,7 @@ def _build_spec(copula: str, rho: float | None, theta: float | None, nu: float |
         if family is CopulaFamily.GAUSS:
             return CopulaSpec.gauss(rho)
         if family is CopulaFamily.STUDENT_T:
-            return CopulaSpec.student_t(rho, 4.0 if nu is None else nu)
+            return CopulaSpec.student_t(rho, DEFAULT_NU if nu is None else nu)
         if theta is not None:
             return CopulaSpec(family, theta=theta)
         return spec_from_rho(family, rho)
@@ -64,12 +64,11 @@ def _build_spec(copula: str, rho: float | None, theta: float | None, nu: float |
         raise click.UsageError(str(exc))
 
 
-def _build_grid(half_width, step, z_min, z_max, z_step, z_on_lattice=True) -> GridSpec:
-    """The grid of the flags; the integration modes also need every z on the x/y lattice."""
+def _build_grid(half_width, step, z_min, z_max, z_step) -> GridSpec:
+    """The grid of the flags, with every z on the x/y lattice, as the integration modes need."""
     try:
         grid = GridSpec(half_width=half_width, step=step, z_min=z_min, z_max=z_max, z_step=z_step)
-        if z_on_lattice:
-            grid.z_lattice_indices()
+        grid.z_lattice_indices()
         return grid
     except DomainError as exc:
         raise click.UsageError(f"invalid grid: {exc}")
@@ -79,13 +78,18 @@ def _copula_options(fn):
     fn = click.option("--copula", type=click.Choice(sorted(_FAMILIES)), required=True, help="Copula family.")(fn)
     fn = click.option("--rho", type=float, default=None, help="Pearson correlation (gauss/t; Archimedean via rank pipeline).")(fn)
     fn = click.option("--theta", type=float, default=None, help="Archimedean copula parameter (exclusive with --rho).")(fn)
-    fn = click.option("--nu", type=float, default=None, help="Degrees of freedom (t copula only, default 4).")(fn)
+    fn = click.option("--nu", type=float, default=None, help=f"Degrees of freedom (t copula only, default {DEFAULT_NU:g}).")(fn)
+    return fn
+
+
+def _lattice_options(fn):
+    fn = click.option("--half-width", type=float, default=5.0, show_default=True, help="Truncation half-width.")(fn)
+    fn = click.option("--step", type=float, default=0.05, show_default=True, help="Integration step.")(fn)
     return fn
 
 
 def _grid_options(fn):
-    fn = click.option("--half-width", type=float, default=5.0, show_default=True, help="Truncation half-width.")(fn)
-    fn = click.option("--step", type=float, default=0.05, show_default=True, help="Integration step.")(fn)
+    fn = _lattice_options(fn)
     fn = click.option("--z-min", type=float, default=-5.0, show_default=True)(fn)
     fn = click.option("--z-max", type=float, default=5.0, show_default=True)(fn)
     fn = click.option("--z-step", type=float, default=0.05, show_default=True)(fn)
@@ -161,14 +165,12 @@ def _spec_meta(command: str, spec: CopulaSpec, **extra) -> dict:
     return meta
 
 
+def _lattice_meta(grid: GridSpec) -> dict:
+    return {"half_width": grid.half_width, "step": grid.step}
+
+
 def _grid_meta(grid: GridSpec) -> dict:
-    return {
-        "half_width": grid.half_width,
-        "step": grid.step,
-        "z_min": grid.z_min,
-        "z_max": grid.z_max,
-        "z_step": grid.z_step,
-    }
+    return {**_lattice_meta(grid), "z_min": grid.z_min, "z_max": grid.z_max, "z_step": grid.z_step}
 
 
 def _compute_table(spec, grid, mode):
@@ -226,19 +228,21 @@ def quantile_cmd(copula, rho, theta, nu, half_width, step, z_min, z_max, z_step,
 
 @main.command()
 @_copula_options
-@_grid_options
+@_lattice_options
 @_output_options
-def density(copula, rho, theta, nu, half_width, step, z_min, z_max, z_step, fmt, output):
-    """Tabulate the joint density on the grid lattice (x-major ascending)."""
+def density(copula, rho, theta, nu, half_width, step, fmt, output):
+    """Tabulate the joint density on the x/y lattice (x-major ascending)."""
     spec = _build_spec(copula, rho, theta, nu)
-    # the density lattice is x/y only; z flags are recorded but unused
-    grid = _build_grid(half_width, step, z_min, z_max, z_step, z_on_lattice=False)
+    try:
+        grid = GridSpec(half_width=half_width, step=step)
+    except DomainError as exc:
+        raise click.UsageError(f"invalid grid: {exc}")
     matrix = joint_pdf_grid(JointDensityModel(spec), grid)
     axis = grid.axis_points()
     n1 = axis.size
     xs = np.repeat(axis, n1)
     ys = np.tile(axis, n1)
-    meta = _spec_meta("density", spec, **_grid_meta(grid))
+    meta = _spec_meta("density", spec, **_lattice_meta(grid))
     _emit(meta, {"x": xs, "y": ys, "f": matrix.ravel()}, fmt, output, f"density_{copula}")
 
 
@@ -305,7 +309,7 @@ def _level_name(q: float) -> str:
 @click.option("--families", default="gauss,t,clayton,gumbel,frank", show_default=True, help="Comma-separated family list.")
 @click.option("--rhos", callback=_unit_interval_list, default="0.9,0.8,0.7,0.6,0.5,0.4,0.3,0.2,0.1", show_default=True, help="Comma-separated correlation levels.")
 @click.option("--qs", callback=_unit_interval_list, default="0.95,0.99", show_default=True, help="Comma-separated quantile levels.")
-@click.option("--nu", type=float, default=4.0, show_default=True, help="t copula degrees of freedom.")
+@click.option("--nu", type=float, default=DEFAULT_NU, show_default=True, help="t copula degrees of freedom.")
 @_grid_options
 @_mode_option
 @_output_options
@@ -353,7 +357,7 @@ def sweep(families, rhos, qs, nu, half_width, step, z_min, z_max, z_step, mode, 
 
 
 @main.command(name="reproduce-table2")
-@click.option("--nu", type=float, default=4.0, show_default=True, help="t copula degrees of freedom (the reference table does not state its value).")
+@click.option("--nu", type=float, default=DEFAULT_NU, show_default=True, help="t copula degrees of freedom (the reference table does not state its value).")
 @_output_options
 @click.pass_context
 def reproduce_table2(ctx, nu, fmt, output):

@@ -6,9 +6,9 @@ have no closed-form CDF; C(u1, u2) is the 1-D integral over w in
 (0, min(u1, u2)] of the closed-form conditional CDF h(max(u1, u2) | w),
 taken with a fixed tanh-sinh rule whose nodes are computed at import.
 
-Density evaluation is routed through array-capable kernels so that grid
-builders can evaluate whole lattices without per-point Python overhead; the
-public scalar operations wrap the same kernels.
+The density kernels take arrays only, so grids need no per-point Python; a
+scalar density is a one-point block, with the bits of the grid entry.  One
+predicate, ``_independent``, routes Archimedean independence.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .errors import DomainError
 __all__ = [
     "CopulaFamily",
     "CopulaSpec",
+    "DEFAULT_NU",
     "DependenceSummary",
     "UEPS",
     "copula_cdf",
@@ -41,9 +42,12 @@ __all__ = [
 # diverge at the boundary, and the normal-margin pipeline underflows anyway
 UEPS = 1e-12
 
-# parameters within this distance of the independence value route to the
-# exact independence density (avoids 0/0 in the Gumbel/Frank formulas)
+# a Clayton or Frank theta within this distance of 0, or a Gumbel theta
+# within it of 1, is independence (see _independent)
 _INDEP_TOL = 1e-9
+
+# the t copula's nu where none is given (the reference Table 2 states none)
+DEFAULT_NU = 4.0
 
 # the t copula's nu range.  Over the Table 2 rhos, on the default grid, both
 # table modes give valid tables from nu = 0.19 up; at 0.18 the rho = 0.9
@@ -127,7 +131,7 @@ class CopulaSpec:
         return CopulaSpec(CopulaFamily.GAUSS, rho=rho)
 
     @staticmethod
-    def student_t(rho: float, nu: float = 4.0) -> "CopulaSpec":
+    def student_t(rho: float, nu: float = DEFAULT_NU) -> "CopulaSpec":
         return CopulaSpec(CopulaFamily.STUDENT_T, rho=rho, nu=nu)
 
     @staticmethod
@@ -157,6 +161,15 @@ class CopulaSpec:
         if self.theta is not None:
             out["theta"] = self.theta
         return out
+
+
+def _independent(spec: CopulaSpec) -> bool:
+    """Whether theta is within ``_INDEP_TOL`` of independence (Clayton and Frank
+    0, Gumbel 1), where the density is 1, the CDF u1 u2 and the samples
+    independent.  The closed forms fail there: Clayton's cancel, Frank's is 0/0."""
+    if spec.family in _ELLIPTICAL:
+        return False
+    return abs(spec.theta - (1.0 if spec.family is CopulaFamily.GUMBEL else 0.0)) <= _INDEP_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +291,7 @@ def summarize_dependence(rho: float) -> DependenceSummary:
     )
 
 
-def spec_from_rho(family: CopulaFamily, rho: float, nu: float = 4.0) -> CopulaSpec:
+def spec_from_rho(family: CopulaFamily, rho: float, nu: float = DEFAULT_NU) -> CopulaSpec:
     """Build a spec from a Pearson rho target.
 
     Elliptical families take rho directly; Archimedean parameters are derived
@@ -293,7 +306,9 @@ def spec_from_rho(family: CopulaFamily, rho: float, nu: float = 4.0) -> CopulaSp
 
 
 # ---------------------------------------------------------------------------
-# density kernels (array-capable; inputs already validated and clamped)
+# density kernels on broadcastable arrays of clamped coordinates.  The first
+# operation allocates the result; later steps work in place, in the order of
+# the plain expressions (same bits), never in the arguments (shared axes)
 # ---------------------------------------------------------------------------
 
 
@@ -315,24 +330,12 @@ def _axis_coordinate(spec: CopulaSpec, u):
     return u
 
 
-def _grid(c1, c2) -> np.ndarray:
-    """An empty float array of the broadcast shape of two coordinates (0-d
-    for two scalars), for a kernel to compute in.
-
-    The kernels below hold their intermediate results in a few such arrays
-    and update them in place, with the operations and the order of the
-    plain expressions, so the bits are the same.  They never write into
-    their arguments, which are axis arrays shared by every grid of a sweep.
-    """
-    return np.empty(np.broadcast_shapes(np.shape(c1), np.shape(c2)))
-
-
 def _gauss_kernel(rho, z1, z2):
     r2 = 1.0 - rho * rho
     # exp(-quad / (2 r2)) / sqrt(r2), quad = rho^2 (z1^2 + z2^2) - 2 rho z1 z2
-    quad = np.add(z1 * z1, z2 * z2, out=_grid(z1, z2))
+    quad = z1 * z1 + z2 * z2
     quad *= rho * rho
-    cross = np.multiply(z1, z2, out=_grid(z1, z2))
+    cross = z1 * z2
     cross *= 2.0 * rho
     quad -= cross
     np.negative(quad, out=quad)
@@ -353,17 +356,14 @@ def _t_log_norm_of(rho, nu):
         - math.log(math.pi * nu)
         - 0.5 * math.log(r2)
     )
-    ln_den_c = 2.0 * (
-        specfun.ln_gamma(0.5 * (nu + 1.0)) - specfun.ln_gamma(0.5 * nu) - 0.5 * math.log(math.pi * nu)
-    )
-    return ln_num_c - ln_den_c
+    return ln_num_c - 2.0 * specfun._t_log_normalizer(nu)
 
 
 def _t_kernel(rho, nu, ln_norm, q1, q2):
     r2 = 1.0 - rho * rho
     # quad = (q1^2 + q2^2 - 2 rho q1 q2) / (nu r2)
-    quad = np.add(q1 * q1, q2 * q2, out=_grid(q1, q2))
-    cross = np.multiply(q1, q2, out=_grid(q1, q2))
+    quad = q1 * q1 + q2 * q2
+    cross = q1 * q2
     cross *= 2.0 * rho
     quad -= cross
     quad /= nu * r2
@@ -385,10 +385,10 @@ def _clayton_kernel(theta, u1, u2):
     a1 = -theta * l1
     a2 = -theta * l2
     # ln s = m + log(e^(a1 - m) + e^(a2 - m) - e^-m), m = max(a1, a2)
-    m = np.maximum(a1, a2, out=_grid(u1, u2))
-    ln_s = np.subtract(a1, m, out=_grid(u1, u2))
+    m = np.maximum(a1, a2)
+    ln_s = a1 - m
     np.exp(ln_s, out=ln_s)
-    term = np.subtract(a2, m, out=_grid(u1, u2))
+    term = a2 - m
     np.exp(term, out=term)
     ln_s += term
     np.negative(m, out=term)
@@ -412,10 +412,10 @@ def _gumbel_kernel(theta, u1, u2):
     la = np.log(a)
     lb = np.log(b)
     # ln A = m + log(e^(theta la - m) + e^(theta lb - m)), m = max(theta la, theta lb)
-    ln_big_a = np.maximum(theta * la, theta * lb, out=_grid(u1, u2))
-    ln_c = np.subtract(theta * la, ln_big_a, out=_grid(u1, u2))
+    ln_big_a = np.maximum(theta * la, theta * lb)
+    ln_c = theta * la - ln_big_a
     np.exp(ln_c, out=ln_c)
-    sigma = np.subtract(theta * lb, ln_big_a, out=_grid(u1, u2))
+    sigma = theta * lb - ln_big_a
     np.exp(sigma, out=sigma)
     ln_c += sigma
     np.log(ln_c, out=ln_c)
@@ -445,15 +445,15 @@ def _frank_kernel(theta, u1, u2):
     # else (Q, P): free of cancellation and overflow.  Taking (u1, u2) as
     # (min, max) keeps the kernel bitwise symmetric.
     t = abs(theta)
-    v2 = np.maximum(u1, u2, out=_grid(u1, u2))
-    w = np.minimum(u1, u2, out=_grid(u1, u2))
+    v2 = np.maximum(u1, u2)
+    w = np.minimum(u1, u2)
     if theta > 0.0:
         np.subtract(v2, w, out=w)
     else:
         w += v2
         w -= 1.0
     w *= 0.5 * t
-    p = np.multiply(v2, -t, out=_grid(u1, u2))
+    p = v2 * -t
     np.expm1(p, out=p)
     np.negative(p, out=p)
     q = np.subtract(1.0, v2, out=v2)
@@ -469,21 +469,16 @@ def _frank_kernel(theta, u1, u2):
     np.exp(e, out=e)
     b *= e
     b += a
-    # an array squares in place; a 0-d result squares as a numpy scalar,
-    # by pow, as the scalar path always has (it differs from x * x in about
-    # one case in a thousand)
-    den = b[()]
-    den **= 2
+    b **= 2
     e *= t * -math.expm1(-t)
-    e /= den
+    e /= b
     return e
 
 
-def _density_from_coords(spec: CopulaSpec, c1, c2):
-    """Density kernel on transformed coordinates (scalars or arrays).
-
-    Two scalars give a 0-d array.
-    """
+def _density_from_coords(spec: CopulaSpec, c1, c2) -> np.ndarray:
+    """The density on broadcastable coordinate arrays; ones at independence."""
+    if _independent(spec):
+        return np.ones(np.broadcast_shapes(c1.shape, c2.shape))
     fam = spec.family
     if fam is CopulaFamily.GAUSS:
         return _gauss_kernel(spec.rho, c1, c2)
@@ -492,12 +487,16 @@ def _density_from_coords(spec: CopulaSpec, c1, c2):
     if fam is CopulaFamily.CLAYTON:
         return _clayton_kernel(spec.theta, c1, c2)
     if fam is CopulaFamily.GUMBEL:
-        if abs(spec.theta - 1.0) <= _INDEP_TOL:
-            return np.ones(np.broadcast(c1, c2).shape)
         return _gumbel_kernel(spec.theta, c1, c2)
-    if abs(spec.theta) <= _INDEP_TOL:
-        return np.ones(np.broadcast(c1, c2).shape)
     return _frank_kernel(spec.theta, c1, c2)
+
+
+def _density_at(spec: CopulaSpec, u1: float, u2: float) -> float:
+    """The copula density at one point of clamped u, evaluated as a one-point
+    block: for equal coordinates, the bits of a grid entry."""
+    c1 = np.array([_axis_coordinate(spec, u1)])
+    c2 = np.array([_axis_coordinate(spec, u2)])
+    return float(_density_from_coords(spec, c1, c2)[0])
 
 
 def _clamp_u(u):
@@ -514,11 +513,7 @@ def copula_density(spec: CopulaSpec, u1: float, u2: float) -> float:
     """
     if not (0.0 < u1 < 1.0 and 0.0 < u2 < 1.0):
         raise DomainError(f"copula_density requires u in (0, 1) strictly, got ({u1!r}, {u2!r})")
-    u1 = _clamp_u(u1)
-    u2 = _clamp_u(u2)
-    c1 = _axis_coordinate(spec, u1)
-    c2 = _axis_coordinate(spec, u2)
-    return float(_density_from_coords(spec, c1, c2))
+    return _density_at(spec, _clamp_u(u1), _clamp_u(u2))
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +538,6 @@ def _gumbel_cdf(theta: float, u1: float, u2: float) -> float:
 
 
 def _frank_cdf(theta: float, u1: float, u2: float) -> float:
-    if abs(theta) <= _INDEP_TOL:
-        return u1 * u2
     if u1 + u2 > 1.0:
         # survival identity of the radially symmetric Frank copula; avoids
         # cancellation near (1, 1) for large theta
@@ -627,6 +620,8 @@ def copula_cdf(spec: CopulaSpec, u1: float, u2: float) -> float:
         return u2
     if u2 == 1.0:
         return u1
+    if _independent(spec):
+        return u1 * u2
     fam = spec.family
     if fam is CopulaFamily.CLAYTON:
         return _clayton_cdf(spec.theta, u1, u2)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .copula import CopulaSpec, _axis_coordinate, _clamp_u, _density_from_coords
+from .copula import CopulaSpec, _axis_coordinate, _clamp_u, _density_at, _density_from_coords
 from .errors import DomainError
 from .grid import GridSpec
 
@@ -62,14 +62,12 @@ class JointDensityModel:
 
 
 def joint_pdf(model: JointDensityModel, x: float, y: float) -> float:
-    """Density f(x, y) = c(Phi(x), Phi(y)) phi(x) phi(y)."""
+    """Density f(x, y) = c(Phi(x), Phi(y)) phi(x) phi(y), c from a one-point block."""
     phi_product = specfun.std_normal_pdf(x) * specfun.std_normal_pdf(y)
     if phi_product < _UNDERFLOW_FLOOR:
         return 0.0
-    spec = model.spec
-    c1 = _axis_coordinate(spec, _clamp_u(specfun.std_normal_cdf(x)))
-    c2 = _axis_coordinate(spec, _clamp_u(specfun.std_normal_cdf(y)))
-    return float(_density_from_coords(spec, c1, c2)) * phi_product
+    u1, u2 = _clamp_u(specfun.std_normal_cdf(x)), _clamp_u(specfun.std_normal_cdf(y))
+    return _density_at(model.spec, u1, u2) * phi_product
 
 
 @contextlib.contextmanager

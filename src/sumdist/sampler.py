@@ -21,6 +21,9 @@ Family constructions:
 * Gumbel: positive-stable frailty of index 1/theta via the
   Chambers-Mallows-Stuck sine construction.
 * Frank: closed-form inversion of the conditional distribution dC/du1.
+
+The Clayton and Gumbel frailties are taken in log space, where they cannot
+underflow.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .copula import CopulaFamily, CopulaSpec
+from .copula import CopulaFamily, CopulaSpec, _independent
 from .errors import DomainError
 from .sumcdf import DistributionTable, TableMode, _clamp_monotone
 
@@ -139,18 +142,30 @@ class RandomSource:
         z[1::2] = r * np.sin(angle)
         return z[:count]
 
-    def gamma_block(self, shape: float, count: int) -> np.ndarray:
-        """Gamma(shape, 1) variates, Marsaglia-Tsang squeeze-rejection.
+    def log_gamma_block(self, shape: float, count: int) -> np.ndarray:
+        """Logs of Gamma(shape, 1) variates, drawn as :meth:`gamma_block` draws them.
 
-        Rejected lanes redraw in later rounds, in lane order, so output is a
-        pure function of the stream position.
+        Below shape 1 a variate is G U^(1/shape) with G ~ Gamma(shape + 1),
+        and its log is log G + log(U) / shape: the power underflows to 0
+        at small shapes (for U below 4e-6 at shape 1/60), its log does not.
         """
         if shape <= 0.0:
             raise DomainError(f"gamma shape must be positive, got {shape!r}")
         if shape < 1.0:
-            base = self.gamma_block(shape + 1.0, count)
-            boost = self.uniform_block(count) ** (1.0 / shape)
-            return base * boost
+            return np.log(self.gamma_block(shape + 1.0, count)) + np.log(self.uniform_block(count)) / shape
+        return np.log(self.gamma_block(shape, count))
+
+    def gamma_block(self, shape: float, count: int) -> np.ndarray:
+        """Gamma(shape, 1) variates, Marsaglia-Tsang squeeze-rejection.
+
+        Rejected lanes redraw in later rounds, in lane order, so output is a
+        pure function of the stream position.  Below shape 1 they are the
+        exponentials of :meth:`log_gamma_block`.
+        """
+        if shape <= 0.0:
+            raise DomainError(f"gamma shape must be positive, got {shape!r}")
+        if shape < 1.0:
+            return np.exp(self.log_gamma_block(shape, count))
         d = shape - 1.0 / 3.0
         c = 1.0 / math.sqrt(9.0 * d)
         out = np.empty(count)
@@ -240,32 +255,40 @@ def _chunk_student_t(spec: CopulaSpec, rng: RandomSource, m: int) -> np.ndarray:
     return _blockwise(lambda b: specfun.student_t_cdf_array(b, spec.nu), np.column_stack([x * scale, y * scale]))
 
 
+def _log_exponentials(rng: RandomSource, m: int) -> np.ndarray:
+    """log E for m pairs of independent unit exponentials E, as an (m, 2) array."""
+    return np.log(-np.log(rng.uniform_block(2 * m))).reshape(m, 2)
+
+
 def _chunk_clayton(spec: CopulaSpec, rng: RandomSource, m: int) -> np.ndarray:
+    # u = (1 + E / V)^(-1/theta) with a gamma(1/theta) frailty V, in log
+    # space: V underflows at large theta, and E / V overflows
     theta = spec.theta
-    frailty = rng.gamma_block(1.0 / theta, m)
-    e = -np.log(rng.uniform_block(2 * m))
-    u1 = (1.0 + e[0::2] / frailty) ** (-1.0 / theta)
-    u2 = (1.0 + e[1::2] / frailty) ** (-1.0 / theta)
-    return np.column_stack([u1, u2])
+    log_frailty = rng.log_gamma_block(1.0 / theta, m)
+    log_ratio = _log_exponentials(rng, m)
+    log_ratio -= log_frailty[:, None]
+    u = np.logaddexp(0.0, log_ratio, out=log_ratio)  # log(1 + E / V)
+    u /= -theta
+    return np.exp(u, out=u)
 
 
 def _chunk_gumbel(spec: CopulaSpec, rng: RandomSource, m: int) -> np.ndarray:
+    # u = exp(-(E / S)^alpha), alpha = 1/theta, with a positive-stable S of
+    # Laplace transform exp(-t^alpha) by the Chambers-Mallows-Stuck sine
+    # construction, in log space: sin(angle)^theta underflows at large theta
     theta = spec.theta
-    if abs(theta - 1.0) <= 1e-9:
-        u = rng.uniform_block(2 * m)
-        return np.column_stack([u[0::2], u[1::2]])
     alpha = 1.0 / theta
     u = rng.uniform_block(2 * m)
     angle = math.pi * u[0::2]
-    w = -np.log(u[1::2])
-    # positive-stable S with Laplace transform exp(-t^alpha)
-    stable = (np.sin(alpha * angle) / np.sin(angle) ** (1.0 / alpha)) * (
-        np.sin((1.0 - alpha) * angle) / w
-    ) ** ((1.0 - alpha) / alpha)
-    e = -np.log(rng.uniform_block(2 * m))
-    u1 = np.exp(-((e[0::2] / stable) ** alpha))
-    u2 = np.exp(-((e[1::2] / stable) ** alpha))
-    return np.column_stack([u1, u2])
+    log_w = np.log(-np.log(u[1::2]))
+    log_stable = np.log(np.sin(alpha * angle)) - theta * np.log(np.sin(angle))
+    log_stable += (theta - 1.0) * (np.log(np.sin((1.0 - alpha) * angle)) - log_w)
+    v = _log_exponentials(rng, m)
+    v -= log_stable[:, None]
+    v *= alpha
+    np.exp(v, out=v)  # (E / S)^alpha
+    np.negative(v, out=v)
+    return np.exp(v, out=v)
 
 
 def _frank_inverse(theta: float, u1: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -297,13 +320,13 @@ def _frank_inverse(theta: float, u1: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _chunk_frank(spec: CopulaSpec, rng: RandomSource, m: int) -> np.ndarray:
-    theta = spec.theta
     u1 = rng.uniform_block(m)
     v = rng.uniform_block(m)
-    # below 2^-53 the inverse is v to within theta / 8 < 2^-56
-    if abs(theta) < 2.0**-53:
-        return np.column_stack([u1, v])
-    return np.column_stack([u1, _frank_inverse(theta, u1, v)])
+    return np.column_stack([u1, _frank_inverse(spec.theta, u1, v)])
+
+
+def _chunk_independent(spec: CopulaSpec, rng: RandomSource, m: int) -> np.ndarray:
+    return rng.uniform_block(2 * m).reshape(m, 2)
 
 
 _CHUNK_GENERATORS = {
@@ -319,15 +342,23 @@ def sample_copula(spec: CopulaSpec, n: int, rng: RandomSource) -> np.ndarray:
     """n pairs on (0,1)^2 distributed by the copula of ``spec``.
 
     Pair block k (of 65536 pairs) is generated from ``rng.substream(k)``;
-    output order is by block then within-block draw order.
+    output order is by block then within-block draw order.  At independence
+    (see ``copula._independent``) every family draws the same pairs of
+    uniforms.  A draw that rounds to 0 or 1 is a ``DomainError``.
     """
     if n < 1:
         raise DomainError(f"sample_copula requires n >= 1, got {n!r}")
-    generate = _CHUNK_GENERATORS[spec.family]
+    generate = _chunk_independent if _independent(spec) else _CHUNK_GENERATORS[spec.family]
     pairs = np.empty((n, 2))
     for k, start in enumerate(range(0, n, CHUNK_PAIRS)):
         m = min(CHUNK_PAIRS, n - start)
-        pairs[start : start + m] = generate(spec, rng.substream(k), m)
+        chunk = pairs[start : start + m]
+        chunk[:] = generate(spec, rng.substream(k), m)
+        lo, hi = float(chunk.min()), float(chunk.max())
+        if not (0.0 < lo and hi < 1.0):
+            params = ", ".join(f"{name}={value!r}" for name, value in spec.describe().items() if name != "family")
+            bad = hi if 0.0 < lo else lo
+            raise DomainError(f"{spec.family.value} copula sampling failed for {params}: a draw of {bad!r} lies outside (0, 1)")
     return pairs
 
 

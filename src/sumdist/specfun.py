@@ -540,14 +540,18 @@ def reg_incomplete_beta(x: float, a: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _t_log_normalizer(nu: float) -> float:
+    """Log of the t density's constant, Gamma((nu + 1)/2) / (Gamma(nu/2) sqrt(pi nu))."""
+    return ln_gamma(0.5 * (nu + 1.0)) - ln_gamma(0.5 * nu) - 0.5 * math.log(math.pi * nu)
+
+
 def student_t_pdf(x: float, nu: float) -> float:
     """Density of the Student-t distribution with nu > 0 degrees of freedom."""
     if not (nu > 0.0):
         raise DomainError(f"student_t_pdf requires nu > 0, got {nu!r}")
     if not math.isfinite(x):
         raise DomainError(f"student_t_pdf requires finite x, got {x!r}")
-    ln_c = ln_gamma(0.5 * (nu + 1.0)) - ln_gamma(0.5 * nu) - 0.5 * math.log(math.pi * nu)
-    return math.exp(ln_c - 0.5 * (nu + 1.0) * math.log1p(x * x / nu))
+    return math.exp(_t_log_normalizer(nu) - 0.5 * (nu + 1.0) * math.log1p(x * x / nu))
 
 
 def student_t_cdf(x: float, nu: float) -> float:
@@ -624,10 +628,9 @@ def _density_underflow(p: float, nu: float, x: float) -> DomainError:
 
 
 def _student_t_pdf_flat(x: np.ndarray, nu: float) -> np.ndarray:
-    ln_c = ln_gamma(0.5 * (nu + 1.0)) - ln_gamma(0.5 * nu) - 0.5 * math.log(math.pi * nu)
     with np.errstate(over="ignore"):
         q = x * x / nu
-    return np.exp(ln_c - 0.5 * (nu + 1.0) * np.log1p(q))
+    return np.exp(_t_log_normalizer(nu) - 0.5 * (nu + 1.0) * np.log1p(q))
 
 
 def _student_t_cdf_flat(x: np.ndarray, nu: float) -> np.ndarray:

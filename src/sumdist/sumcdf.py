@@ -42,7 +42,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .copula import CopulaFamily, CopulaSpec, spec_from_rho
+from .copula import DEFAULT_NU, CopulaFamily, CopulaSpec, spec_from_rho
 from .errors import DomainError, QuantileOutOfRange
 from .grid import GridSpec, PAPER_GRID
 from .jointdensity import JointDensityModel, joint_pdf_grid, _axis_memo, _grid_on_axes
@@ -292,7 +292,7 @@ def quantile_sweep(
     families: Sequence[CopulaFamily],
     rhos: Sequence[float],
     qs: Sequence[float] = (0.95, 0.99),
-    nu: float = 4.0,
+    nu: float = DEFAULT_NU,
     grid: GridSpec = PAPER_GRID,
     mode: TableMode = TableMode.PAPER_EXACT,
 ) -> list[QuantileReport]:

@@ -190,10 +190,13 @@ class TestValidation:
         assert "rounds to 0" in result.output
         assert not out.exists()
 
-    def test_density_accepts_any_z_grid(self, runner, tmp_path):
+    @pytest.mark.parametrize("flag", ["--z-min", "--z-max", "--z-step"])
+    def test_density_takes_no_z_flags(self, runner, tmp_path, flag):
         # the density lattice is x/y only
-        args = ["density", "--copula", "gauss", "--rho", "0.5", "--step", "0.5", "--z-step", "0.03"]
-        assert runner.invoke(main, [*args, "--output", str(tmp_path / "d.csv")]).exit_code == 0
+        args = ["density", "--copula", "gauss", "--rho", "0.5", "--step", "0.5", flag, "0.5"]
+        result = runner.invoke(main, [*args, "--output", str(tmp_path / "d.csv")])
+        assert result.exit_code == 2
+        assert re.search(f"No such option:? '?{flag}'?", result.output), result.output
 
     @pytest.mark.parametrize("level", ["1.5", "0", "nan"])
     def test_quantile_level_outside_unit_interval(self, runner, tmp_path, level):
@@ -204,6 +207,17 @@ class TestValidation:
         assert result.exit_code == 2, result.output
         assert "Invalid value for '--q': values must lie in (0, 1)" in result.output
         assert not out.exists()
+
+    def test_clayton_near_independence(self, runner, tmp_path):
+        # rho = 1e-15 gives theta = 1.27e-15, independence: the closed-form
+        # density overshot 1 there and the command exited 1
+        rows = []
+        for spec_args in (["--copula", "clayton", "--rho", "1e-15"], ["--copula", "gumbel", "--theta", "1"]):
+            out = tmp_path / "q.csv"
+            result = runner.invoke(main, ["quantile", *spec_args, "--output", str(out)])
+            assert result.exit_code == 0, result.output
+            rows.append(read_csv(out)[2])
+        assert rows[0] == rows[1]
 
     def test_quantile_out_of_range_is_numerical_failure(self, runner, tmp_path):
         result = runner.invoke(
@@ -278,26 +292,28 @@ class TestSample:
     # t the t CDF): at most 1.8e-15 relative, on 20 to 120 of the 4000 values.
     # n = 70000 crosses the 65536-pair chunk and the CSV row blocks; those
     # five are the bytes of the whole-chunk sampler and writer, which the
-    # blocked ones keep
+    # blocked ones keep.  The Clayton and Gumbel ones were re-pinned when
+    # their frailties went to log space: at n = 70000 that moved 30% to 41%
+    # of the values, by at most 8.5e-13 (Clayton) and 2.0e-14 (Gumbel)
     @pytest.mark.parametrize(
         "args, digest",
         [
             (["--copula", "gauss", "--rho", "0.9", "--n", "2000"], "74dfe49054303e2f4e96e526153118f61e3b3dc8ee631d55649ceaccc725bfca"),
             (["--copula", "t", "--rho", "0.9", "--n", "2000"], "5be7a60b7722fc36dfcca9fa60d7d5c647a59bef9fed335abf9e9d62639646f3"),
-            (["--copula", "clayton", "--rho", "0.9", "--n", "2000"], "77c716954a49902ab8f89f3b0f95200724591d0028b6845470d5191c8381804e"),
-            (["--copula", "gumbel", "--rho", "0.9", "--n", "2000"], "261bf231a3303b4a418e10247e60e015e89dcd85d244dfe7bd2bc8dae67ea0a9"),
+            (["--copula", "clayton", "--rho", "0.9", "--n", "2000"], "72cbd29e632daa771caab340122b739ceda51b5323762cce46739544821e4288"),
+            (["--copula", "gumbel", "--rho", "0.9", "--n", "2000"], "b96bbedee3b74c8644eccd5e7caa6488eb59755b62c573041237c9aa14eb5832"),
             # re-pinned earlier when Frank's theta became the exact root of
             # tau(theta); with the former theta 12.025352564014565 the bytes
             # were as before
             (["--copula", "frank", "--rho", "0.9", "--n", "2000"], "412d2caf1a444d47864bced922671a46d14a99521b3e5293e28714ca7c0a0d91"),
             (
                 ["--copula", "gumbel", "--rho", "0.5", "--n", "2000", "--format", "json"],
-                "d370b1b747fc1caccad8aacef824a1c9677716307f4ef0dbb84d215a1d130301",
+                "31760a05f05bc185a3b9efb429f6b3fb067bc6b65163dcd87804798cae3f3358",
             ),
             (["--copula", "gauss", "--rho", "0.9", "--n", "70000"], "7a380a5f766f876c2c5d0f5a5cf7a64c92681830caf04b82dfb413cbf80e2dcf"),
             (["--copula", "t", "--rho", "0.9", "--n", "70000"], "19cc7ac7ddd45c6f7a6456c98eb3da77197104c6074be2ebdf202634c0678eb8"),
-            (["--copula", "clayton", "--rho", "0.9", "--n", "70000"], "bd511dd3b8172b8482cfcc3d4df6c1b6a41ac2f25bad8c33d56ec4516393b907"),
-            (["--copula", "gumbel", "--rho", "0.9", "--n", "70000"], "4b323f5a3f2eb80d0794a8d1f8eb9655c591fdf30597acefa5e59bc4090bb9dd"),
+            (["--copula", "clayton", "--rho", "0.9", "--n", "70000"], "45c093fc96bb944e08e0faf7dda33540841b31cb9d5ee70377aedcd020882faa"),
+            (["--copula", "gumbel", "--rho", "0.9", "--n", "70000"], "2091f90954d894f7becd50ca10daac1b2ff1f390738b61cbeb57b74caa6d9de6"),
             (["--copula", "frank", "--rho", "0.9", "--n", "70000"], "1c25ae342a43b66c0ef06b3e22d483e7ef1c6fe2f8ee4773a1097d4d782261be"),
         ],
         ids=["gauss", "t", "clayton", "gumbel", "frank", "json", "gauss-70000", "t-70000", "clayton-70000", "gumbel-70000", "frank-70000"],
@@ -307,6 +323,26 @@ class TestSample:
         result = runner.invoke(main, ["sample", *args, "--seed", "7", "--output", str(out)])
         assert result.exit_code == 0, result.output
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("copula", ["clayton", "gumbel"])
+    def test_strong_dependence(self, runner, tmp_path, copula):
+        # theta = 200 drew exact 0s (and 1s for Gumbel), and the normal
+        # quantile of the margins failed with exit 1
+        out = tmp_path / "s.csv"
+        result = runner.invoke(main, ["sample", "--copula", copula, "--theta", "200", "--n", "20000", "--output", str(out)])
+        assert result.exit_code == 0, result.output
+        _, _, rows = read_csv(out)
+        pairs = np.array(rows, dtype=float)
+        assert np.all(np.isfinite(pairs))
+        assert np.corrcoef(pairs.T)[0, 1] > 0.99
+
+    def test_draw_outside_the_open_square_is_a_numerical_failure(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setitem(sampler._CHUNK_GENERATORS, CopulaFamily.CLAYTON, lambda spec, rng, m: np.zeros((m, 2)))
+        out = tmp_path / "s.csv"
+        result = runner.invoke(main, ["sample", "--copula", "clayton", "--theta", "60", "--n", "100", "--output", str(out)])
+        assert result.exit_code == 1
+        assert "clayton copula sampling failed for theta=60.0: a draw of 0.0 lies outside (0, 1)" in result.output
+        assert not out.exists()
 
     def test_frank_strong_negative_dependence(self, runner, tmp_path):
         out = tmp_path / "s.csv"
@@ -321,8 +357,9 @@ class TestSample:
         assert np.corrcoef(pairs.T)[0, 1] < -0.99
 
 
-def _sample_run(copula, n, out):
-    """The pairs that ``sumdist sample`` draws, and the CSV bytes it writes to ``out``."""
+def _sample_run(copula, n, chunk, out):
+    """The pairs that ``sumdist sample`` draws in substreams of ``chunk``
+    pairs, and the CSV bytes it writes to ``out``."""
     drawn = []
 
     def recording(*args):
@@ -331,6 +368,7 @@ def _sample_run(copula, n, out):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "sample_sum", recording)
+        patch.setattr(sampler, "CHUNK_PAIRS", chunk)
         args = ["sample", "--copula", copula, "--rho", "0.9", "--n", str(n), "--seed", "7", "--output", str(out)]
         result = CliRunner().invoke(main, args)
     assert result.exit_code == 0, result.output
@@ -338,25 +376,33 @@ def _sample_run(copula, n, out):
 
 
 @functools.lru_cache(maxsize=None)
-def _default_sample_run(copula, n):
+def _default_sample_run(copula, n, chunk):
     with tempfile.TemporaryDirectory() as directory:
-        return _sample_run(copula, n, pathlib.Path(directory) / "s.csv")
+        return _sample_run(copula, n, chunk, pathlib.Path(directory) / "s.csv")
 
 
 class TestBlockSize:
     """The elementwise stages work lane by lane, so neither the sampler's
     block of pairs nor the writer's block of rows moves a bit."""
 
-    # blocks of 7 and 4099 pairs straddle the chunk boundary at 65536; a
-    # block of one pair costs one kernel call a pair (26-39 s a family at
-    # that n), so it runs on fewer pairs
-    @pytest.mark.parametrize("block, n", [(1, 1000), (7, CHUNK_PAIRS + 777), (4099, CHUNK_PAIRS + 777)])
+    # blocks of 4099 pairs straddle the chunk boundary at 65536.  Small
+    # blocks cost one kernel call each: a block of one pair runs on 1000
+    # pairs, and blocks of 7 straddle a chunk boundary of 4096 pairs, set
+    # in both runs (at 65536 the five families took 30 s)
+    @pytest.mark.parametrize(
+        "block, n, chunk",
+        [
+            pytest.param(1, 1000, CHUNK_PAIRS, id="1-1000"),
+            pytest.param(7, 4096 + 777, 4096, id="7-4873"),
+            pytest.param(4099, CHUNK_PAIRS + 777, CHUNK_PAIRS, id=f"4099-{CHUNK_PAIRS + 777}"),
+        ],
+    )
     @pytest.mark.parametrize("copula", ["gauss", "t", "clayton", "gumbel", "frank"])
-    def test_sample_independent_of_block_size(self, monkeypatch, tmp_path, copula, block, n):
-        want_pairs, want_bytes = _default_sample_run(copula, n)
+    def test_sample_independent_of_block_size(self, monkeypatch, tmp_path, copula, block, n, chunk):
+        want_pairs, want_bytes = _default_sample_run(copula, n, chunk)
         monkeypatch.setattr(sampler, "BLOCK_PAIRS", block)
         monkeypatch.setattr(csvwriter, "BLOCK_ROWS", block)
-        pairs, data = _sample_run(copula, n, tmp_path / "s.csv")
+        pairs, data = _sample_run(copula, n, chunk, tmp_path / "s.csv")
         assert pairs.tobytes() == want_pairs.tobytes()
         assert data == want_bytes
 
@@ -368,7 +414,7 @@ class TestDensity:
             main,
             [
                 "density", "--copula", "gauss", "--rho", "0.0",
-                "--half-width", "1", "--step", "1", "--z-min", "-1", "--z-max", "1", "--z-step", "1",
+                "--half-width", "1", "--step", "1",
                 "--output", str(out),
             ],
         )
@@ -391,8 +437,10 @@ class TestDensity:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         # re-pinned when specfun's array kernels took exp and log from numpy:
         # Phi and phi of the axis moved 1004 of the 10201 densities, by at most
-        # 4.9e-16 relative
-        assert digest == "03313a5a7c386710f10007b6309a761429b4a15de66cdab881c740951f6e66e3"
+        # 4.9e-16 relative.  Re-pinned again when the command dropped its z
+        # flags: the meta line lost z_min, z_max and z_step, and the data rows
+        # kept their bytes
+        assert digest == "337ff7aae9e6fecedda34b2ca2e6057d914912d07337e166cb9c64a84204acd9"
 
 
 def _csv(meta, columns):

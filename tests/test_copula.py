@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumdist import copula
 from sumdist.copula import (
     CopulaFamily,
     CopulaSpec,
@@ -386,6 +387,45 @@ class TestCopulaCdf:
             v = copula_cdf(spec, u1, u2)
             assert 0.0 <= v <= min(u1, u2) + 1e-12
             assert copula_cdf(spec, u2, u1) == pytest.approx(v, rel=1e-14, abs=1e-15)
+
+
+# Archimedean specs within copula._INDEP_TOL of independence.  The closed
+# forms fail there: Clayton at 1e-20 gave C(0.3, 0.7) = 0.3, at 1e-15 a
+# density 20% off 1; Frank at 1e-300 a NaN density
+NEAR_INDEPENDENCE = [
+    *(CopulaSpec.clayton(theta) for theta in (1e-9, 1e-10, 1e-12, 1e-15, 1e-20, 1e-100)),
+    CopulaSpec.gumbel(1.0 + 5e-10),
+    *(CopulaSpec.frank(theta) for theta in (1e-9, 1e-10, -1e-12, 1e-300)),
+]
+
+
+class TestIndependence:
+    @pytest.mark.parametrize("spec", NEAR_INDEPENDENCE, ids=lambda s: repr(s.describe()))
+    def test_density_is_one_and_cdf_the_product(self, spec):
+        assert copula._independent(spec)
+        for u1, u2 in [(0.3, 0.7), (0.3, 0.6), (1e-12, 0.5), (0.999, 0.001), (0.5, 0.5)]:
+            assert copula_density(spec, u1, u2) == 1.0
+            assert copula_cdf(spec, u1, u2) == u1 * u2
+        assert copula_cdf(spec, 0.3, 0.7) == pytest.approx(0.21, rel=1e-15)
+
+    def test_one_tolerance_for_the_three_families(self):
+        tol = copula._INDEP_TOL
+        inside = [CopulaSpec.clayton(tol), CopulaSpec.gumbel(1.0 + 0.9 * tol), CopulaSpec.frank(tol), CopulaSpec.frank(-tol)]
+        outside = [CopulaSpec.clayton(2 * tol), CopulaSpec.gumbel(1.0 + 2 * tol), CopulaSpec.frank(2 * tol), CopulaSpec.frank(-2 * tol)]
+        assert all(copula._independent(spec) for spec in inside)
+        assert not any(copula._independent(spec) for spec in outside)
+        # the elliptical families are never routed: Gauss at rho = 0 is
+        # independence by its own formula, t at rho = 0 is not independence
+        assert not copula._independent(CopulaSpec.gauss(0.0))
+        assert not copula._independent(CopulaSpec.student_t(0.0))
+
+    @pytest.mark.parametrize("theta", [2e-9, 1e-8, 1e-6])
+    def test_clayton_just_outside_stays_near_independence(self, theta):
+        # the closed form, not the rule: its cancellation costs up to 2e-16 / theta
+        # relative (8e-8 at theta = 2e-9, against 50-digit mpmath)
+        spec = CopulaSpec.clayton(theta)
+        assert copula_cdf(spec, 0.3, 0.7) == pytest.approx(0.21, abs=1e-7)
+        assert copula_density(spec, 0.3, 0.7) == pytest.approx(1.0, abs=1e-6)
 
 
 class TestCopulaDensity:

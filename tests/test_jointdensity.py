@@ -362,15 +362,25 @@ class TestKernelsInPlace:
 
     @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=lambda s: repr(s.describe()))
     def test_scalars_match_the_plain_expressions(self, spec):
-        # the scalar path squares Frank's denominator by pow, which differs
-        # from x * x about once in a thousand points; 2000 points see it
+        # a scalar density is a one-point block (copula._density_at)
         c1, c2 = self._coords(spec)
         rng = np.random.default_rng(17)
-        pairs = [(float(c1[i]), float(c2[j])) for i, j in zip(rng.integers(0, c1.size, 1000), rng.integers(0, c2.size, 1000))]
+        pairs = [(c1[i : i + 1], c2[j : j + 1]) for i, j in zip(rng.integers(0, c1.size, 1000), rng.integers(0, c2.size, 1000))]
         pairs += [(y, x) for x, y in pairs]
-        got = [float(_density_from_coords(spec, x, y)) for x, y in pairs]
-        want = [float(_reference_density(spec, x, y)) for x, y in pairs]
+        got = [float(_density_from_coords(spec, x, y)[0]) for x, y in pairs]
+        want = [float(_reference_density(spec, x, y)[0]) for x, y in pairs]
         np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=repr(spec.describe()))
+
+    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=lambda s: repr(s.describe()))
+    def test_a_point_has_the_bits_of_its_grid_entry(self, spec):
+        c1, c2 = self._coords(spec)
+        grid = _density_from_coords(spec, c1[:, None], c2[None, :])
+        rng = np.random.default_rng(18)
+        for i, j in zip(rng.integers(0, c1.size, 500), rng.integers(0, c2.size, 500)):
+            assert _bits(_density_from_coords(spec, c1[i : i + 1], c2[j : j + 1])) == _bits(grid[i, j]), (spec.describe(), i, j)
+            if spec.family not in (CopulaFamily.GAUSS, CopulaFamily.STUDENT_T):
+                # the Archimedean coordinate is u itself
+                assert _bits(copula_density(spec, float(c1[i]), float(c2[j]))) == _bits(grid[i, j])
 
 
 def _kernel_points(monkeypatch) -> list[int]:

@@ -7,18 +7,21 @@ oracles (Kolmogorov-Smirnov, Kendall tau) come from scipy.
 import functools
 import itertools
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special as scipy_special
 from scipy import stats
 
-from sumdist import specfun
+from sumdist import sampler, specfun
 from sumdist.copula import CopulaFamily, CopulaSpec, spec_from_rho, tau_from_pearson_rho, tau_from_theta
 from sumdist.errors import DomainError
 from sumdist.sampler import (
+    CHUNK_PAIRS,
     _GOLDEN,
     _MIX_1,
     _MIX_2,
@@ -118,6 +121,16 @@ class TestRandomSource:
         g = RandomSource(19).gamma_block(0.4, 2 * 10**5)
         assert g.mean() == pytest.approx(0.4, abs=0.01)
 
+    def test_log_gamma_at_small_shape(self):
+        # G U^(1/shape) underflows at shape 1/200; its log, log G + log(U) / shape, does not
+        logs = RandomSource(23).log_gamma_block(1.0 / 200.0, 10**5)
+        assert np.all(np.isfinite(logs))
+        assert np.count_nonzero(np.exp(logs) == 0.0) > 1000
+        # the log of Gamma(k) has mean digamma(k): -200.58 at k = 1/200
+        assert logs.mean() == pytest.approx(float(scipy_special.digamma(1.0 / 200.0)), rel=0.02)
+        # below shape 1, gamma_block takes its variates from there
+        np.testing.assert_array_equal(RandomSource(29).gamma_block(0.4, 1000), np.exp(RandomSource(29).log_gamma_block(0.4, 1000)))
+
     def test_seed_validation(self):
         with pytest.raises(DomainError):
             RandomSource(-1)
@@ -182,6 +195,51 @@ class TestSampleCopula:
     def test_invalid_n(self):
         with pytest.raises(DomainError):
             sample_copula(CopulaSpec.gauss(0.5), 0, RandomSource(1))
+
+    @pytest.mark.parametrize("family", [CopulaFamily.CLAYTON, CopulaFamily.GUMBEL])
+    @pytest.mark.parametrize("theta", [60.0, 200.0])
+    def test_strong_dependence(self, family, theta):
+        # the frailties in linear space underflowed from about theta = 60 on:
+        # at theta = 200, 57,200 Clayton draws of 10^6 were 0, and Gumbel's
+        # were 7,168 zeros and 73,858 ones, with RuntimeWarnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            uv = sample_copula(CopulaSpec(family, theta=theta), 10**6, RandomSource(0))
+        assert 0.0 < uv.min() and uv.max() < 1.0
+        # every tenth pair, from every chunk
+        assert estimate_tau(uv[::10]) == pytest.approx(tau_from_theta(family, theta), abs=0.002)
+
+    def test_independence_draws_one_layout(self):
+        # uniform pairs, in draw order, from each chunk's substream
+        n = CHUNK_PAIRS + 777
+        want = np.concatenate(
+            [RandomSource(SEED).substream(k).uniform_block(2 * m).reshape(m, 2) for k, m in enumerate((CHUNK_PAIRS, 777))]
+        )
+        for spec in (
+            CopulaSpec.gumbel(1.0),
+            CopulaSpec.gumbel(1.0 + 5e-10),
+            *(CopulaSpec.clayton(theta) for theta in (1e-10, 1e-12, 1e-15, 1e-100)),
+            CopulaSpec.frank(1e-10),
+            CopulaSpec.frank(-1e-300),
+        ):
+            np.testing.assert_array_equal(sample_copula(spec, n, RandomSource(SEED)), want, err_msg=repr(spec.describe()))
+
+    def test_clayton_near_independence_stays_inside(self):
+        # at theta = 1e-12 the frailty construction drew u = 1.0, and the
+        # normal quantile of the margins then failed
+        pairs = sample_sum(CopulaSpec.clayton(1e-12), 70000, RandomSource(1)).pairs
+        assert np.all(np.isfinite(pairs))
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, math.nan])
+    def test_draw_outside_the_open_square_is_a_domain_error(self, monkeypatch, bad):
+        def rounded(spec, rng, m):
+            uv = np.full((m, 2), 0.5)
+            uv[m // 2, 1] = bad
+            return uv
+
+        monkeypatch.setitem(sampler._CHUNK_GENERATORS, CopulaFamily.GUMBEL, rounded)
+        with pytest.raises(DomainError, match=rf"gumbel copula sampling failed for theta=3\.5: a draw of {bad!r} lies outside \(0, 1\)"):
+            sample_copula(CopulaSpec.gumbel(3.5), 100, RandomSource(1))
 
 
 def _frank_exact(theta: float):

@@ -8,6 +8,7 @@ fixed summation order, and against ``math.fsum`` within the error bound of
 recursive summation.
 """
 
+import functools
 import math
 import os
 import platform
@@ -674,6 +675,25 @@ class TestBounds:
             t_values = build(CopulaSpec.student_t(rho, nu), GridSpec()).F_values
             gaps.append(np.max(np.abs(t_values - build(CopulaSpec.gauss(rho), GridSpec()).F_values)))
         assert 0.061 < max(gaps) * nu < 0.063
+
+
+@functools.lru_cache(maxsize=None)
+def _independence_table(mode: TableMode) -> DistributionTable:
+    return integrators()[mode](CopulaSpec.gumbel(1.0), PAPER_GRID)
+
+
+@pytest.mark.parametrize("mode", [TableMode.PAPER_EXACT, TableMode.REFINED])
+@pytest.mark.parametrize(
+    "spec",
+    [*(CopulaSpec.clayton(theta) for theta in (1e-10, 1e-12, 1e-15, 1e-100)), CopulaSpec.frank(-1e-12)],
+    ids=lambda s: repr(s.describe()),
+)
+def test_near_independence_tabulates_independence(spec, mode):
+    # at theta = 1e-15 Clayton's closed-form density overshot 1 (raw F 1.0034)
+    want = _independence_table(mode)
+    got = integrators()[mode](spec, PAPER_GRID)
+    assert got.raw_F_values.tobytes() == want.raw_F_values.tobytes()
+    assert got.F_values.tobytes() == want.F_values.tobytes()
 
 
 class TestQuantile:
