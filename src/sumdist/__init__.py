@@ -24,7 +24,7 @@ _MODULE_NAMES = {
     ),
     "errors": "DomainError QuantileOutOfRange",
     "grid": "PAPER_GRID GridSpec",
-    "jointdensity": "JointDensityModel joint_pdf joint_pdf_grid",
+    "jointdensity": "joint_pdf joint_pdf_grid",
     "sampler": "RandomSource SampleSet empirical_cdf estimate_spearman_rho estimate_tau sample_copula sample_sum",
     "sumcdf": (
         "TABLE2_RHOS DistributionTable QuantileReport TableMode cdf_paper_exact cdf_refined quantile quantile_sweep"

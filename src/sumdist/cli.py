@@ -30,7 +30,7 @@ from . import __version__
 from .copula import DEFAULT_NU, CopulaFamily, CopulaSpec, spec_from_rho
 from .errors import DomainError, QuantileOutOfRange
 from .grid import GridSpec
-from .jointdensity import JointDensityModel, joint_pdf_grid
+from .jointdensity import joint_pdf_grid
 from .sumcdf import TABLE2_RHOS, TableMode, integrators, quantile, quantile_sweep
 
 _FAMILIES = {f.value: f for f in CopulaFamily}
@@ -237,7 +237,7 @@ def density(copula, rho, theta, nu, half_width, step, fmt, output):
         grid = GridSpec(half_width=half_width, step=step)
     except DomainError as exc:
         raise click.UsageError(f"invalid grid: {exc}")
-    matrix = joint_pdf_grid(JointDensityModel(spec), grid)
+    matrix = joint_pdf_grid(spec, grid)
     axis = grid.axis_points()
     n1 = axis.size
     xs = np.repeat(axis, n1)

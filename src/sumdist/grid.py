@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +60,8 @@ class GridSpec:
         return -self.half_width + self.step * (np.arange(self.n_cells) + 0.5)
 
     def z_values(self) -> np.ndarray:
-        count = int(round((self.z_max - self.z_min) / self.z_step)) + 1
+        """z_min, z_min + z_step, ..., up to z_max and never beyond it."""
+        count = math.floor((self.z_max - self.z_min) / self.z_step + _LATTICE_TOL) + 1
         return self.z_min + self.z_step * np.arange(count)
 
     def z_lattice_indices(self) -> np.ndarray:

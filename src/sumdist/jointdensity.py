@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .copula import CopulaSpec, _axis_coordinate, _clamp_u, _density_at, _densit
 from .errors import DomainError
 from .grid import GridSpec
 
-__all__ = ["JointDensityModel", "joint_pdf", "joint_pdf_grid"]
+__all__ = ["joint_pdf", "joint_pdf_grid"]
 
 # below this product of marginal densities the joint density is returned as
 # exactly 0, preventing denormal noise in grid sums
@@ -54,20 +53,14 @@ _BLOCK_CELLS = 8192
 _AXIS_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar("sumdist_axis_memo", default=None)
 
 
-@dataclass(frozen=True)
-class JointDensityModel:
-    """Joint density of (X, Y) with N(0,1) margins under a given copula."""
-
-    spec: CopulaSpec
-
-
-def joint_pdf(model: JointDensityModel, x: float, y: float) -> float:
-    """Density f(x, y) = c(Phi(x), Phi(y)) phi(x) phi(y), c from a one-point block."""
+def joint_pdf(spec: CopulaSpec, x: float, y: float) -> float:
+    """Density f(x, y) = c(Phi(x), Phi(y)) phi(x) phi(y) of (X, Y) with N(0,1)
+    margins under the copula of ``spec``, c from a one-point block."""
     phi_product = specfun.std_normal_pdf(x) * specfun.std_normal_pdf(y)
     if phi_product < _UNDERFLOW_FLOOR:
         return 0.0
     u1, u2 = _clamp_u(specfun.std_normal_cdf(x)), _clamp_u(specfun.std_normal_cdf(y))
-    return _density_at(model.spec, u1, u2) * phi_product
+    return _density_at(spec, u1, u2) * phi_product
 
 
 @contextlib.contextmanager
@@ -109,7 +102,7 @@ def _axis_terms(spec: CopulaSpec, axis: np.ndarray, memo: dict) -> tuple[np.ndar
     return memo[key], memo[points][1]
 
 
-def _grid_on_axes(model: JointDensityModel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def _grid_on_axes(spec: CopulaSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Joint density on the outer product of two axis-point arrays.
 
     The per-axis transforms run through the array kernels of
@@ -127,7 +120,6 @@ def _grid_on_axes(model: JointDensityModel, xs: np.ndarray, ys: np.ndarray) -> n
     the module docstring); a non-exchangeable family must take the full
     path.
     """
-    spec = model.spec
     memo = _AXIS_MEMO.get()
     if memo is None:
         memo = {}
@@ -159,7 +151,7 @@ def _grid_on_axes(model: JointDensityModel, xs: np.ndarray, ys: np.ndarray) -> n
     return out
 
 
-def joint_pdf_grid(model: JointDensityModel, grid: GridSpec) -> np.ndarray:
+def joint_pdf_grid(spec: CopulaSpec, grid: GridSpec) -> np.ndarray:
     """Joint density over the grid lattice, x-major ascending.
 
     Entry ``[i][j]`` is ``joint_pdf(x_i, y_j)`` with ``x_i`` and ``y_j``
@@ -171,4 +163,4 @@ def joint_pdf_grid(model: JointDensityModel, grid: GridSpec) -> np.ndarray:
     if not isinstance(grid, GridSpec):
         raise DomainError(f"joint_pdf_grid requires a GridSpec, got {grid!r}")
     axis = grid.axis_points()
-    return _grid_on_axes(model, axis, axis)
+    return _grid_on_axes(spec, axis, axis)

@@ -11,7 +11,7 @@ below 1, so every draw is strictly inside (0, 1).
 
 Samplers draw in fixed, documented order and consume fixed-size chunks from
 dedicated substreams (one per 65536 output pairs), so a sample set depends
-only on (spec, seed, n) - never on chunking, threading, or vectorization.
+only on (spec, seed, n) - never on chunking or vectorization.
 
 Family constructions:
 
@@ -36,7 +36,7 @@ import numpy as np
 from . import specfun
 from .copula import CopulaFamily, CopulaSpec, _independent
 from .errors import DomainError
-from .sumcdf import DistributionTable, TableMode, _clamp_monotone
+from .sumcdf import DistributionTable, TableMode
 
 __all__ = [
     "RandomSource",
@@ -55,7 +55,7 @@ _MIX_2 = 0x94D049BB133111EB
 _STREAM_SALT = 0xD1342543DE82EF95
 
 # one substream per this many output pairs; fixed so the substream layout
-# depends only on n, never on worker count
+# depends only on n
 CHUNK_PAIRS = 1 << 16
 # the elementwise stages after the draws (the Gauss copula's Phi, the t
 # copula's T_nu, the normal margins' Phi^-1) run over this many pairs at a
@@ -195,12 +195,11 @@ class SampleSet:
     pairs: np.ndarray  # shape (n, 2)
     spec: CopulaSpec
     seed: int
-    n: int
 
     def __post_init__(self):
         p = np.asarray(self.pairs, dtype=float)
-        if p.shape != (self.n, 2):
-            raise DomainError(f"pairs must have shape ({self.n}, 2), got {p.shape}")
+        if p.ndim != 2 or p.shape[1] != 2:
+            raise DomainError(f"pairs must be an (n, 2) array, got shape {p.shape}")
         # a NaN sum (a NaN coordinate, or inf + -inf) has no place in the
         # sorted sums, so the empirical CDF would never reach 1
         with np.errstate(invalid="ignore"):
@@ -210,6 +209,10 @@ class SampleSet:
             raise DomainError(f"pair {k} is ({float(p[k, 0])!r}, {float(p[k, 1])!r}): its sum is NaN")
         p.setflags(write=False)
         object.__setattr__(self, "pairs", p)
+
+    @property
+    def n(self) -> int:
+        return self.pairs.shape[0]
 
     def sums(self) -> np.ndarray:
         return self.pairs[:, 0] + self.pairs[:, 1]
@@ -242,16 +245,9 @@ def _chunk_gauss(spec: CopulaSpec, rng: RandomSource, m: int) -> np.ndarray:
 
 def _chunk_student_t(spec: CopulaSpec, rng: RandomSource, m: int) -> np.ndarray:
     x, y = _correlated_normal_pair(rng, spec.rho, m)
-    w = rng.chi_square_block(spec.nu, m)
-    # at small nu a chi-square draw can underflow to 0, or to a subnormal
-    # for which nu / w overflows; the scaled pair would then be infinite
-    smallest = float(w.min())
-    if smallest == 0.0 or math.isinf(spec.nu / smallest):
-        raise DomainError(
-            f"t copula sampling failed for nu={spec.nu!r}: a chi-square draw of {smallest!r} "
-            "is too small to scale the normal pair by sqrt(nu / w)"
-        )
-    scale = np.sqrt(spec.nu / w)
+    # CopulaSpec's floor nu >= 0.2 keeps every chi-square draw above about
+    # 1e-186, so the scale stays finite
+    scale = np.sqrt(spec.nu / rng.chi_square_block(spec.nu, m))
     return _blockwise(lambda b: specfun.student_t_cdf_array(b, spec.nu), np.column_stack([x * scale, y * scale]))
 
 
@@ -370,7 +366,7 @@ def sample_sum(spec: CopulaSpec, n: int, rng: RandomSource) -> SampleSet:
     kernel's temporaries stay in cache whatever n is.
     """
     pairs = _blockwise(specfun.std_normal_inv_cdf_array, sample_copula(spec, n, rng))
-    return SampleSet(pairs=pairs, spec=spec, seed=rng.seed, n=n)
+    return SampleSet(pairs=pairs, spec=spec, seed=rng.seed)
 
 
 def empirical_cdf(samples: SampleSet, z_values) -> DistributionTable:
@@ -380,14 +376,7 @@ def empirical_cdf(samples: SampleSet, z_values) -> DistributionTable:
     zs = np.asarray(z_values, dtype=float)
     sums = np.sort(samples.sums())
     f = np.searchsorted(sums, zs, side="right") / samples.n
-    return DistributionTable(
-        z_values=zs,
-        F_values=_clamp_monotone(f),
-        raw_F_values=f,
-        spec=samples.spec,
-        mode=TableMode.EMPIRICAL,
-        grid=None,
-    )
+    return DistributionTable(z_values=zs, raw_F_values=f, spec=samples.spec, mode=TableMode.EMPIRICAL)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ import numpy as np
 from .copula import DEFAULT_NU, CopulaFamily, CopulaSpec, spec_from_rho
 from .errors import DomainError, QuantileOutOfRange
 from .grid import GridSpec, PAPER_GRID
-from .jointdensity import JointDensityModel, joint_pdf_grid, _axis_memo, _grid_on_axes
+from .jointdensity import joint_pdf_grid, _axis_memo, _grid_on_axes
 
 __all__ = [
     "TableMode",
@@ -71,30 +71,28 @@ class TableMode(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class DistributionTable:
-    """Monotone (z, F(z)) pairs plus the configuration that produced them.
+    """(z, F(z)) pairs plus the configuration that produced them.
 
-    ``F_values`` is clamped to a nondecreasing sequence capped at 1;
-    ``raw_F_values`` keeps the unclamped sums for diagnostics.
+    A producer gives only ``raw_F_values``, its unclamped sums, which must
+    be finite and within [-1e-12, 1 + 1e-6].  ``F_values`` is derived from
+    them: clamped below at 0, made nondecreasing by a running maximum, and
+    capped at 1.
     """
 
     z_values: np.ndarray
-    F_values: np.ndarray
+    raw_F_values: np.ndarray
     spec: CopulaSpec
     mode: TableMode
     grid: GridSpec | None = None
-    raw_F_values: np.ndarray = field(default=None)  # type: ignore[assignment]
+    F_values: np.ndarray = field(init=False)
 
     def __post_init__(self):
         z = np.asarray(self.z_values, dtype=float)
-        f = np.asarray(self.F_values, dtype=float)
-        raw = self.raw_F_values
-        raw = f.copy() if raw is None else np.asarray(raw, dtype=float)
-        if z.ndim != 1 or z.shape != f.shape or raw.shape != f.shape:
-            raise DomainError("z_values, F_values and raw_F_values must be 1-D and equally long")
+        raw = np.asarray(self.raw_F_values, dtype=float)
+        if z.ndim != 1 or z.shape != raw.shape:
+            raise DomainError("z_values and raw_F_values must be 1-D and equally long")
         if z.size < 1 or not np.all(np.diff(z) > 0.0):
             raise DomainError("z_values must be nonempty and strictly ascending")
-        if np.any(np.diff(f) < 0.0) or f[0] < 0.0 or f[-1] > 1.0:
-            raise DomainError("F_values must be nondecreasing within [0, 1]")
         if not np.all(np.isfinite(raw)):
             k = int(np.argmin(np.isfinite(raw)))
             raise DomainError(
@@ -110,21 +108,18 @@ class DistributionTable:
                 f"F={float(raw[k])!r} at z={float(z[k])!r}, {miss:.3g} beyond {edge} "
                 "(a finer grid step shrinks the lattice error)"
             )
-        for arr in (z, f, raw):
+        f = np.minimum(np.maximum.accumulate(np.maximum(raw, 0.0)), 1.0)
+        for arr in (z, raw, f):
             arr.setflags(write=False)
         object.__setattr__(self, "z_values", z)
-        object.__setattr__(self, "F_values", f)
         object.__setattr__(self, "raw_F_values", raw)
+        object.__setattr__(self, "F_values", f)
 
 
 def _label(spec: CopulaSpec, mode: TableMode) -> str:
     """'clayton (theta=4.96...) paper-exact table', for error messages."""
     params = ", ".join(f"{k}={v!r}" for k, v in spec.describe().items() if k != "family")
     return f"{spec.family.value} ({params}) {mode.value} table"
-
-
-def _clamp_monotone(raw: np.ndarray) -> np.ndarray:
-    return np.minimum(np.maximum.accumulate(np.maximum(raw, 0.0)), 1.0)
 
 
 # entries per block of rows in antidiagonal_sums: its skewed buffer, under
@@ -170,8 +165,7 @@ def antidiagonal_sums(matrix: np.ndarray) -> np.ndarray:
 
 def cdf_paper_exact(spec: CopulaSpec, grid: GridSpec = PAPER_GRID) -> DistributionTable:
     """F_Z by the verbatim lattice algorithm (see module docstring)."""
-    model = JointDensityModel(spec)
-    dens = joint_pdf_grid(model, grid)
+    dens = joint_pdf_grid(spec, grid)
     n = grid.n_cells  # lattice has n + 1 points per axis
     # column x_i sums y_j for j <= m - i, where z = -2h + m*step, saturated at
     # the lattice ends; the lower saturation still keeps the point j = 0.  So
@@ -182,19 +176,11 @@ def cdf_paper_exact(spec: CopulaSpec, grid: GridSpec = PAPER_GRID) -> Distributi
     m_z = grid.z_lattice_indices()
     raw = below[np.clip(m_z, -1, 2 * n) + 1] + saturated[np.clip(m_z + 1, 0, n + 1)]
     raw = raw * grid.step * grid.step
-    return DistributionTable(
-        z_values=zs,
-        F_values=_clamp_monotone(raw),
-        raw_F_values=raw,
-        spec=spec,
-        mode=TableMode.PAPER_EXACT,
-        grid=grid,
-    )
+    return DistributionTable(z_values=zs, raw_F_values=raw, spec=spec, mode=TableMode.PAPER_EXACT, grid=grid)
 
 
 def cdf_refined(spec: CopulaSpec, grid: GridSpec = PAPER_GRID) -> DistributionTable:
     """F_Z by midpoint cells plus exact triangular boundary cells."""
-    model = JointDensityModel(spec)
     n = grid.n_cells
     step = grid.step
     mids = grid.cell_midpoints()
@@ -206,8 +192,8 @@ def cdf_refined(spec: CopulaSpec, grid: GridSpec = PAPER_GRID) -> DistributionTa
     # same symmetry has the center grid, whose axes are equal, evaluated on
     # its upper triangle; the east grid is not square and is evaluated whole
     with _axis_memo():
-        diag_center = antidiagonal_sums(_grid_on_axes(model, mids, mids))
-        diag_east = antidiagonal_sums(_grid_on_axes(model, mids, lower_edges))  # (x_i + s/2, y_j)
+        diag_center = antidiagonal_sums(_grid_on_axes(spec, mids, mids))
+        diag_east = antidiagonal_sums(_grid_on_axes(spec, mids, lower_edges))  # (x_i + s/2, y_j)
     # cells with i + j <= m - 2 lie fully below the line y = z - x; cells
     # with i + j == m - 1 are crossed corner-to-corner and keep their
     # lower-left triangle: area s^2/2 with the 3-point edge-midpoint rule
@@ -218,14 +204,7 @@ def cdf_refined(spec: CopulaSpec, grid: GridSpec = PAPER_GRID) -> DistributionTa
     zs = grid.z_values()
     m_z = grid.z_lattice_indices()
     raw = (full[np.clip(m_z - 1, 0, 2 * n - 1)] + tri[np.clip(m_z, 0, 2 * n)]) * step * step
-    return DistributionTable(
-        z_values=zs,
-        F_values=_clamp_monotone(raw),
-        raw_F_values=raw,
-        spec=spec,
-        mode=TableMode.REFINED,
-        grid=grid,
-    )
+    return DistributionTable(z_values=zs, raw_F_values=raw, spec=spec, mode=TableMode.REFINED, grid=grid)
 
 
 def quantile(table: DistributionTable, q: float) -> float:

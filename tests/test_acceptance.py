@@ -24,7 +24,7 @@ from sumdist.copula import (
     theta_from_tau,
 )
 from sumdist.grid import GridSpec
-from sumdist.jointdensity import JointDensityModel, joint_pdf, joint_pdf_grid
+from sumdist.jointdensity import joint_pdf, joint_pdf_grid
 from sumdist.sampler import RandomSource, empirical_cdf, estimate_tau, sample_copula, sample_sum
 from sumdist.specfun import (
     std_normal_cdf,
@@ -259,8 +259,7 @@ def test_criterion_5_truncation_frame_bound(refined_tables_rho09):
     ok = True
     for fam in ALL_FAMILIES:
         spec = spec_from_rho(fam, 0.9, 4.0)
-        model = JointDensityModel(spec)
-        dens = np.array([joint_pdf(model, float(x), float(y)) for x, y in zip(xs, ys)])
+        dens = np.array([joint_pdf(spec, float(x), float(y)) for x, y in zip(xs, ys)])
         oracle = _frame_oracle(spec, xs, ys)
         if fam is CopulaFamily.GAUSS:
             # f(5, y) peaks at y = 5 rho = 4.5, a point of the scan
@@ -320,7 +319,7 @@ def test_criterion_7_normalization(refined_tables_rho09):
 
     joint_mass = {}
     for fam in ALL_FAMILIES:
-        grid_sum = float(joint_pdf_grid(JointDensityModel(spec_from_rho(fam, 0.9, 4.0)), GridSpec()).sum())
+        grid_sum = float(joint_pdf_grid(spec_from_rho(fam, 0.9, 4.0), GridSpec()).sum())
         joint_mass[fam.value] = grid_sum * 0.05 * 0.05
     copula_mass = {}
     n = 4000
@@ -381,8 +380,8 @@ def test_criterion_8_property_suites(refined_tables_rho09):
 
     # exchangeability across families
     ok_sym = all(
-        joint_pdf(JointDensityModel(spec_from_rho(fam, 0.9, 4.0)), 1.3, -0.4)
-        == joint_pdf(JointDensityModel(spec_from_rho(fam, 0.9, 4.0)), -0.4, 1.3)
+        joint_pdf(spec_from_rho(fam, 0.9, 4.0), 1.3, -0.4)
+        == joint_pdf(spec_from_rho(fam, 0.9, 4.0), -0.4, 1.3)
         for fam in ALL_FAMILIES
     )
     checks.append(("exchangeability", ok_sym))

@@ -24,7 +24,7 @@ from sumdist.cli import _serialize, main
 from sumdist.copula import CopulaFamily, CopulaSpec
 from sumdist.csvwriter import BLOCK_ROWS
 from sumdist.grid import GridSpec
-from sumdist.sampler import CHUNK_PAIRS, RandomSource
+from sumdist.sampler import CHUNK_PAIRS
 from sumdist.sumcdf import cdf_paper_exact, quantile_sweep
 
 
@@ -273,9 +273,8 @@ class TestSample:
         assert "--seed invalid" in result.output
 
     def test_numerical_failure_is_not_blamed_on_seed(self, runner, tmp_path, monkeypatch):
-        # a chi-square draw that underflows to 0, as real draws do at nu = 0.01,
-        # below the t copula's nu range
-        monkeypatch.setattr(RandomSource, "chi_square_block", lambda self, nu, m: np.zeros(m))
+        # a t copula draw that saturates to 0, caught by sample_copula's range check
+        monkeypatch.setitem(sampler._CHUNK_GENERATORS, CopulaFamily.STUDENT_T, lambda spec, rng, m: np.zeros((m, 2)))
         out = tmp_path / "s.csv"
         result = runner.invoke(
             main,
@@ -678,7 +677,7 @@ class TestImport:
     def test_public_names(self):
         assert sumdist.__all__ == sorted(
             """CopulaFamily CopulaSpec DependenceSummary DistributionTable DomainError GridSpec
-            JointDensityModel PAPER_GRID QuantileOutOfRange QuantileReport RandomSource SampleSet
+            PAPER_GRID QuantileOutOfRange QuantileReport RandomSource SampleSet
             TABLE2_RHOS TableMode __version__ cdf_paper_exact cdf_refined copula_cdf copula_density
             empirical_cdf estimate_spearman_rho estimate_tau joint_pdf joint_pdf_grid quantile
             quantile_sweep sample_copula sample_sum spec_from_rho summarize_dependence

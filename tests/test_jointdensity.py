@@ -10,63 +10,63 @@ from sumdist import jointdensity, specfun
 from sumdist.copula import CopulaFamily, CopulaSpec, _axis_coordinate, _clamp_u, _density_from_coords, copula_density, spec_from_rho
 from sumdist.errors import DomainError
 from sumdist.grid import GridSpec
-from sumdist.jointdensity import JointDensityModel, joint_pdf, joint_pdf_grid
+from sumdist.jointdensity import joint_pdf, joint_pdf_grid
 
 ALL_FAMILIES = list(CopulaFamily)
 
 
-def models_at(rho=0.9, nu=4.0):
-    return [JointDensityModel(spec_from_rho(f, rho, nu)) for f in ALL_FAMILIES]
+def specs_at(rho=0.9, nu=4.0):
+    return [spec_from_rho(f, rho, nu) for f in ALL_FAMILIES]
 
 
 class TestJointPdf:
     def test_gauss_independence_center(self):
-        m = JointDensityModel(CopulaSpec.gauss(0.0))
-        assert joint_pdf(m, 0.0, 0.0) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-12)
+        spec = CopulaSpec.gauss(0.0)
+        assert joint_pdf(spec, 0.0, 0.0) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-12)
 
     def test_gauss_rho09_known_value(self):
         # (1/(2 pi sqrt(0.19))) exp(-0.2/0.38) = 0.21570851451891331624
-        m = JointDensityModel(CopulaSpec.gauss(0.9))
-        assert joint_pdf(m, 1.0, 1.0) == pytest.approx(0.21570851451891331624, rel=1e-10)
+        spec = CopulaSpec.gauss(0.9)
+        assert joint_pdf(spec, 1.0, 1.0) == pytest.approx(0.21570851451891331624, rel=1e-10)
 
     def test_clayton_center_known_value(self):
         # c_cl(1/2, 1/2; theta=5) / (2 pi) = 0.43031067613975822329
-        m = JointDensityModel(CopulaSpec.clayton(5.0))
-        assert joint_pdf(m, 0.0, 0.0) == pytest.approx(0.43031067613975822329, rel=1e-10)
+        spec = CopulaSpec.clayton(5.0)
+        assert joint_pdf(spec, 0.0, 0.0) == pytest.approx(0.43031067613975822329, rel=1e-10)
 
     def test_composition_consistency_all_families(self):
         # same code path as copula_density * phi * phi; guards against any
         # later drift between the two evaluation routes
         pts = [(-2.0, 1.0), (0.3, 0.4), (1.5, -1.5), (3.0, 3.0)]
-        for m in models_at():
+        for spec in specs_at():
             for x, y in pts:
-                direct = joint_pdf(m, x, y)
+                direct = joint_pdf(spec, x, y)
                 composed = (
-                    copula_density(m.spec, specfun.std_normal_cdf(x), specfun.std_normal_cdf(y))
+                    copula_density(spec, specfun.std_normal_cdf(x), specfun.std_normal_cdf(y))
                     * specfun.std_normal_pdf(x)
                     * specfun.std_normal_pdf(y)
                 )
                 assert direct == pytest.approx(composed, rel=1e-12)
 
     def test_exchangeability_exact(self):
-        for m in models_at():
+        for spec in specs_at():
             for x, y in [(0.5, -1.2), (2.0, 3.0), (-4.0, 0.1)]:
-                assert joint_pdf(m, x, y) == joint_pdf(m, y, x)
+                assert joint_pdf(spec, x, y) == joint_pdf(spec, y, x)
 
     def test_underflow_policy(self):
-        m = JointDensityModel(CopulaSpec.gauss(0.9))
-        assert joint_pdf(m, 30.0, -30.0) == 0.0
+        spec = CopulaSpec.gauss(0.9)
+        assert joint_pdf(spec, 30.0, -30.0) == 0.0
 
     def test_t_copula_density_positive_and_finite_far_out(self):
-        m = JointDensityModel(CopulaSpec.student_t(0.9, 4.0))
-        v = joint_pdf(m, 8.0, 8.0)
+        spec = CopulaSpec.student_t(0.9, 4.0)
+        v = joint_pdf(spec, 8.0, 8.0)
         assert math.isfinite(v) and v > 0.0
 
     def test_t_composition_against_direct_ratio(self):
         # independent route: scipy's bivariate t density at the t-quantiles
         # of Phi(x), Phi(y), divided by its univariate t densities
         rho, nu = 0.9, 4.0
-        m = JointDensityModel(CopulaSpec.student_t(rho, nu))
+        spec = CopulaSpec.student_t(rho, nu)
         bivariate = stats.multivariate_t(loc=[0.0, 0.0], shape=[[1.0, rho], [rho, 1.0]], df=nu)
         for x, y in [(-1.0, 0.5), (0.0, 0.0), (2.0, 1.5), (3.5, -2.0)]:
             q1 = specfun.student_t_inv_cdf(specfun.std_normal_cdf(x), nu)
@@ -77,7 +77,7 @@ class TestJointPdf:
                 * stats.norm.pdf(x)
                 * stats.norm.pdf(y)
             )
-            assert joint_pdf(m, x, y) == pytest.approx(direct, rel=1e-10)
+            assert joint_pdf(spec, x, y) == pytest.approx(direct, rel=1e-10)
 
 
 class TestJointPdfGrid:
@@ -87,11 +87,11 @@ class TestJointPdfGrid:
         # floor the same entries to 0
         grid = GridSpec(half_width=5.0, step=0.25)
         axis = grid.axis_points()
-        for m in models_at(0.9) + models_at(0.3):
-            g = joint_pdf_grid(m, grid)
+        for spec in specs_at(0.9) + specs_at(0.3):
+            g = joint_pdf_grid(spec, grid)
             assert g.shape == (41, 41)
-            expected = np.array([[joint_pdf(m, float(x), float(y)) for y in axis] for x in axis])
-            np.testing.assert_allclose(g, expected, rtol=1e-13, atol=0.0, err_msg=m.spec.family.value)
+            expected = np.array([[joint_pdf(spec, float(x), float(y)) for y in axis] for x in axis])
+            np.testing.assert_allclose(g, expected, rtol=1e-13, atol=0.0, err_msg=spec.family.value)
             np.testing.assert_array_equal(g == 0.0, expected == 0.0)
 
     @pytest.mark.parametrize("rho", [0.9, 0.3])
@@ -100,14 +100,14 @@ class TestJointPdfGrid:
         # quantile, eps / (1 - Phi(5)) = 3.9e-10 relative; 9.1e-10 is seen
         grid = GridSpec(half_width=5.0, step=0.25)
         axis = grid.axis_points()
-        g = joint_pdf_grid(JointDensityModel(CopulaSpec.gauss(rho)), grid)
+        g = joint_pdf_grid(CopulaSpec.gauss(rho), grid)
         xy = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
         want = stats.multivariate_normal(mean=[0.0, 0.0], cov=[[1.0, rho], [rho, 1.0]]).pdf(xy)
         np.testing.assert_allclose(g, want, rtol=5e-9, atol=0.0)
 
     def test_center_value_independence(self):
         grid = GridSpec(half_width=1.0, step=1.0, z_min=-1.0, z_max=1.0, z_step=1.0)
-        g = joint_pdf_grid(JointDensityModel(CopulaSpec.gauss(0.0)), grid)
+        g = joint_pdf_grid(CopulaSpec.gauss(0.0), grid)
         assert g[1, 1] == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-12)
         assert g[0, 0] == pytest.approx(specfun.std_normal_pdf(1.0) ** 2, rel=1e-12)
 
@@ -117,40 +117,39 @@ class TestJointPdfGrid:
         # by test_swapping_the_axes_transposes_the_grid and the
         # unblocked_grid comparisons
         grid = GridSpec(half_width=2.0, step=0.25, z_min=-2.0, z_max=2.0, z_step=0.25)
-        for m in models_at():
-            g = joint_pdf_grid(m, grid)
+        for spec in specs_at():
+            g = joint_pdf_grid(spec, grid)
             assert np.array_equal(g, g.T)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_normalization_on_reference_lattice(self, family):
-        m = JointDensityModel(spec_from_rho(family, 0.9))
-        g = joint_pdf_grid(m, GridSpec())
+        spec = spec_from_rho(family, 0.9)
+        g = joint_pdf_grid(spec, GridSpec())
         total = float(g.sum()) * 0.05 * 0.05
         assert 0.999 <= total <= 1.0001
 
     def test_clayton_fine_grid_normalization(self):
-        m = JointDensityModel(CopulaSpec.clayton(5.0))
-        g = joint_pdf_grid(m, GridSpec(half_width=5.0, step=0.05))
+        spec = CopulaSpec.clayton(5.0)
+        g = joint_pdf_grid(spec, GridSpec(half_width=5.0, step=0.05))
         total = float(g.sum()) * 0.05 * 0.05
         assert 0.999 <= total <= 1.0001
 
     def test_t_composition_normalizes_on_fine_grid(self):
-        m = JointDensityModel(CopulaSpec.student_t(0.9, 4.0))
+        spec = CopulaSpec.student_t(0.9, 4.0)
         grid = GridSpec(half_width=5.0, step=0.025, z_min=-5.0, z_max=5.0, z_step=0.025)
-        total = float(joint_pdf_grid(m, grid).sum()) * 0.025 * 0.025
+        total = float(joint_pdf_grid(spec, grid).sum()) * 0.025 * 0.025
         assert total == pytest.approx(1.0, abs=1e-3)
 
     def test_rejects_bad_grid(self):
-        m = JointDensityModel(CopulaSpec.gauss(0.5))
+        spec = CopulaSpec.gauss(0.5)
         with pytest.raises(DomainError):
             GridSpec(half_width=5.0, step=-0.05)
         with pytest.raises(DomainError):
-            joint_pdf_grid(m, "not a grid")
+            joint_pdf_grid(spec, "not a grid")
 
 
-def unblocked_grid(model, xs, ys):
+def unblocked_grid(spec, xs, ys):
     """The density grid in one whole-grid pass: the reference for the row blocks."""
-    spec = model.spec
     u1 = _clamp_u(specfun.std_normal_cdf_array(xs))
     u2 = _clamp_u(specfun.std_normal_cdf_array(ys))
     c1, c2 = _axis_coordinate(spec, u1), _axis_coordinate(spec, u2)
@@ -178,30 +177,29 @@ class TestGridOnAxes:
         # (a rotated copula, say) breaks this
         grid = GridSpec(step=0.05)
         mids, edges = grid.cell_midpoints(), grid.axis_points()[:-1]
-        model = JointDensityModel(spec)
-        east = jointdensity._grid_on_axes(model, mids, edges)
-        north = jointdensity._grid_on_axes(model, edges, mids)
+        east = jointdensity._grid_on_axes(spec, mids, edges)
+        north = jointdensity._grid_on_axes(spec, edges, mids)
         np.testing.assert_array_equal(east, north.T)
 
     def test_memo_block_shares_one_output_per_shape(self):
         grid = GridSpec(step=0.1)
         mids, edges, points = grid.cell_midpoints(), grid.axis_points()[:-1], grid.axis_points()
-        model = JointDensityModel(spec_from_rho(CopulaFamily.CLAYTON, 0.9))
-        fresh_east = jointdensity._grid_on_axes(model, mids, edges)
-        fresh_center = jointdensity._grid_on_axes(model, mids, mids)
-        assert jointdensity._grid_on_axes(model, mids, mids) is not fresh_center
+        spec = spec_from_rho(CopulaFamily.CLAYTON, 0.9)
+        fresh_east = jointdensity._grid_on_axes(spec, mids, edges)
+        fresh_center = jointdensity._grid_on_axes(spec, mids, mids)
+        assert jointdensity._grid_on_axes(spec, mids, mids) is not fresh_center
         with jointdensity._axis_memo():
-            east = jointdensity._grid_on_axes(model, mids, edges)
+            east = jointdensity._grid_on_axes(spec, mids, edges)
             np.testing.assert_array_equal(east, fresh_east)
             # the square path rewrites every entry the east grid left
-            center = jointdensity._grid_on_axes(model, mids, mids)
+            center = jointdensity._grid_on_axes(spec, mids, mids)
             assert center is east
             np.testing.assert_array_equal(center, fresh_center)
-            assert jointdensity._grid_on_axes(model, points, points).shape == (101, 101)
+            assert jointdensity._grid_on_axes(spec, points, points).shape == (101, 101)
             # the caller's copy of a grid outlives the block
-            kept = joint_pdf_grid(model, grid).copy()
-        assert joint_pdf_grid(model, grid) is not joint_pdf_grid(model, grid)
-        np.testing.assert_array_equal(joint_pdf_grid(model, grid), kept)
+            kept = joint_pdf_grid(spec, grid).copy()
+        assert joint_pdf_grid(spec, grid) is not joint_pdf_grid(spec, grid)
+        np.testing.assert_array_equal(joint_pdf_grid(spec, grid), kept)
 
     @pytest.mark.parametrize("spec", SYMMETRY_SPECS, ids=lambda s: repr(s.describe()))
     def test_blocks_match_one_pass(self, spec):
@@ -209,10 +207,9 @@ class TestGridOnAxes:
         # default); the last block is shorter than the rest
         grid = GridSpec(step=0.05)
         xs, ys = grid.axis_points(), grid.cell_midpoints()
-        model = JointDensityModel(spec)
         rows = jointdensity._BLOCK_CELLS // ys.size
         assert 1 < rows < xs.size and xs.size % rows != 0
-        np.testing.assert_array_equal(jointdensity._grid_on_axes(model, xs, ys), unblocked_grid(model, xs, ys))
+        np.testing.assert_array_equal(jointdensity._grid_on_axes(spec, xs, ys), unblocked_grid(spec, xs, ys))
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     @pytest.mark.parametrize(
@@ -225,19 +222,18 @@ class TestGridOnAxes:
         ],
     )
     def test_block_shapes(self, family, nx, ny):
-        model = JointDensityModel(spec_from_rho(family, 0.7))
+        spec = spec_from_rho(family, 0.7)
         xs, ys = np.linspace(-5.0, 5.0, nx), np.linspace(-4.9, 4.9, ny)
-        got = jointdensity._grid_on_axes(model, xs, ys)
+        got = jointdensity._grid_on_axes(spec, xs, ys)
         assert got.shape == (nx, ny)
-        np.testing.assert_array_equal(got, unblocked_grid(model, xs, ys))
+        np.testing.assert_array_equal(got, unblocked_grid(spec, xs, ys))
 
     def test_many_small_blocks(self, monkeypatch):
         # 7-row blocks over 41 rows: five full blocks and a 6-row remainder
         monkeypatch.setattr(jointdensity, "_BLOCK_CELLS", 7 * 41)
         axis = GridSpec(step=0.25).axis_points()
         for spec in SYMMETRY_SPECS:
-            model = JointDensityModel(spec)
-            np.testing.assert_array_equal(jointdensity._grid_on_axes(model, axis, axis), unblocked_grid(model, axis, axis))
+            np.testing.assert_array_equal(jointdensity._grid_on_axes(spec, axis, axis), unblocked_grid(spec, axis, axis))
 
 
 # the extremes of each family's parameter range, for the triangle path
@@ -414,13 +410,12 @@ class TestSquareGrid:
     def test_triangle_matches_one_pass(self, n, heights, monkeypatch):
         axis = np.linspace(-5.0, 5.0, n)
         for spec in TRIANGLE_SPECS:
-            model = JointDensityModel(spec)
-            want = unblocked_grid(model, axis, axis)
+            want = unblocked_grid(spec, axis, axis)
             for height in heights:
                 with monkeypatch.context() as patch:
                     if height is not None:
                         patch.setattr(jointdensity, "_BLOCK_CELLS", height * n)
-                    got = jointdensity._grid_on_axes(model, axis, axis)
+                    got = jointdensity._grid_on_axes(spec, axis, axis)
                 np.testing.assert_array_equal(got, want, err_msg=f"{spec.describe()} rows={height}")
 
     def test_default_heights_of_the_parametrized_sizes(self):
@@ -436,10 +431,10 @@ class TestSquareGrid:
         # the default, 84,000 points of 160,000)
         axis = GridSpec(step=0.025).cell_midpoints()
         n, h = axis.size, jointdensity._BLOCK_CELLS // axis.size
-        model = JointDensityModel(spec_from_rho(CopulaFamily.CLAYTON, 0.9))
-        whole = jointdensity._grid_on_axes(model, axis, axis)
+        spec = spec_from_rho(CopulaFamily.CLAYTON, 0.9)
+        whole = jointdensity._grid_on_axes(spec, axis, axis)
         points = _kernel_points(monkeypatch)
-        copy = jointdensity._grid_on_axes(model, axis, axis.copy())
+        copy = jointdensity._grid_on_axes(spec, axis, axis.copy())
         assert 1 < h < n
         assert sum(points) == sum(min(h, n - s) * (n - s) for s in range(0, n, h))
         assert sum(points) < 0.6 * n * n
@@ -447,9 +442,9 @@ class TestSquareGrid:
 
     def test_unequal_axes_evaluate_every_point(self, monkeypatch):
         axis = GridSpec(step=0.025).cell_midpoints()
-        model = JointDensityModel(spec_from_rho(CopulaFamily.CLAYTON, 0.9))
+        spec = spec_from_rho(CopulaFamily.CLAYTON, 0.9)
         points = _kernel_points(monkeypatch)
-        jointdensity._grid_on_axes(model, axis, np.nextafter(axis, np.inf))
+        jointdensity._grid_on_axes(spec, axis, np.nextafter(axis, np.inf))
         assert sum(points) == 160_000
 
 
@@ -457,12 +452,12 @@ class TestMarginalRecovery:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_y_integral_returns_normal_margin(self, family):
         # midpoint quadrature of f(x, .) over [-8, 8] against phi(x)
-        m = JointDensityModel(spec_from_rho(family, 0.9))
+        spec = spec_from_rho(family, 0.9)
         n = 1600
         h = 16.0 / n
         ys = -8.0 + h * (np.arange(n) + 0.5)
         for x in [-2.0, -1.0, 0.0, 1.0, 2.0]:
-            total = math.fsum(joint_pdf(m, x, float(y)) for y in ys) * h
+            total = math.fsum(joint_pdf(spec, x, float(y)) for y in ys) * h
             assert total == pytest.approx(specfun.std_normal_pdf(x), abs=1e-4)
 
 
@@ -473,12 +468,12 @@ class TestTruncationFrame:
         # phi(5) phi(0) / sqrt(1 - rho^2) = 1.3607e-6: the density on the
         # frame is not below 1e-6 even for the Gauss copula
         rho = 0.9
-        m = JointDensityModel(CopulaSpec.gauss(rho))
+        spec = CopulaSpec.gauss(rho)
         axis = np.arange(-5.0, 5.0001, 0.05)
         worst = 0.0
         for e in (-5.0, 5.0):
             for v in axis:
-                worst = max(worst, joint_pdf(m, e, float(v)), joint_pdf(m, float(v), e))
+                worst = max(worst, joint_pdf(spec, e, float(v)), joint_pdf(spec, float(v), e))
         closed_form = math.exp(-12.5) / (2.0 * math.pi * math.sqrt(1.0 - rho * rho))
         assert worst == pytest.approx(closed_form, rel=1e-10)
         assert worst > 1e-6
@@ -492,9 +487,9 @@ class TestTruncationFrame:
         # f(-5, -5) ~ (1 + theta) 2^(-2-1/theta) phi(5)^2 / Phi(-5) ~ 1.0e-5;
         # 1.1e-5 leaves 10% above that.
         axis = np.arange(-5.0, 5.0001, 0.05)
-        for m in models_at():
+        for spec in specs_at():
             worst = 0.0
             for e in (-5.0, 5.0):
                 for v in axis:
-                    worst = max(worst, joint_pdf(m, e, float(v)), joint_pdf(m, float(v), e))
+                    worst = max(worst, joint_pdf(spec, e, float(v)), joint_pdf(spec, float(v), e))
             assert worst < 1.1e-5

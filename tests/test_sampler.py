@@ -382,9 +382,7 @@ class TestArrayTransforms:
 
 class TestEmpiricalCdf:
     def test_single_pair(self):
-        ss = SampleSet(
-            pairs=np.array([[0.3, -0.3]]), spec=CopulaSpec.gauss(0.5), seed=0, n=1
-        )
+        ss = SampleSet(pairs=np.array([[0.3, -0.3]]), spec=CopulaSpec.gauss(0.5), seed=0)
         table = empirical_cdf(ss, [0.0, 1.0])
         assert table.F_values[0] == 1.0
         assert table.F_values[-1] == 1.0
@@ -541,8 +539,9 @@ class TestRankInputs:
 
 class TestSampleSetValidation:
     def test_shape_checked(self):
-        with pytest.raises(DomainError):
-            SampleSet(pairs=np.zeros((3, 2)), spec=CopulaSpec.gauss(0.5), seed=0, n=4)
+        with pytest.raises(DomainError, match=r"\(n, 2\) array, got shape \(3, 3\)"):
+            SampleSet(pairs=np.zeros((3, 3)), spec=CopulaSpec.gauss(0.5), seed=0)
+        assert SampleSet(pairs=np.zeros((3, 2)), spec=CopulaSpec.gauss(0.5), seed=0).n == 3
 
     @pytest.mark.parametrize(
         "pairs, named",
@@ -552,10 +551,10 @@ class TestSampleSetValidation:
     def test_nan_sum_is_rejected(self, pairs, named):
         # both used to give an empirical CDF stuck at 0.5, at z = 5 and at z = 1e300
         with pytest.raises(DomainError, match=named + ": its sum is NaN"):
-            SampleSet(pairs=np.array(pairs), spec=CopulaSpec.gauss(0.5), seed=0, n=2)
+            SampleSet(pairs=np.array(pairs), spec=CopulaSpec.gauss(0.5), seed=0)
 
     def test_infinite_coordinate_with_finite_partner_is_accepted(self):
-        ss = SampleSet(pairs=np.array([[np.inf, 1.0], [1.0, 1.0]]), spec=CopulaSpec.gauss(0.5), seed=0, n=2)
+        ss = SampleSet(pairs=np.array([[np.inf, 1.0], [1.0, 1.0]]), spec=CopulaSpec.gauss(0.5), seed=0)
         assert empirical_cdf(ss, [5.0]).F_values[0] == 0.5
         assert empirical_cdf(ss, [np.inf]).F_values[0] == 1.0
 

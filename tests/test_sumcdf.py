@@ -26,7 +26,7 @@ from sumdist import jointdensity, sumcdf
 from sumdist.copula import CopulaFamily, CopulaSpec, spec_from_rho
 from sumdist.errors import DomainError, QuantileOutOfRange
 from sumdist.grid import PAPER_GRID, GridSpec
-from sumdist.jointdensity import JointDensityModel, _grid_on_axes, joint_pdf, joint_pdf_grid
+from sumdist.jointdensity import _grid_on_axes, joint_pdf, joint_pdf_grid
 from sumdist.specfun import std_normal_cdf
 from sumdist.sumcdf import (
     TABLE2_RHOS,
@@ -125,10 +125,10 @@ def _stress_matrices(case: str) -> list[np.ndarray]:
         return [np.zeros((5, 5)), m]
     assert case == "clayton_cell"
     # the density grids of one refined cell
-    model = JointDensityModel(spec_from_rho(CopulaFamily.CLAYTON, 0.9))
+    spec = spec_from_rho(CopulaFamily.CLAYTON, 0.9)
     mids = PAPER_GRID.cell_midpoints()
     lower_edges = PAPER_GRID.axis_points()[:-1]
-    return [_grid_on_axes(model, xs, ys) for xs, ys in ((mids, mids), (mids, lower_edges), (lower_edges, mids))]
+    return [_grid_on_axes(spec, xs, ys) for xs, ys in ((mids, mids), (mids, lower_edges), (lower_edges, mids))]
 
 
 STRESS_CASES = ["small", "ties", "subnormals", "mixed_signs", "zero_diagonals", "clayton_cell"]
@@ -240,11 +240,11 @@ class TestAllocations:
         # over the output; Gauss's 5.1 is unchanged
         blocks = 1 + _KERNEL_BLOCKS[family] + 0.5
         axis = GridSpec(step=0.025).cell_midpoints()
-        model = JointDensityModel(spec_from_rho(family, 0.9))
-        _grid_on_axes(model, axis, axis)
+        spec = spec_from_rho(family, 0.9)
+        _grid_on_axes(spec, axis, axis)
         tracemalloc.start()
         try:
-            grid = _grid_on_axes(model, axis, axis)
+            grid = _grid_on_axes(spec, axis, axis)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -299,6 +299,13 @@ class TestGridSpec:
         with pytest.raises(DomainError):
             GridSpec(z_step=-0.1)
 
+    @pytest.mark.parametrize("z_step, count, last", [(0.35, 29, 4.8), (0.15, 67, 4.9)])
+    def test_z_values_stop_at_z_max(self, z_step, count, last):
+        # a step that does not divide the range ends at the last point below z_max
+        z = GridSpec(z_step=z_step).z_values()
+        assert len(z) == count
+        assert z[-1] == pytest.approx(last, abs=1e-12) and z[-1] <= 5.0
+
     def test_z_lattice_indices(self):
         g = GridSpec(half_width=1.0, step=0.5, z_min=-3.0, z_max=1.0, z_step=0.5)
         assert g.z_lattice_indices().tolist() == [-2, -1, 0, 1, 2, 3, 4, 5, 6]
@@ -318,20 +325,23 @@ class TestGridSpec:
 
 
 class TestDistributionTable:
-    def test_rejects_decreasing_f(self):
-        with pytest.raises(DomainError):
-            DistributionTable(
-                z_values=np.array([0.0, 1.0, 2.0]),
-                F_values=np.array([0.2, 0.1, 0.3]),
-                spec=CopulaSpec.gauss(0.5),
-                mode=TableMode.REFINED,
-            )
+    def test_f_is_derived_from_raw(self):
+        # clamped at 0, nondecreasing by a running maximum, capped at 1
+        t = DistributionTable(
+            z_values=np.array([0.0, 1.0, 2.0, 3.0]),
+            raw_F_values=np.array([-1e-13, 0.2, 0.1, 1.0 + 5e-7]),
+            spec=CopulaSpec.gauss(0.5),
+            mode=TableMode.REFINED,
+        )
+        assert t.F_values.tolist() == [0.0, 0.2, 0.2, 1.0]
+        assert t.raw_F_values.tolist() == [-1e-13, 0.2, 0.1, 1.0 + 5e-7]
+        with pytest.raises(ValueError):
+            t.F_values[0] = 0.5
 
     def test_rejects_raw_overshoot(self):
         with pytest.raises(DomainError):
             DistributionTable(
                 z_values=np.array([0.0, 1.0]),
-                F_values=np.array([0.5, 1.0]),
                 raw_F_values=np.array([0.5, 1.1]),
                 spec=CopulaSpec.gauss(0.5),
                 mode=TableMode.REFINED,
@@ -342,7 +352,6 @@ class TestDistributionTable:
         with pytest.raises(DomainError, match="not finite"):
             DistributionTable(
                 z_values=np.array([0.0, 1.0]),
-                F_values=np.array([0.5, 1.0]),
                 raw_F_values=np.array([0.5, np.nan]),
                 spec=CopulaSpec.frank(138.8),
                 mode=TableMode.PAPER_EXACT,
@@ -356,7 +365,6 @@ class TestDistributionTable:
 
 def literal_lattice_reference(spec, grid):
     """Direct transcription of the three-way-branch lattice loop (slow)."""
-    model = JointDensityModel(spec)
     xs = grid.axis_points()
     n1 = xs.size
     out = []
@@ -373,7 +381,7 @@ def literal_lattice_reference(spec, grid):
                 assert matches.size == 1
                 j_top = int(matches[0])
             for j in range(j_top + 1):
-                total += joint_pdf(model, float(xs[i]), float(xs[j])) * grid.step * grid.step
+                total += joint_pdf(spec, float(xs[i]), float(xs[j])) * grid.step * grid.step
         out.append(total)
     return np.array(out)
 
@@ -384,7 +392,7 @@ def per_row_kahan_reference(spec, grid):
     Each lattice column x_i is summed along y by a Kahan prefix sum, and the
     columns' values at the saturated boundary index are Kahan-summed over i.
     """
-    dens = joint_pdf_grid(JointDensityModel(spec), grid)
+    dens = joint_pdf_grid(spec, grid)
     n = grid.n_cells
     m_z = np.rint((grid.z_values() + 2.0 * grid.half_width) / grid.step).astype(int)
     acc = (np.zeros(n + 1), np.zeros(n + 1))
@@ -446,7 +454,7 @@ class TestPaperExact:
         # ascending order, the saturated column y_0 from x_n down to x_0
         grid = GridSpec(half_width=2.0, step=0.25, z_min=-5.0, z_max=5.0, z_step=0.25)
         spec = spec_from_rho(CopulaFamily.GUMBEL, 0.7)
-        dens = joint_pdf_grid(JointDensityModel(spec), grid)
+        dens = joint_pdf_grid(spec, grid)
         n = grid.n_cells
         below, total = [0.0], 0.0
         for d in _ascending_row_sums(dens).tolist():
@@ -518,13 +526,12 @@ def three_grid_refined_raw(spec, grid):
     grid's anti-diagonal sums from the east grid: correctly rounded
     anti-diagonal sums, accumulated with Kahan summation.
     """
-    model = JointDensityModel(spec)
     n = grid.n_cells
     mids = grid.cell_midpoints()
     edges = grid.axis_points()[:-1]
-    center = _fsum_diagonals(_grid_on_axes(model, mids, mids)).tolist()
-    east = _fsum_diagonals(_grid_on_axes(model, mids, edges)).tolist()
-    north = _fsum_diagonals(_grid_on_axes(model, edges, mids)).tolist()
+    center = _fsum_diagonals(_grid_on_axes(spec, mids, mids)).tolist()
+    east = _fsum_diagonals(_grid_on_axes(spec, mids, edges)).tolist()
+    north = _fsum_diagonals(_grid_on_axes(spec, edges, mids)).tolist()
     acc, cum_center = (0.0, 0.0), []
     for d in center:
         acc = _kahan_add(acc, d)
@@ -575,11 +582,10 @@ class TestRefined:
         from scipy import integrate
 
         for spec in [CopulaSpec.gauss(0.5), CopulaSpec.clayton(5.0)]:
-            model = JointDensityModel(spec)
             table = cdf_refined(spec)
             for z in (-1.0, 0.55, 2.0):
                 expected, err = integrate.dblquad(
-                    lambda y, x: joint_pdf(model, x, y),
+                    lambda y, x: joint_pdf(spec, x, y),
                     -5.0,
                     5.0,
                     lambda x: -5.0,
