@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -316,8 +317,11 @@ def _axis_coordinate(spec: CopulaSpec, u):
     """Per-axis transform feeding the density kernel (scalar or array ``u``).
 
     Arrays go through the array kernels, scalars through the scalar
-    functions; both meet the same accuracy target, and agree to a few units
-    of 1e-15 relative but not always to the last bit.
+    functions.  The normal quantile meets |Phi(x) - u| <= 1e-12; the t
+    quantile is within 1e-12 relative for u and 1 - u down to 1e-300, and
+    raises ``DomainError`` where it is not a finite double (nu = 0.5, u
+    below 2.4e-155).  Kernel and scalar agree to a few units of 1e-15
+    relative but not always to the last bit.
     """
     if spec.family is CopulaFamily.GAUSS:
         if np.ndim(u):
@@ -575,9 +579,14 @@ def _conditional_integral(spec: CopulaSpec, u: float, v: float) -> float:
     It lies in [0, 1], so the nodes, which stop 2.1e-14 u short of either
     end, leave out less than 4.3e-14 u.
     """
-    # u times the first node underflows below u = 2.4e-310
-    x = _axis_coordinate(spec, np.maximum(u * _TS_NODES, math.ulp(0.0)))
-    y = _axis_coordinate(spec, v)
+    # u times the first node underflows below u = 2.4e-310, and the t
+    # quantile leaves the doubles below T_nu(-DBL_MAX) (1.8e-309 at nu = 1,
+    # 2.4e-155 at nu = 0.5); the nodes below either floor read h there
+    w_min = math.ulp(0.0)
+    if spec.family is CopulaFamily.STUDENT_T:
+        w_min = max(w_min, 2.0 * specfun.student_t_cdf(-sys.float_info.max, spec.nu))
+    x = _axis_coordinate(spec, np.maximum(u * _TS_NODES, w_min))
+    y = _axis_coordinate(spec, max(v, w_min))
     rho = spec.rho
     r2 = 1.0 - rho * rho
     if spec.family is CopulaFamily.GAUSS:

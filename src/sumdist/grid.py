@@ -59,25 +59,36 @@ class GridSpec:
     def cell_midpoints(self) -> np.ndarray:
         return -self.half_width + self.step * (np.arange(self.n_cells) + 0.5)
 
+    def _z_count(self) -> int:
+        return math.floor((self.z_max - self.z_min) / self.z_step + _LATTICE_TOL) + 1
+
     def z_values(self) -> np.ndarray:
         """z_min, z_min + z_step, ..., up to z_max and never beyond it."""
-        count = math.floor((self.z_max - self.z_min) / self.z_step + _LATTICE_TOL) + 1
-        return self.z_min + self.z_step * np.arange(count)
+        return self.z_min + self.z_step * np.arange(self._z_count())
 
     def z_lattice_indices(self) -> np.ndarray:
         """Each z as an integer multiple of step above -2*half_width.
 
         Both integration modes rely on the boundary line y = z - x passing
         exactly through lattice points, which requires (z + 2h)/step to be an
-        integer for every z in the grid.
+        integer for every z in the grid.  The first two z are checked before
+        the z array is built: they carry the offset z_min and the stride
+        z_step, so a grid off the lattice is mostly rejected at no cost in
+        memory, whatever its z count.  They are computed as ``z_values``
+        computes them, so the same grids pass, and the error names the first
+        z off the lattice either way.
         """
-        zs = self.z_values()
+        self._lattice_indices(self.z_min + self.z_step * np.arange(min(2, self._z_count())))
+        return self._lattice_indices(self.z_values())
+
+    def _lattice_indices(self, zs: np.ndarray) -> np.ndarray:
         ratio = (zs + 2.0 * self.half_width) / self.step
         m = np.rint(ratio)
-        if np.any(np.abs(ratio - m) > _LATTICE_TOL * np.maximum(1.0, np.abs(m))):
+        off = np.abs(ratio - m) > _LATTICE_TOL * np.maximum(1.0, np.abs(m))
+        if off.any():
             raise DomainError(
                 "z values must be commensurate with the x/y lattice: "
-                f"(z + 2*half_width)/step must be integral, got offender near z={float(zs[np.argmax(np.abs(ratio - m))])!r}"
+                f"(z + 2*half_width)/step must be integral, got offender near z={float(zs[np.argmax(off)])!r}"
             )
         return m.astype(int)
 

@@ -12,8 +12,10 @@ suite):
 * ``std_normal_pdf``      relative error <= 1e-15 (1 + x^2) down to 2.2e-308
 * ``std_normal_cdf``      absolute error <= 1e-12 (Cody's rational erfc)
 * ``std_normal_inv_cdf``  |Phi(x) - p| <= 1e-12 (Acklam + one Halley step)
-* ``student_t_cdf``       absolute error <= 1e-10 (regularized incomplete beta)
-* ``student_t_inv_cdf``   |T_nu(x) - p| <= 1e-10 (safeguarded Newton)
+* ``student_t_cdf``       absolute error <= 1e-10 (regularized incomplete beta;
+  the leading tail term where x * x overflows)
+* ``student_t_inv_cdf``   relative error <= 1e-12 for 1e-300 <= p <= 1 - 1e-16 and
+  nu <= 1e4; 2e-11 at nu = 1e6 (Newton on the lower tail from Hill's start)
 * ``ln_gamma``            relative error <= 1e-13 (Lanczos, g = 7)
 * ``reg_incomplete_beta`` absolute error <= 1e-12 (Lentz continued fraction)
 * ``debye1``              relative error <= 1e-15 (Bernoulli and exponential series)
@@ -545,20 +547,43 @@ def _t_log_normalizer(nu: float) -> float:
     return ln_gamma(0.5 * (nu + 1.0)) - ln_gamma(0.5 * nu) - 0.5 * math.log(math.pi * nu)
 
 
+def _t_log_pdf(x: float, nu: float) -> float:
+    """Log of the t density; where x^2/nu overflows, log1p(x^2/nu) is 2 ln|x| - ln nu."""
+    q = x * x / nu
+    log1p_q = math.log1p(q) if q != math.inf else 2.0 * math.log(abs(x)) - math.log(nu)
+    return _t_log_normalizer(nu) - 0.5 * (nu + 1.0) * log1p_q
+
+
 def student_t_pdf(x: float, nu: float) -> float:
     """Density of the Student-t distribution with nu > 0 degrees of freedom."""
     if not (nu > 0.0):
         raise DomainError(f"student_t_pdf requires nu > 0, got {nu!r}")
     if not math.isfinite(x):
         raise DomainError(f"student_t_pdf requires finite x, got {x!r}")
-    return math.exp(_t_log_normalizer(nu) - 0.5 * (nu + 1.0) * math.log1p(x * x / nu))
+    return math.exp(_t_log_pdf(x, nu))
+
+
+def _t_log_tail_scale(nu: float) -> float:
+    """ln(nu B(nu/2, 1/2)), the scale of the t tail's leading term."""
+    return math.log(nu) + _ln_beta(0.5 * nu, 0.5)
+
+
+def _t_log_far_tail(log_ax, nu: float):
+    """ln T_nu(-|x|) from ln|x| (a float or an array), where x * x overflows.
+
+    The tail is (nu/x^2)^(nu/2) / (nu B(nu/2, 1/2)) times 1 + O(nu/x^2), and
+    nu/x^2 is below 1e-308 nu there.
+    """
+    return 0.5 * nu * (math.log(nu) - 2.0 * log_ax) - _t_log_tail_scale(nu)
 
 
 def student_t_cdf(x: float, nu: float) -> float:
     """Distribution function of the Student-t with nu > 0 degrees of freedom.
 
     Uses the standard transformation to the regularized incomplete beta with
-    the symmetric halves stitched at x = 0.
+    the symmetric halves stitched at x = 0.  Where x * x overflows (|x| above
+    1.3e154) the beta argument nu/(nu + x^2) is below every double, and the
+    tail is taken in logs (``_t_log_far_tail``).
     """
     if not (nu > 0.0):
         raise DomainError(f"student_t_cdf requires nu > 0, got {nu!r}")
@@ -567,7 +592,9 @@ def student_t_cdf(x: float, nu: float) -> float:
     if x == 0.0:
         return 0.5
     xsq = x * x
-    if xsq >= nu:
+    if xsq == math.inf:
+        half_tail = math.exp(_t_log_far_tail(math.log(abs(x)), nu))
+    elif xsq >= nu:
         # tail side small: evaluate directly for full relative accuracy
         half_tail = 0.5 * reg_incomplete_beta(nu / (nu + xsq), 0.5 * nu, 0.5)
     else:
@@ -578,59 +605,23 @@ def student_t_cdf(x: float, nu: float) -> float:
 
 
 def student_t_inv_cdf(p: float, nu: float) -> float:
-    """Quantile function of the Student-t: x with |T_nu(x) - p| <= 1e-10.
+    """Quantile function of the Student-t, within 1e-12 relative.
 
-    Safeguarded Newton iteration on ``student_t_cdf`` with the analytic
-    density as derivative; the bracket is grown geometrically first.  Where
-    the density underflows to 0 on the way (at tiny nu, the quantile can lie
-    beyond 1e300) there is no Newton step, and a ``DomainError`` says so.
+    Solves T_nu(-t) = q for the lower-tail probability q = min(p, 1 - p),
+    which is exact for p >= 1/2, so both tails keep their relative accuracy
+    down to p = 1e-300.  Newton steps with the analytic density start from
+    Hill's approximation (a tail asymptote or a line through 0 below
+    nu = 1 and the asymptote far in the tails, the Cauchy quantile at
+    nu = 1) and stop at a relative step of 1e-13; a bracket catches steps
+    that leave it.  At nu = 4 that takes three passes of the t CDF, each on
+    the side of the incomplete beta that keeps T_nu(-t) relatively accurate
+    (see ``sumdist._tquantile``).  Where the quantile is not a
+    finite double (at nu = 0.5, for p below about 2.4e-155), a
+    ``DomainError`` names p and nu.
     """
-    if not (nu > 0.0):
-        raise DomainError(f"student_t_inv_cdf requires nu > 0, got {nu!r}")
-    if not (0.0 < p < 1.0):
-        raise DomainError(f"student_t_inv_cdf requires 0 < p < 1, got {p!r}")
-    if p == 0.5:
-        return 0.0
-    # solve in the upper half and mirror
-    pu = p if p > 0.5 else 1.0 - p
-    lo, hi = 0.0, 2.0
-    while student_t_cdf(hi, nu) < pu:
-        lo = hi
-        hi *= 4.0
-        if hi > 1e300:  # x * x overflows out there, so the t density is 0
-            break
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        f = student_t_cdf(x, nu) - pu
-        if f > 0.0:
-            hi = x
-        else:
-            lo = x
-        if abs(f) <= 1e-13:
-            break
-        density = student_t_pdf(x, nu)
-        if density == 0.0:
-            raise _density_underflow(p, nu, x)
-        x_new = x - f / density
-        if not (lo < x_new < hi):
-            x_new = 0.5 * (lo + hi)
-        if x_new == x:
-            break
-        x = x_new
-    return x if p > 0.5 else -x
+    from ._tquantile import student_t_inv_cdf as solve
 
-
-def _density_underflow(p: float, nu: float, x: float) -> DomainError:
-    return DomainError(
-        f"student_t_inv_cdf({p!r}, nu={nu!r}): the t density underflows to 0 at x={x:.6g}, "
-        "so the Newton step is undefined"
-    )
-
-
-def _student_t_pdf_flat(x: np.ndarray, nu: float) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        q = x * x / nu
-    return np.exp(_t_log_normalizer(nu) - 0.5 * (nu + 1.0) * np.log1p(q))
+    return solve(p, nu)
 
 
 def _student_t_cdf_flat(x: np.ndarray, nu: float) -> np.ndarray:
@@ -638,8 +629,11 @@ def _student_t_cdf_flat(x: np.ndarray, nu: float) -> np.ndarray:
     with np.errstate(over="ignore"):
         xsq = x * x
     half_tail = np.empty_like(x)
-    tail = xsq >= nu
-    core = ~tail
+    huge = np.isinf(xsq)
+    tail = (xsq >= nu) & ~huge
+    core = xsq < nu
+    if huge.any():
+        half_tail[huge] = np.exp(_t_log_far_tail(np.log(np.abs(x[huge])), nu))
     half_tail[tail] = 0.5 * _reg_incomplete_beta_flat(nu / (nu + xsq[tail]), 0.5 * nu, 0.5)
     xc = xsq[core]
     half_tail[core] = 0.5 * (1.0 - _reg_incomplete_beta_flat(xc / (nu + xc), 0.5, 0.5 * nu))
@@ -658,48 +652,13 @@ def student_t_cdf_array(x, nu: float) -> np.ndarray:
 def student_t_inv_cdf_array(p, nu: float) -> np.ndarray:
     """:func:`student_t_inv_cdf` of each element of ``p``, in the shape of ``p``.
 
-    Each lane runs the scalar's bracket growth and safeguarded Newton steps
-    and stops by the scalar's rule.
+    Each lane runs the scalar's start, Newton steps and bracket, and stops
+    by the scalar's rule; each pass evaluates the t CDF on the lanes still
+    moving.
     """
-    if not (nu > 0.0):
-        raise DomainError(f"student_t_inv_cdf requires nu > 0, got {nu!r}")
-    flat, shape = _flat(p)
-    _require((flat > 0.0) & (flat < 1.0), flat, "student_t_inv_cdf requires 0 < p < 1")
-    pu = np.where(flat > 0.5, flat, 1.0 - flat)
-    lo = np.zeros_like(flat)
-    hi = np.full_like(flat, 2.0)
-    act = np.flatnonzero(flat != 0.5)
-    grow = act
-    while grow.size:
-        grow = grow[_student_t_cdf_flat(hi[grow], nu) < pu[grow]]
-        lo[grow] = hi[grow]
-        hi[grow] *= 4.0
-        grow = grow[hi[grow] <= 1e300]
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        if not act.size:
-            break
-        xa = x[act]
-        f = _student_t_cdf_flat(xa, nu) - pu[act]
-        above = f > 0.0
-        hi[act[above]] = xa[above]
-        lo[act[~above]] = xa[~above]
-        live = ~(np.abs(f) <= 1e-13)
-        act, xa, f = act[live], xa[live], f[live]
-        density = _student_t_pdf_flat(xa, nu)
-        if not density.all():
-            k = np.argmin(density)
-            raise _density_underflow(float(flat[act[k]]), nu, float(xa[k]))
-        x_new = xa - f / density
-        la, ha = lo[act], hi[act]
-        outside = ~((la < x_new) & (x_new < ha))
-        x_new[outside] = 0.5 * (la[outside] + ha[outside])
-        moved = x_new != xa
-        act = act[moved]
-        x[act] = x_new[moved]
-    x = np.where(flat > 0.5, x, -x)
-    x[flat == 0.5] = 0.0
-    return x.reshape(shape)
+    from ._tquantile import student_t_inv_cdf_array as solve
+
+    return solve(p, nu)
 
 
 # ---------------------------------------------------------------------------

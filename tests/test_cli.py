@@ -179,6 +179,20 @@ class TestValidation:
         # a plain float, not a numpy repr
         assert re.search(r"offender near z=-?\d+\.\d+\n", result.output), result.output
 
+    def test_z_grid_off_the_lattice_builds_no_z_array(self, runner, monkeypatch):
+        # ten million z: z_min and z_min + z_step decide before any z array
+        # is built (this took 493 MB on the way to the same exit)
+        def no_z_array(grid):
+            raise AssertionError(f"z array of {grid} built")
+
+        monkeypatch.setattr(GridSpec, "z_values", no_z_array)
+        result = runner.invoke(main, ["dist", "--copula", "gauss", "--rho", "0.5", "--z-step", "1e-6"])
+        assert result.exit_code == 2, result.output
+        assert (
+            "invalid grid: z values must be commensurate with the x/y lattice: "
+            "(z + 2*half_width)/step must be integral, got offender near z=-4.999999\n"
+        ) in result.output
+
     @pytest.mark.parametrize("mode", ["paper-exact", "refined"])
     def test_grid_without_cells(self, runner, tmp_path, mode):
         # half_width/step rounds to 0: no lattice cell at all
@@ -593,8 +607,11 @@ class TestSweep:
         # re-pinned when specfun's array kernels took exp, log and log1p from
         # numpy (the t and Clayton rows at rho = 0.9 and the Frank row at 0.1
         # moved, by at most 5.1e-15 relative); the Frank density's factored
-        # form, in the same change, moved no quantile here
-        assert digest == "e5141b0f229abe8517a76c77f842fcd9897d21454d82c4ef3bd2385677910272"
+        # form, in the same change, moved no quantile here.  Re-pinned when
+        # the t quantile went to Newton steps from Hill's start, stopped at a
+        # relative step of 1e-13 instead of an absolute residual of 1e-13:
+        # only the three t rows moved, by at most 1.6e-13 relative
+        assert digest == "dc67c27f0ead7a719c949de7c28299c8d9c10304e6f66e5b3f06dcdc10f179bf"
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -669,6 +686,10 @@ class TestImport:
     def test_cli_import_leaves_the_sampler_out(self):
         # only `sample` needs it
         assert _fresh_python("import sys, sumdist.cli; print('sumdist.sampler' in sys.modules)") == "False"
+
+    def test_cli_import_leaves_the_t_quantile_out(self):
+        # only a t axis needs it
+        assert _fresh_python("import sys, sumdist.cli; print('sumdist._tquantile' in sys.modules)") == "False"
 
     def test_package_import_loads_no_module(self):
         code = "import sys, sumdist; print(sorted(m for m in sys.modules if m.startswith('sumdist.')))"

@@ -358,6 +358,14 @@ class TestCopulaCdf:
             _t_cdf_oracle(rho, nu, u1, u2), rel=0, abs=1e-13
         )
 
+    @pytest.mark.parametrize("u", [1e-4, 1e-8, 1e-12, 1e-20])
+    def test_t_small_u_is_relatively_accurate(self, u):
+        # the t quantile once solved T(x) = 1 - u to an absolute 1e-13: this
+        # was 1.5e-12, 2.3e-9 and 2.4e-6 relative off at the first three u
+        assert copula_cdf(CopulaSpec.student_t(0.5, 4.0), u, 0.3) == pytest.approx(
+            _t_cdf_oracle(0.5, 4.0, u, 0.3), rel=1e-13, abs=0
+        )
+
     def test_domain(self):
         with pytest.raises(DomainError):
             copula_cdf(CopulaSpec.gauss(0.5), -0.1, 0.5)

@@ -8,6 +8,7 @@ within a measured agreement bound.
 """
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -17,7 +18,9 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 from scipy.stats import t as t_dist
 
+from sumdist import _tquantile
 from sumdist.errors import DomainError
+from sumdist.grid import PAPER_GRID, GridSpec
 from sumdist.specfun import (
     _INV_SQRT_2,
     _P_LOW,
@@ -314,12 +317,129 @@ class TestStudentTInvCdf:
             student_t_inv_cdf(0.5, 0.0)
 
     def test_density_underflow_is_domain_error(self):
-        # at nu = 1e-3 the quantile of 0.01 lies beyond 1e300, where the t
-        # density underflows; the scalar divided by zero, the kernel warned
-        with pytest.raises(DomainError, match=r"nu=0\.001\): the t density underflows"):
+        # at nu = 1e-3 the quantile of 0.01 is about -1e1700, beyond every
+        # double; the t density underflowed on the way there, and the scalar
+        # once divided by zero.  The quantile of 0.3 (-1.1e220) is finite
+        with pytest.raises(DomainError, match=r"\(0\.01, nu=0\.001\): the quantile lies beyond"):
             student_t_inv_cdf(0.01, 1e-3)
-        with pytest.raises(DomainError, match=r"nu=0\.001\): the t density underflows"):
+        with pytest.raises(DomainError, match=r"\(0\.01, nu=0\.001\): the quantile lies beyond"):
             student_t_inv_cdf_array(np.array([0.3, 0.01]), 1e-3)
+
+
+def _t_quantile_error(x: float, p: float, nu: float) -> float:
+    """Relative error of x as the t quantile of p: one Newton step at 40 digits."""
+    with mpmath.workdps(40):
+        nu_m, t = mpmath.mpf(nu), abs(mpmath.mpf(x))
+        half_tail = mpmath.betainc(nu_m / 2, 0.5, 0, nu_m / (nu_m + t * t), regularized=True) / 2
+        cdf = half_tail if x < 0.0 else 1 - half_tail
+        log_pdf = (
+            mpmath.loggamma((nu_m + 1) / 2)
+            - mpmath.loggamma(nu_m / 2)
+            - mpmath.log(mpmath.pi * nu_m) / 2
+            - (nu_m + 1) / 2 * mpmath.log1p(t * t / nu_m)
+        )
+        return float(abs((cdf - mpmath.mpf(p)) / mpmath.exp(log_pdf) / mpmath.mpf(x)))
+
+
+def _t_axis_probabilities() -> dict:
+    """Phi of the lattice axes on which the grid modes read the t quantile."""
+    refined = GridSpec(step=0.025)
+    axes = {
+        "paper": PAPER_GRID.axis_points(),
+        "refined-lower-edges": refined.axis_points()[:-1],
+        "refined-midpoints": refined.cell_midpoints(),
+    }
+    return {name: std_normal_cdf_array(axis) for name, axis in axes.items()}
+
+
+class TestStudentTTails:
+    """Both quantiles in both tails, from p = 1e-300 to 1/2."""
+
+    # p = 1/2 gives 0 exactly (TestStudentTInvCdf.test_median)
+    _LOG_SPACED = np.geomspace(1e-300, 0.5, 61)[:-1]
+
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 4.0, 30.0])
+    def test_quantile_against_scipy_and_oracle(self, nu):
+        # at nu = 0.5 the quantile leaves the doubles below p = 2.4e-155
+        tiny = self._LOG_SPACED[self._LOG_SPACED > student_t_cdf(-sys.float_info.max, nu)]
+        p = np.concatenate([tiny, *_t_axis_probabilities().values()])
+        p = p[p != 0.5]
+        array = student_t_inv_cdf_array(p, nu)
+        scalar = np.array([student_t_inv_cdf(float(v), nu) for v in p])
+        # scipy's own t.ppf saturates near 4.7e153, where its x * x overflows
+        want = t_dist.ppf(p, nu)
+        usable = np.abs(want) < 1e150
+        for got in (array, scalar):
+            np.testing.assert_allclose(got[usable], want[usable], rtol=1e-12, atol=0.0)
+            for x, v in zip(got[: tiny.size], tiny):
+                assert _t_quantile_error(float(x), float(v), nu) <= 1e-12, (v, x)
+
+    def test_beyond_the_doubles_is_domain_error(self):
+        edge = student_t_cdf(-sys.float_info.max, 0.5)
+        assert edge == pytest.approx(2.3918971474675e-155, rel=1e-12)
+        for p in (0.99 * edge, 1e-200, 1e-300):
+            with pytest.raises(DomainError, match=rf"\({p!r}, nu=0\.5\): the quantile lies beyond"):
+                student_t_inv_cdf(p, 0.5)
+            with pytest.raises(DomainError, match=rf"\({p!r}, nu=0\.5\): the quantile lies beyond"):
+                student_t_inv_cdf_array(np.array([0.3, p]), 0.5)
+        # just inside, the quantile is a double near -DBL_MAX
+        x = student_t_inv_cdf(1.01 * edge, 0.5)
+        assert -sys.float_info.max <= x < -1.7e308
+        assert student_t_inv_cdf_array(np.array([1.01 * edge]), 0.5)[0] == pytest.approx(x, rel=1e-14)
+        assert _t_quantile_error(x, 1.01 * edge, 0.5) <= 1e-12
+
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 4.0])
+    def test_cdf_where_x_squared_overflows(self, nu):
+        # the beta argument nu/(nu + x^2) was 0 here, so T was 0 exactly
+        x = np.array([-1.4e154, -1e200, -3.2e299, -sys.float_info.max])
+        with mpmath.workdps(40):
+            want = [
+                float(mpmath.betainc(nu / 2, 0.5, 0, nu / (nu + mpmath.mpf(v) ** 2), regularized=True) / 2)
+                for v in x
+            ]
+        got = np.array([student_t_cdf(float(v), nu) for v in x])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        _assert_t_cdf_agrees(nu, np.concatenate([x, -x]))
+        assert all(student_t_cdf(float(-v), nu) == 1.0 for v in x)
+
+    def test_cauchy_quantile_at_1e_300(self):
+        # 1/(pi p), inside the range where x * x overflows
+        x = student_t_inv_cdf(1e-300, 1.0)
+        assert x == pytest.approx(-1.0 / (math.pi * 1e-300), rel=1e-13)
+        assert student_t_inv_cdf_array(np.array([1e-300]), 1.0)[0] == pytest.approx(x, rel=1e-14)
+
+
+class TestStudentTQuantilePasses:
+    """The quantile's cost is its number of t CDF passes; at nu = 4 a close
+    start leaves at most four on the axes of both grid modes."""
+
+    @pytest.mark.parametrize("name", list(_t_axis_probabilities()))
+    def test_array_passes_at_nu_4(self, monkeypatch, name):
+        p = _t_axis_probabilities()[name]
+        calls = []
+        one_pass = _tquantile._t_quantile_beta_flat
+
+        def counted(*args):
+            calls.append(args[1].size)
+            return one_pass(*args)
+
+        monkeypatch.setattr(_tquantile, "_t_quantile_beta_flat", counted)
+        student_t_inv_cdf_array(p, 4.0)
+        assert 1 <= len(calls) <= 4, calls
+
+    def test_scalar_passes_at_nu_4(self, monkeypatch):
+        calls = []
+        one_pass = _tquantile._t_quantile_beta
+
+        def counted(*args):
+            calls.append(args[1])
+            return one_pass(*args)
+
+        monkeypatch.setattr(_tquantile, "_t_quantile_beta", counted)
+        for p in _t_axis_probabilities()["paper"]:
+            calls.clear()
+            student_t_inv_cdf(float(p), 4.0)
+            assert len(calls) <= 4, (p, len(calls))
 
 
 def _debye1_oracle(theta: float) -> float:
@@ -382,7 +502,7 @@ _TINY = 2.0**-1022  # the smallest normal double
 
 # |kernel - scalar| <= rtol |scalar| + atol.  Largest values seen on the
 # point sets below: 2.8e-16 (pdf), 6.2e-16 (cdf), 1.4e-15 (inverse cdf),
-# 7.5e-16 (t CDF, tail side), 5.8e-15 (t inverse) relative.  The t CDF's
+# 7.5e-16 (t CDF, tail side), 4.5e-15 (t inverse) relative.  The t CDF's
 # core side (x^2 < nu) is 1/2 (1 - I), whose cancellation turns an ulp of I
 # into up to 1.8e-12 relative (nu = 200, T = 3.1e-5), but never more than
 # 2^-52 absolute; the tail side is computed directly and gets no atol.
@@ -493,7 +613,9 @@ class TestArrayKernels:
     @pytest.mark.parametrize("nu", _NUS)
     def test_t_inv_cdf_accuracy(self, nu):
         rng = np.random.default_rng(int(nu * 100))
-        p = np.concatenate([rng.uniform(0.0, 1.0, 400), [0.5, 1e-12, 1.0 - 1e-12, 1e-300, 1.0 - 2.0**-53]])
+        # at nu = 0.5 the quantile of 1e-300 is not a double (see TestStudentTTails)
+        tiny = 1e-300 if nu >= 1.0 else 1e-150
+        p = np.concatenate([rng.uniform(0.0, 1.0, 400), [0.5, 1e-12, 1.0 - 1e-12, tiny, 1.0 - 2.0**-53]])
         _assert_agrees(
             lambda a: student_t_inv_cdf_array(a, nu), lambda v: student_t_inv_cdf(v, nu), p, _AGREE["t_inv_cdf"]
         )
