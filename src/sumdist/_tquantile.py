@@ -16,23 +16,22 @@ import numpy as np
 from .errors import DomainError
 from .specfun import (
     _flat,
-    _reg_incomplete_beta_flat,
     _require,
     _t_log_far_tail,
     _t_log_normalizer,
     _t_log_pdf,
     _t_log_tail_scale,
-    reg_incomplete_beta,
+    _t_tail_beta,
+    _t_tail_beta_flat,
     std_normal_inv_cdf,
     std_normal_inv_cdf_array,
 )
 
 # The quantile solves T_nu(-t) = q for t = |x| > 0 by Newton steps from a
-# closed-form start.  Each pass evaluates the one incomplete beta that holds
-# T_nu(-t) to full relative accuracy, with no subtraction: with
-# w = nu/(nu + t^2) and a = nu/2, either G = I_w(a, 1/2) = 2 T_nu(-t), where
-# w < (a + 1)/(a + 5/2) and its continued fraction runs direct, or
-# G = I_{1-w}(1/2, a) = 1 - 2 T_nu(-t) elsewhere.  The step is Newton's on
+# closed-form start.  Each pass is one evaluation of the t tail,
+# ``specfun._t_tail_beta``, the t CDF's own: the incomplete beta G that holds
+# T_nu(-t) to full relative accuracy, with G = 2 T_nu(-t) on the tail side
+# and 1 - 2 T_nu(-t) on the core side.  The step is Newton's on
 # ln G - ln G*, G* = 2q or 1 - 2q, with the analytic density.
 #
 # Hill's start ("Algorithm 396: Student's t-quantiles", CACM 1970) divides
@@ -60,7 +59,6 @@ class _TQuantileSetup:
         self.log_scale = _t_log_tail_scale(nu)
         # ln T_nu(-DBL_MAX): the quantile of a smaller q is not a double
         self.log_q_min = _t_log_far_tail(math.log(_DBL_MAX), nu)
-        self.tail_below = (0.5 * nu + 1.0) / (0.5 * nu + 2.5)
         self.density_at_0 = math.exp(_t_log_normalizer(nu))
         # the beta's front carries nu/2 times the rounding of w
         self.rel_step = _T_REL_STEP + nu * 2.0**-51
@@ -121,18 +119,6 @@ def _t_start(setup: _TQuantileSetup, q: float, log_q: float) -> float:
     return t if t * t >= 2.0 * nu else (0.5 - q) / setup.density_at_0
 
 
-def _t_quantile_beta(setup: _TQuantileSetup, t: float) -> tuple[float, bool]:
-    """(G, tail) at t > 0: G = 2 T_nu(-t) if tail, else 1 - 2 T_nu(-t)."""
-    nu = setup.nu
-    tsq = t * t
-    if tsq == math.inf:
-        return 2.0 * math.exp(_t_log_far_tail(math.log(t), nu)), True
-    w = nu / (nu + tsq)
-    if w < setup.tail_below:
-        return reg_incomplete_beta(w, 0.5 * nu, 0.5), True
-    return reg_incomplete_beta(tsq / (nu + tsq), 0.5, 0.5 * nu), False
-
-
 def student_t_inv_cdf(p: float, nu: float) -> float:
     """The quantile behind :func:`sumdist.specfun.student_t_inv_cdf`."""
     if not (nu > 0.0):
@@ -150,7 +136,7 @@ def student_t_inv_cdf(p: float, nu: float) -> float:
     t = _t_start(setup, q, log_q)
     lo, hi = 0.0, _DBL_MAX
     for _ in range(_T_MAXIT):
-        g, tail = _t_quantile_beta(setup, t)
+        g, tail = _t_tail_beta(t, nu)
         sign = 1.0 if tail else -1.0
         # r > 0: t lies below the root
         if g > 0.0:
@@ -201,25 +187,6 @@ def _t_start_flat(setup: _TQuantileSetup, q: np.ndarray, log_q: np.ndarray) -> n
     return t
 
 
-def _t_quantile_beta_flat(setup: _TQuantileSetup, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_t_quantile_beta` for each element of ``t``: one pass of the t CDF."""
-    nu = setup.nu
-    with np.errstate(over="ignore"):
-        tsq = t * t
-    w = nu / (nu + tsq)
-    tail = w < setup.tail_below
-    huge = np.isinf(tsq)
-    direct = tail & ~huge
-    core = ~tail
-    g = np.empty_like(t)
-    if huge.any():
-        g[huge] = 2.0 * np.exp(_t_log_far_tail(np.log(t[huge]), nu))
-    g[direct] = _reg_incomplete_beta_flat(w[direct], 0.5 * nu, 0.5)
-    tc = tsq[core]
-    g[core] = _reg_incomplete_beta_flat(tc / (nu + tc), 0.5, 0.5 * nu)
-    return g, tail
-
-
 def student_t_inv_cdf_array(p, nu: float) -> np.ndarray:
     """The quantile behind :func:`sumdist.specfun.student_t_inv_cdf_array`.
 
@@ -248,7 +215,7 @@ def student_t_inv_cdf_array(p, nu: float) -> np.ndarray:
     hi = np.full_like(t, _DBL_MAX)
     lane = np.arange(act.size)
     for _ in range(_T_MAXIT):
-        g, tail = _t_quantile_beta_flat(setup, t)
+        g, tail = _t_tail_beta_flat(t, nu)
         sign = np.where(tail, 1.0, -1.0)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             log_g = np.log(g)

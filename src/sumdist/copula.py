@@ -52,11 +52,14 @@ DEFAULT_NU = 4.0
 
 # the t copula's nu range.  Over the Table 2 rhos, on the default grid, both
 # table modes give valid tables from nu = 0.19 up; at 0.18 the rho = 0.9
-# table overshoots 1 (by 6e-4), and at 0.03 and below the t quantile divides
-# by an underflowed density.  Up to nu = 1e6 the largest gap between each
-# table and the Gauss table (its nu -> infinity limit) is 0.0619 / nu to
-# within 1e-9; above, rounding error takes over: 5e-8 more at nu = 2e7, 2e-6
-# at 1e9, and at 1e12 the tables overshoot 1
+# table overshoots 1 (by 6.6e-4), which sets the floor.  Lower, the
+# overshoot grows (0.05 at nu = 0.1, 0.33 at 0.05), though the t quantile
+# of the lattice axes stays finite down to nu = 0.03 (up to 1e207 there,
+# whose square overflows in the t kernel); from 0.02 down that quantile is
+# not a double and raises a DomainError.  Up to nu = 1e6 the largest gap
+# between each table and the Gauss table (its nu -> infinity limit) is
+# 0.0619 / nu to within 1e-9; above, rounding error takes over: 5e-8 more
+# at nu = 2e7, 2e-6 at 1e9, and at 1e12 the tables overshoot 1
 _T_NU_MIN, _T_NU_MAX = 0.2, 1e6
 
 # below this tau, Frank's theta = 9 tau (1 + 0.81 tau^2) to within 1.3e-4 theta^4

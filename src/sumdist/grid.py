@@ -76,9 +76,16 @@ class GridSpec:
         z_step, so a grid off the lattice is mostly rejected at no cost in
         memory, whatever its z count.  They are computed as ``z_values``
         computes them, so the same grids pass, and the error names the first
-        z off the lattice either way.
+        z off the lattice either way.  A stride so small that z_min + z_step
+        rounds back to z_min passes that check, so z_step/step must also be
+        a positive integer wherever there is a second z.
         """
-        self._lattice_indices(self.z_min + self.z_step * np.arange(min(2, self._z_count())))
+        count = self._z_count()
+        self._lattice_indices(self.z_min + self.z_step * np.arange(min(2, count)))
+        ratio = self.z_step / self.step
+        on_lattice = 0.5 <= ratio < math.inf and abs(ratio - round(ratio)) <= _LATTICE_TOL * ratio
+        if count > 1 and not on_lattice:
+            raise DomainError(f"z_step/step = {ratio!r} must be a positive integer so every z stays on the x/y lattice")
         return self._lattice_indices(self.z_values())
 
     def _lattice_indices(self, zs: np.ndarray) -> np.ndarray:

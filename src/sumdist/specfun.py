@@ -12,8 +12,10 @@ suite):
 * ``std_normal_pdf``      relative error <= 1e-15 (1 + x^2) down to 2.2e-308
 * ``std_normal_cdf``      absolute error <= 1e-12 (Cody's rational erfc)
 * ``std_normal_inv_cdf``  |Phi(x) - p| <= 1e-12 (Acklam + one Halley step)
-* ``student_t_cdf``       absolute error <= 1e-10 (regularized incomplete beta;
-  the leading tail term where x * x overflows)
+* ``student_t_cdf``       relative error <= 2e-13 on T_nu(-|x|) for nu <= 1e3
+  (the regularized incomplete beta on the side that needs no 1 - I; the
+  leading tail term where x * x overflows); 1e-12 at nu = 1e4 and 1e-10 at
+  nu = 1e6, where the beta's front carries nu/2 times the rounding of its x
 * ``student_t_inv_cdf``   relative error <= 1e-12 for 1e-300 <= p <= 1 - 1e-16 and
   nu <= 1e4; 2e-11 at nu = 1e6 (Newton on the lower tail from Hill's start)
 * ``ln_gamma``            relative error <= 1e-13 (Lanczos, g = 7)
@@ -27,9 +29,9 @@ Array kernels.  ``std_normal_pdf_array``, ``std_normal_cdf_array``,
 (the same rationals, branches and iteration rules) on every element, with
 numpy's exp, log and log1p where the scalar has ``math``'s.  The two differ
 in the last bit for some arguments, so a kernel meets its scalar's accuracy
-target and agrees with it to a few units of 1e-15 relative (2^-52 absolute
-on the t CDF's cancelling core side), but not always to the last bit.  The
-scalars stay on ``math``: a one-element array costs far more than the call.
+target and agrees with it to a few units of 1e-15 relative, but not always
+to the last bit.  The scalars stay on ``math``: a one-element array costs
+far more than the call.
 """
 
 from __future__ import annotations
@@ -577,31 +579,57 @@ def _t_log_far_tail(log_ax, nu: float):
     return 0.5 * nu * (math.log(nu) - 2.0 * log_ax) - _t_log_tail_scale(nu)
 
 
+def _t_tail_beta(t: float, nu: float) -> tuple[float, bool]:
+    """(G, tail) at t >= 0: G = 2 T_nu(-t) if tail, else 1 - 2 T_nu(-t).
+
+    With w = nu/(nu + t^2) and a = nu/2, G is the one incomplete beta whose
+    continued fraction runs direct, so T_nu(-t) keeps full relative accuracy
+    on both sides and no 1 - I cancels: G = I_w(a, 1/2) where
+    w < (a + 1)/(a + 5/2), else G = I_{1-w}(1/2, a).  Where t * t overflows
+    (t above 1.3e154) w is below every double, and the tail is taken in logs
+    (``_t_log_far_tail``).
+    """
+    tsq = t * t
+    if tsq == math.inf:
+        return 2.0 * math.exp(_t_log_far_tail(math.log(t), nu)), True
+    w = nu / (nu + tsq)
+    if w < (0.5 * nu + 1.0) / (0.5 * nu + 2.5):
+        return reg_incomplete_beta(w, 0.5 * nu, 0.5), True
+    return reg_incomplete_beta(tsq / (nu + tsq), 0.5, 0.5 * nu), False
+
+
+def _t_tail_beta_flat(t: np.ndarray, nu: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_t_tail_beta` for each element of ``t``."""
+    with np.errstate(over="ignore"):
+        tsq = t * t
+    w = nu / (nu + tsq)
+    tail = w < (0.5 * nu + 1.0) / (0.5 * nu + 2.5)
+    huge = np.isinf(tsq)
+    direct = tail & ~huge
+    core = ~tail
+    g = np.empty_like(t)
+    if huge.any():
+        g[huge] = 2.0 * np.exp(_t_log_far_tail(np.log(t[huge]), nu))
+    g[direct] = _reg_incomplete_beta_flat(w[direct], 0.5 * nu, 0.5)
+    tc = tsq[core]
+    g[core] = _reg_incomplete_beta_flat(tc / (nu + tc), 0.5, 0.5 * nu)
+    return g, tail
+
+
 def student_t_cdf(x: float, nu: float) -> float:
     """Distribution function of the Student-t with nu > 0 degrees of freedom.
 
-    Uses the standard transformation to the regularized incomplete beta with
-    the symmetric halves stitched at x = 0.  Where x * x overflows (|x| above
-    1.3e154) the beta argument nu/(nu + x^2) is below every double, and the
-    tail is taken in logs (``_t_log_far_tail``).
+    T_nu(-|x|) comes from the one incomplete beta of ``_t_tail_beta`` that
+    holds it to full relative accuracy, G/2 on the tail side and (1 - G)/2
+    on the core side, and the symmetric halves are stitched at x = 0.
     """
     if not (nu > 0.0):
         raise DomainError(f"student_t_cdf requires nu > 0, got {nu!r}")
     if not math.isfinite(x):
         raise DomainError(f"student_t_cdf requires finite x, got {x!r}")
-    if x == 0.0:
-        return 0.5
-    xsq = x * x
-    if xsq == math.inf:
-        half_tail = math.exp(_t_log_far_tail(math.log(abs(x)), nu))
-    elif xsq >= nu:
-        # tail side small: evaluate directly for full relative accuracy
-        half_tail = 0.5 * reg_incomplete_beta(nu / (nu + xsq), 0.5 * nu, 0.5)
-    else:
-        # keep the beta argument below 1/2 so no internal reflection with a
-        # cancellation-prone 1 - x is needed
-        half_tail = 0.5 * (1.0 - reg_incomplete_beta(xsq / (nu + xsq), 0.5, 0.5 * nu))
-    return half_tail if x < 0.0 else 1.0 - half_tail
+    g, tail = _t_tail_beta(abs(x), nu)
+    lower = 0.5 * g if tail else 0.5 * (1.0 - g)
+    return lower if x < 0.0 else 1.0 - lower
 
 
 def student_t_inv_cdf(p: float, nu: float) -> float:
@@ -613,11 +641,11 @@ def student_t_inv_cdf(p: float, nu: float) -> float:
     Hill's approximation (a tail asymptote or a line through 0 below
     nu = 1 and the asymptote far in the tails, the Cauchy quantile at
     nu = 1) and stop at a relative step of 1e-13; a bracket catches steps
-    that leave it.  At nu = 4 that takes three passes of the t CDF, each on
-    the side of the incomplete beta that keeps T_nu(-t) relatively accurate
-    (see ``sumdist._tquantile``).  Where the quantile is not a
-    finite double (at nu = 0.5, for p below about 2.4e-155), a
-    ``DomainError`` names p and nu.
+    that leave it.  At nu = 4 that takes three passes of the t CDF's
+    ``_t_tail_beta``, which keeps T_nu(-t) relatively accurate (see
+    ``sumdist._tquantile``).  Where the quantile is not a finite double
+    (at nu = 0.5, for p below about 2.4e-155), a ``DomainError`` names p
+    and nu.
     """
     from ._tquantile import student_t_inv_cdf as solve
 
@@ -625,19 +653,9 @@ def student_t_inv_cdf(p: float, nu: float) -> float:
 
 
 def _student_t_cdf_flat(x: np.ndarray, nu: float) -> np.ndarray:
-    # x == 0 needs no branch of its own: it takes the I_0 = 0 path to 0.5
-    with np.errstate(over="ignore"):
-        xsq = x * x
-    half_tail = np.empty_like(x)
-    huge = np.isinf(xsq)
-    tail = (xsq >= nu) & ~huge
-    core = xsq < nu
-    if huge.any():
-        half_tail[huge] = np.exp(_t_log_far_tail(np.log(np.abs(x[huge])), nu))
-    half_tail[tail] = 0.5 * _reg_incomplete_beta_flat(nu / (nu + xsq[tail]), 0.5 * nu, 0.5)
-    xc = xsq[core]
-    half_tail[core] = 0.5 * (1.0 - _reg_incomplete_beta_flat(xc / (nu + xc), 0.5, 0.5 * nu))
-    return np.where(x < 0.0, half_tail, 1.0 - half_tail)
+    g, tail = _t_tail_beta_flat(np.abs(x), nu)
+    lower = 0.5 * np.where(tail, g, 1.0 - g)
+    return np.where(x < 0.0, lower, 1.0 - lower)
 
 
 def student_t_cdf_array(x, nu: float) -> np.ndarray:

@@ -373,11 +373,7 @@ class TestArrayTransforms:
         xy = np.column_stack([x * scale, y * scale])
         np.testing.assert_allclose(got, stats.t.cdf(xy, nu), rtol=0.0, atol=1e-10)
         expected = np.array([[specfun.student_t_cdf(float(a), nu) for a in row] for row in xy])
-        # the tail side (x^2 >= nu) is computed directly, the core side as
-        # 1/2 (1 - I), which may cancel: 2^-52 absolute is allowed there only
-        core = xy * xy < nu
-        np.testing.assert_allclose(got[~core], expected[~core], rtol=1e-14, atol=0.0)
-        np.testing.assert_allclose(got[core], expected[core], rtol=1e-14, atol=2.0**-52)
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
 
 
 class TestEmpiricalCdf:

@@ -250,6 +250,13 @@ class TestStudentTPdf:
             student_t_pdf(0.0, 0.0)
 
 
+def _t_lower_tail_oracle(x: float, nu: float) -> float:
+    """T_nu(-|x|) from mpmath's regularized incomplete beta at 40 digits."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        return float(mpmath.betainc(nu / 2, 0.5, 0, nu / (nu + x * x), regularized=True) / 2)
+
+
 class TestStudentTCdf:
     def test_symmetry_at_zero(self):
         assert student_t_cdf(0.0, 4.0) == 0.5
@@ -279,6 +286,14 @@ class TestStudentTCdf:
     def test_domain(self):
         with pytest.raises(DomainError):
             student_t_cdf(1.0, -4.0)
+
+    @pytest.mark.parametrize("x, nu", [(-31.3, 1000.0), (-20.0, 1000.0), (-12.0, 200.0), (-5.0, 30.0)])
+    def test_lower_tail_inside_sqrt_nu_is_relatively_accurate(self, x, nu):
+        # x^2 < nu: 1/2 (1 - I) flushed the first three to 0 and put the
+        # last 1.7e-12 off; the direct incomplete beta keeps every digit
+        want = _t_lower_tail_oracle(x, nu)
+        assert student_t_cdf(x, nu) == pytest.approx(want, rel=1e-13, abs=0.0)
+        np.testing.assert_allclose(student_t_cdf_array(np.array([x, -x]), nu), [want, 1.0 - want], rtol=1e-13, atol=0.0)
 
 
 class TestStudentTInvCdf:
@@ -392,11 +407,7 @@ class TestStudentTTails:
     def test_cdf_where_x_squared_overflows(self, nu):
         # the beta argument nu/(nu + x^2) was 0 here, so T was 0 exactly
         x = np.array([-1.4e154, -1e200, -3.2e299, -sys.float_info.max])
-        with mpmath.workdps(40):
-            want = [
-                float(mpmath.betainc(nu / 2, 0.5, 0, nu / (nu + mpmath.mpf(v) ** 2), regularized=True) / 2)
-                for v in x
-            ]
+        want = [_t_lower_tail_oracle(float(v), nu) for v in x]
         got = np.array([student_t_cdf(float(v), nu) for v in x])
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
         _assert_t_cdf_agrees(nu, np.concatenate([x, -x]))
@@ -410,32 +421,33 @@ class TestStudentTTails:
 
 
 class TestStudentTQuantilePasses:
-    """The quantile's cost is its number of t CDF passes; at nu = 4 a close
-    start leaves at most four on the axes of both grid modes."""
+    """The quantile's cost is its number of t CDF passes, each one evaluation
+    of the t tail (``_t_tail_beta``); at nu = 4 a close start leaves at most
+    four on the axes of both grid modes."""
 
     @pytest.mark.parametrize("name", list(_t_axis_probabilities()))
     def test_array_passes_at_nu_4(self, monkeypatch, name):
         p = _t_axis_probabilities()[name]
         calls = []
-        one_pass = _tquantile._t_quantile_beta_flat
+        one_pass = _tquantile._t_tail_beta_flat
 
         def counted(*args):
-            calls.append(args[1].size)
+            calls.append(args[0].size)
             return one_pass(*args)
 
-        monkeypatch.setattr(_tquantile, "_t_quantile_beta_flat", counted)
+        monkeypatch.setattr(_tquantile, "_t_tail_beta_flat", counted)
         student_t_inv_cdf_array(p, 4.0)
         assert 1 <= len(calls) <= 4, calls
 
     def test_scalar_passes_at_nu_4(self, monkeypatch):
         calls = []
-        one_pass = _tquantile._t_quantile_beta
+        one_pass = _tquantile._t_tail_beta
 
         def counted(*args):
-            calls.append(args[1])
+            calls.append(args[0])
             return one_pass(*args)
 
-        monkeypatch.setattr(_tquantile, "_t_quantile_beta", counted)
+        monkeypatch.setattr(_tquantile, "_t_tail_beta", counted)
         for p in _t_axis_probabilities()["paper"]:
             calls.clear()
             student_t_inv_cdf(float(p), 4.0)
@@ -497,21 +509,20 @@ class TestDebye1:
 # ---------------------------------------------------------------------------
 
 _NUS = (0.5, 1.0, 2.5, 4.0, 30.0, 200.0)
-_EPS = 2.0**-52
 _TINY = 2.0**-1022  # the smallest normal double
 
 # |kernel - scalar| <= rtol |scalar| + atol.  Largest values seen on the
 # point sets below: 2.8e-16 (pdf), 6.2e-16 (cdf), 1.4e-15 (inverse cdf),
-# 7.5e-16 (t CDF, tail side), 4.5e-15 (t inverse) relative.  The t CDF's
-# core side (x^2 < nu) is 1/2 (1 - I), whose cancellation turns an ulp of I
-# into up to 1.8e-12 relative (nu = 200, T = 3.1e-5), but never more than
-# 2^-52 absolute; the tail side is computed directly and gets no atol.
+# 5.1e-15 (t CDF, at nu = 200), 4.5e-15 (t inverse) relative.  Both sides
+# of the t CDF take T_nu(-|x|) from an incomplete beta with no 1 - I, so
+# neither gets an atol.  Its gaps grow with nu: the beta's front
+# exp(a ln x + b ln(1 - x)), with nu/2 as a or b, carries nu/2 times the
+# last bit in which numpy's log and log1p differ from math's.
 _AGREE = {
     "pdf": (1e-14, 0.0),
     "cdf": (1e-14, 0.0),
     "inv_cdf": (1e-14, 0.0),
     "t_cdf": (1e-14, 0.0),
-    "t_cdf_core": (1e-14, _EPS),
     "t_inv_cdf": (5e-14, 0.0),
 }
 
@@ -532,12 +543,7 @@ def _assert_agrees(kernel, scalar, values, bound) -> None:
 
 
 def _assert_t_cdf_agrees(nu: float, values: np.ndarray) -> None:
-    """``_assert_agrees`` for the t CDF, with the bound of each side."""
-    with np.errstate(over="ignore"):
-        core = values * values < nu
-    kernel, scalar = lambda a: student_t_cdf_array(a, nu), lambda v: student_t_cdf(v, nu)
-    _assert_agrees(kernel, scalar, values[~core], _AGREE["t_cdf"])
-    _assert_agrees(kernel, scalar, values[core], _AGREE["t_cdf_core"])
+    _assert_agrees(lambda a: student_t_cdf_array(a, nu), lambda v: student_t_cdf(v, nu), values, _AGREE["t_cdf"])
 
 
 def _normal_points() -> np.ndarray:
@@ -571,8 +577,8 @@ def _probability_points() -> np.ndarray:
 
 def _t_points(nu: float) -> np.ndarray:
     rng = np.random.default_rng(int(nu * 10))
-    # x^2 = nu switches between the tail and the core beta argument
-    edges = _with_neighbours([math.sqrt(nu)])
+    # x^2 = 3 nu/(nu + 2) switches between the tail and the core beta argument
+    edges = _with_neighbours([math.sqrt(3.0 * nu / (nu + 2.0))])
     return np.concatenate(
         [rng.standard_t(nu, 15_000), rng.uniform(-60.0, 60.0, 2_000), edges, -edges, [0.0, -0.0, 1e200, -1e-200]]
     )
@@ -651,8 +657,7 @@ class TestArrayKernels:
             (std_normal_pdf_array, std_normal_pdf, _AGREE["pdf"]),
             (std_normal_cdf_array, std_normal_cdf, _AGREE["cdf"]),
             (std_normal_inv_cdf_array, std_normal_inv_cdf, _AGREE["inv_cdf"]),
-            # x^2 < 4 at every point: all on the core side
-            (lambda a: student_t_cdf_array(a, 4.0), lambda v: student_t_cdf(v, 4.0), _AGREE["t_cdf_core"]),
+            (lambda a: student_t_cdf_array(a, 4.0), lambda v: student_t_cdf(v, 4.0), _AGREE["t_cdf"]),
             (lambda a: student_t_inv_cdf_array(a, 4.0), lambda v: student_t_inv_cdf(v, 4.0), _AGREE["t_inv_cdf"]),
         ],
     )
