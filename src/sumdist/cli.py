@@ -8,22 +8,25 @@ checksum of the output bytes goes to standard output.
 CSV floats are written as ``%.17g``, byte for byte, but formatted in numpy
 rather than by one Python call per value (see ``csvwriter``).
 
-Modules only some commands need are imported when those commands run: the
-CSV writer, and the sampler, which only ``sample`` uses.
+The parser is the standard library's ``argparse``, so a run imports no
+package but numpy.  Modules only some commands need are imported when those
+commands run: the CSV writer, and the sampler, which only ``sample`` uses.
 
-Exit codes: 2 for flag/validation errors, 1 for numerical failures (for
-example a quantile level the table does not bracket).
+Exit codes: 2 for flag/validation errors, whose message names the flag, 1 for
+numerical failures (for example a quantile level the table does not bracket).
+Either prints ``Error: <message>`` to standard error.
 """
-
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
+import re
+import sys
 import tempfile
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
-import click
 import numpy as np
 
 from . import __version__
@@ -36,22 +39,50 @@ from .sumcdf import TABLE2_RHOS, TableMode, integrators, quantile, quantile_swee
 _FAMILIES = {f.value: f for f in CopulaFamily}
 
 
+class CommandError(Exception):
+    """A numerical failure: exit status 1."""
+    exit_code = 1
+
+
+class UsageError(CommandError):
+    """An invalid flag, or combination of flags: exit status 2."""
+    exit_code = 2
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that raises ``UsageError`` instead of exiting.  Help is ``--help``
+    alone, options are never abbreviated, and ``-1e15``, ``-.5`` or ``-inf`` is a value."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def parse_args(self, args=None, namespace=None):
+        namespace, extra = self.parse_known_args(args, namespace)
+        if extra:
+            raise UsageError(f"No such option: {extra[0].split('=')[0]}" if extra[0][0] == "-" else f"Got unexpected extra argument ({extra[0]})")
+        return namespace
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _build_spec(copula: str, rho: float | None, theta: float | None, nu: float | None) -> CopulaSpec:
     family = _FAMILIES[copula]
     if family in (CopulaFamily.GAUSS, CopulaFamily.STUDENT_T):
         if theta is not None:
-            raise click.UsageError(f"--theta is not a {copula} copula parameter")
+            raise UsageError(f"--theta is not a {copula} copula parameter")
         if rho is None:
-            raise click.UsageError(f"--rho is required for the {copula} copula")
+            raise UsageError(f"--rho is required for the {copula} copula")
         if family is CopulaFamily.GAUSS and nu is not None:
-            raise click.UsageError("--nu applies to the t copula only")
+            raise UsageError("--nu applies to the t copula only")
     else:
-        # Archimedean: exactly one of --theta / --rho (the latter via the
-        # rank-correlation pipeline)
+        # Archimedean: exactly one of --theta / --rho (the latter via the rank-correlation pipeline)
         if nu is not None:
-            raise click.UsageError("--nu applies to the t copula only")
+            raise UsageError("--nu applies to the t copula only")
         if (rho is None) == (theta is None):
-            raise click.UsageError(f"{copula} copula needs exactly one of --rho or --theta")
+            raise UsageError(f"{copula} copula needs exactly one of --rho or --theta")
     try:
         if family is CopulaFamily.GAUSS:
             return CopulaSpec.gauss(rho)
@@ -61,7 +92,7 @@ def _build_spec(copula: str, rho: float | None, theta: float | None, nu: float |
             return CopulaSpec(family, theta=theta)
         return spec_from_rho(family, rho)
     except DomainError as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
 
 
 def _build_grid(half_width, step, z_min, z_max, z_step) -> GridSpec:
@@ -71,44 +102,36 @@ def _build_grid(half_width, step, z_min, z_max, z_step) -> GridSpec:
         grid.z_lattice_indices()
         return grid
     except DomainError as exc:
-        raise click.UsageError(f"invalid grid: {exc}")
+        raise UsageError(f"invalid grid: {exc}")
 
 
-def _copula_options(fn):
-    fn = click.option("--copula", type=click.Choice(sorted(_FAMILIES)), required=True, help="Copula family.")(fn)
-    fn = click.option("--rho", type=float, default=None, help="Pearson correlation (gauss/t; Archimedean via rank pipeline).")(fn)
-    fn = click.option("--theta", type=float, default=None, help="Archimedean copula parameter (exclusive with --rho).")(fn)
-    fn = click.option("--nu", type=float, default=None, help=f"Degrees of freedom (t copula only, default {DEFAULT_NU:g}).")(fn)
-    return fn
+def _output_path(path: str) -> str:
+    """An ``--output`` that is no directory or read-only file, in a directory that takes the
+    temp file and the rename: checked as the flags are parsed, before any table is built."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path!r} is a directory")
+    if os.path.exists(path) and not os.access(path, os.W_OK):
+        raise argparse.ArgumentTypeError(f"{path!r} is not writable")
+    if not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(f"{path!r} is not in an existing directory")
+    if not os.access(directory, os.W_OK | os.X_OK):
+        raise argparse.ArgumentTypeError(f"{path!r} is in a directory that is not writable")
+    return path
 
 
-def _lattice_options(fn):
-    fn = click.option("--half-width", type=float, default=5.0, show_default=True, help="Truncation half-width.")(fn)
-    fn = click.option("--step", type=float, default=0.05, show_default=True, help="Integration step.")(fn)
-    return fn
+def _float_list(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a comma-separated list of numbers, got {text!r}") from None
 
 
-def _grid_options(fn):
-    fn = _lattice_options(fn)
-    fn = click.option("--z-min", type=float, default=-5.0, show_default=True)(fn)
-    fn = click.option("--z-max", type=float, default=5.0, show_default=True)(fn)
-    fn = click.option("--z-step", type=float, default=0.05, show_default=True)(fn)
-    return fn
-
-
-def _output_options(fn):
-    fn = click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)(fn)
-    fn = click.option("--output", type=click.Path(dir_okay=False, writable=True), default=None, help="Output path (default: derived from the command).")(fn)
-    return fn
-
-
-def _mode_option(fn):
-    return click.option(
-        "--mode",
-        type=click.Choice([mode.value for mode in integrators()]),
-        default=TableMode.PAPER_EXACT.value,
-        show_default=True,
-    )(fn)
+def _unit_interval(flag: str, values: Sequence[float]) -> tuple[float, ...]:
+    for v in values:
+        if not (0.0 < v < 1.0):
+            raise UsageError(f"Invalid value for {flag!r}: values must lie in (0, 1), got {v!r}")
+    return tuple(values)
 
 
 def _serialize(meta: dict, columns: dict, fmt: str) -> Iterator[bytes]:
@@ -155,14 +178,11 @@ def _emit(meta: dict, columns: dict, fmt: str, output: str | None, default_name:
     path = output or f"{default_name}.{fmt}"
     digest = _write_artifact(_serialize(meta, columns, fmt), path)
     brief = " ".join(f"{k}={v}" for k, v in meta.items() if k not in ("version", "command"))
-    click.echo(f"{meta['command']} {brief} rows={len(next(iter(columns.values())))} sha256={digest[:16]} -> {path}")
+    print(f"{meta['command']} {brief} rows={len(next(iter(columns.values())))} sha256={digest[:16]} -> {path}")
 
 
 def _spec_meta(command: str, spec: CopulaSpec, **extra) -> dict:
-    meta = {"command": command, "version": __version__}
-    meta.update(spec.describe())
-    meta.update(extra)
-    return meta
+    return {"command": command, "version": __version__, **spec.describe(), **extra}
 
 
 def _lattice_meta(grid: GridSpec) -> dict:
@@ -177,20 +197,9 @@ def _compute_table(spec, grid, mode):
     try:
         return integrators()[TableMode(mode)](spec, grid)
     except DomainError as exc:
-        raise click.ClickException(str(exc))
+        raise CommandError(str(exc))
 
 
-@click.group()
-@click.version_option(__version__)
-def main():
-    """Distribution of the sum of two dependent standard normal variables."""
-
-
-@main.command()
-@_copula_options
-@_grid_options
-@_mode_option
-@_output_options
 def dist(copula, rho, theta, nu, half_width, step, z_min, z_max, z_step, mode, fmt, output):
     """Tabulate the distribution function of Z = X + Y."""
     spec = _build_spec(copula, rho, theta, nu)
@@ -200,48 +209,30 @@ def dist(copula, rho, theta, nu, half_width, step, z_min, z_max, z_step, mode, f
     _emit(meta, {"z": table.z_values, "F": table.F_values}, fmt, output, f"dist_{copula}")
 
 
-def _unit_interval_levels(_ctx, _param, values: tuple[float, ...]) -> tuple[float, ...]:
-    for v in values:
-        if not (0.0 < v < 1.0):
-            raise click.BadParameter(f"values must lie in (0, 1), got {v!r}")
-    return values
-
-
-@main.command(name="quantile")
-@_copula_options
-@_grid_options
-@_mode_option
-@click.option("--q", "levels", type=float, multiple=True, default=(0.95, 0.99), show_default=True, callback=_unit_interval_levels, help="Quantile levels in (0, 1) (repeatable).")
-@_output_options
 def quantile_cmd(copula, rho, theta, nu, half_width, step, z_min, z_max, z_step, mode, levels, fmt, output):
     """Extract quantiles of Z = X + Y."""
+    levels = _unit_interval("--q", levels or (0.95, 0.99))
     spec = _build_spec(copula, rho, theta, nu)
     grid = _build_grid(half_width, step, z_min, z_max, z_step)
     table = _compute_table(spec, grid, mode)
     try:
         values = [quantile(table, q) for q in levels]
     except (QuantileOutOfRange, DomainError) as exc:
-        raise click.ClickException(str(exc))
+        raise CommandError(str(exc))
     meta = _spec_meta("quantile", spec, mode=mode, **_grid_meta(grid))
     _emit(meta, {"q": list(levels), "value": values}, fmt, output, f"quantile_{copula}")
 
 
-@main.command()
-@_copula_options
-@_lattice_options
-@_output_options
 def density(copula, rho, theta, nu, half_width, step, fmt, output):
     """Tabulate the joint density on the x/y lattice (x-major ascending)."""
     spec = _build_spec(copula, rho, theta, nu)
     try:
         grid = GridSpec(half_width=half_width, step=step)
     except DomainError as exc:
-        raise click.UsageError(f"invalid grid: {exc}")
+        raise UsageError(f"invalid grid: {exc}")
     matrix = joint_pdf_grid(spec, grid)
     axis = grid.axis_points()
-    n1 = axis.size
-    xs = np.repeat(axis, n1)
-    ys = np.tile(axis, n1)
+    xs, ys = np.repeat(axis, axis.size), np.tile(axis, axis.size)
     meta = _spec_meta("density", spec, **_lattice_meta(grid))
     _emit(meta, {"x": xs, "y": ys, "f": matrix.ravel()}, fmt, output, f"density_{copula}")
 
@@ -253,42 +244,23 @@ def sample_sum(spec: CopulaSpec, n: int, rng):
     return draw(spec, n, rng)
 
 
-@main.command()
-@_copula_options
-@click.option("--n", type=int, required=True, help="Number of (x, y) pairs.")
-@click.option("--seed", type=int, default=0, show_default=True, help="64-bit generator seed.")
-@_output_options
 def sample(copula, rho, theta, nu, n, seed, fmt, output):
     """Draw (x, y) pairs with N(0,1) margins and copula dependence."""
     spec = _build_spec(copula, rho, theta, nu)
     if n < 1:
-        raise click.UsageError(f"--n must be >= 1, got {n}")
+        raise UsageError(f"--n must be >= 1, got {n}")
     from .sampler import RandomSource  # only sampling needs it; kept out of the CLI import
 
     try:
         rng = RandomSource(seed)
     except DomainError as exc:
-        raise click.UsageError(f"--seed invalid: {exc}")
+        raise UsageError(f"--seed invalid: {exc}")
     try:
         sample_set = sample_sum(spec, n, rng)
     except DomainError as exc:
-        raise click.ClickException(str(exc))
+        raise CommandError(str(exc))
     meta = _spec_meta("sample", spec, n=n, seed=seed)
-    _emit(
-        meta,
-        {"x": sample_set.pairs[:, 0], "y": sample_set.pairs[:, 1]},
-        fmt,
-        output,
-        f"sample_{copula}",
-    )
-
-
-def _unit_interval_list(ctx, param, value):
-    try:
-        values = tuple(float(v) for v in value.split(","))
-    except ValueError:
-        raise click.BadParameter(f"expected a comma-separated list of numbers, got {value!r}")
-    return _unit_interval_levels(ctx, param, values)
+    _emit(meta, {"x": sample_set.pairs[:, 0], "y": sample_set.pairs[:, 1]}, fmt, output, f"sample_{copula}")
 
 
 def _level_name(q: float) -> str:
@@ -305,78 +277,105 @@ def _level_name(q: float) -> str:
     return f"q{percent:f}"
 
 
-@main.command()
-@click.option("--families", default="gauss,t,clayton,gumbel,frank", show_default=True, help="Comma-separated family list.")
-@click.option("--rhos", callback=_unit_interval_list, default="0.9,0.8,0.7,0.6,0.5,0.4,0.3,0.2,0.1", show_default=True, help="Comma-separated correlation levels.")
-@click.option("--qs", callback=_unit_interval_list, default="0.95,0.99", show_default=True, help="Comma-separated quantile levels.")
-@click.option("--nu", type=float, default=DEFAULT_NU, show_default=True, help="t copula degrees of freedom.")
-@_grid_options
-@_mode_option
-@_output_options
 def sweep(families, rhos, qs, nu, half_width, step, z_min, z_max, z_step, mode, fmt, output):
     """Quantile matrix over (family, rho) cells."""
+    rhos, qs = _unit_interval("--rhos", rhos), _unit_interval("--qs", qs)
     try:
         fams = [_FAMILIES[name.strip()] for name in families.split(",")]
     except KeyError as exc:
-        raise click.UsageError(f"--families contains an unknown family: {exc}")
+        raise UsageError(f"--families contains an unknown family: {exc}")
     if len(set(qs)) != len(qs):
-        raise click.UsageError(f"--qs lists a level more than once: {','.join(map(repr, qs))}")
+        raise UsageError(f"--qs lists a level more than once: {','.join(map(repr, qs))}")
     if CopulaFamily.STUDENT_T in fams:
         # a bad --nu is a flag error, caught before any cell runs
         try:
             CopulaSpec.student_t(rhos[0], nu)
         except DomainError as exc:
-            raise click.BadParameter(str(exc), param_hint="--nu")
+            raise UsageError(f"Invalid value for '--nu': {exc}")
     grid = _build_grid(half_width, step, z_min, z_max, z_step)
-    table_mode = TableMode(mode)
     try:
-        reports = quantile_sweep(fams, rhos, qs, nu=nu, grid=grid, mode=table_mode)
+        reports = quantile_sweep(fams, rhos, qs, nu=nu, grid=grid, mode=TableMode(mode))
     except (DomainError, QuantileOutOfRange) as exc:
-        raise click.ClickException(str(exc))
-    columns: dict[str, list] = {"rho": [], "family": []}
+        raise CommandError(str(exc))
     q_names = [_level_name(q) for q in sorted(qs)]
-    for name in q_names:
-        columns[name] = []
+    columns: dict[str, list] = {"rho": [], "family": [], **{name: [] for name in q_names}}
     for report in reports:
         for fam in fams:
             columns["rho"].append(report.rho)
             columns["family"].append(fam.value)
             for name, value in zip(q_names, report.values[fam.value]):
                 columns[name].append(value)
-    meta = {
-        "command": "sweep",
-        "version": __version__,
-        "families": [f.value for f in fams],
-        "rhos": list(rhos),
-        "qs": sorted(qs),
-        "nu": nu,
-        "mode": mode,
-    }
-    meta.update(_grid_meta(grid))
+    meta = {"command": "sweep", "version": __version__, "families": [f.value for f in fams], "rhos": list(rhos),
+            "qs": sorted(qs), "nu": nu, "mode": mode, **_grid_meta(grid)}
     _emit(meta, columns, fmt, output, "sweep")
 
 
-@main.command(name="reproduce-table2")
-@click.option("--nu", type=float, default=DEFAULT_NU, show_default=True, help="t copula degrees of freedom (the reference table does not state its value).")
-@_output_options
-@click.pass_context
-def reproduce_table2(ctx, nu, fmt, output):
+def reproduce_table2(nu, fmt, output):
     """The 9 x 5 x 2 quantile matrix (q95/q99 per family per rho)."""
-    ctx.invoke(
-        sweep,
-        families="gauss,t,clayton,gumbel,frank",
-        rhos=tuple(TABLE2_RHOS),
-        qs=(0.95, 0.99),
-        nu=nu,
-        half_width=5.0,
-        step=0.05,
-        z_min=-5.0,
-        z_max=5.0,
-        z_step=0.05,
-        mode=TableMode.PAPER_EXACT.value,
-        fmt=fmt,
-        output=output or f"table2.{fmt}",
-    )
+    sweep(families="gauss,t,clayton,gumbel,frank", rhos=tuple(TABLE2_RHOS), qs=(0.95, 0.99), nu=nu, half_width=5.0,
+          step=0.05, z_min=-5.0, z_max=5.0, z_step=0.05, mode=TableMode.PAPER_EXACT.value, fmt=fmt, output=output or f"table2.{fmt}")
+
+
+def _parser(prog: str | None = None) -> argparse.ArgumentParser:
+    """The ``sumdist`` parser.  Each command is a subparser whose ``func`` default
+    is the command's function, which ``main`` calls with the options as keywords."""
+    parser = _Parser(prog=prog or "sumdist", description="Distribution of the sum of two dependent standard normal variables.")
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}", help="Show the version and exit.")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def options(*parents):  # a parent parser: a group of options that several commands share
+        return argparse.ArgumentParser(add_help=False, parents=parents)
+
+    def command(name, func, *parents):
+        sub = commands.add_parser(name, parents=parents, help=func.__doc__, description=func.__doc__)
+        sub.set_defaults(func=func)
+        return sub
+
+    copula = options()
+    copula.add_argument("--copula", choices=sorted(_FAMILIES), required=True, help="Copula family.")
+    copula.add_argument("--rho", type=float, help="Pearson correlation (gauss/t; Archimedean via rank pipeline).")
+    copula.add_argument("--theta", type=float, help="Archimedean copula parameter (exclusive with --rho).")
+    copula.add_argument("--nu", type=float, help=f"Degrees of freedom (t copula only, default {DEFAULT_NU:g}).")
+    lattice = options()
+    lattice.add_argument("--half-width", type=float, default=5.0, help="Truncation half-width (default: %(default)s).")
+    lattice.add_argument("--step", type=float, default=0.05, help="Integration step (default: %(default)s).")
+    grid = options(lattice)
+    for flag, default in (("--z-min", -5.0), ("--z-max", 5.0), ("--z-step", 0.05)):
+        grid.add_argument(flag, type=float, default=default, help="(default: %(default)s)")
+    mode = options()
+    mode.add_argument("--mode", choices=[m.value for m in integrators()], default=TableMode.PAPER_EXACT.value, help="(default: %(default)s)")
+    output = options()
+    output.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv", help="(default: %(default)s)")
+    output.add_argument("--output", type=_output_path, help="Output path (default: derived from the command).")
+
+    command("dist", dist, copula, grid, mode, output)
+    command("quantile", quantile_cmd, copula, grid, mode, output).add_argument(
+        "--q", dest="levels", metavar="Q", type=float, action="append", help="Quantile level in (0, 1), repeatable (default: 0.95 and 0.99).")
+    command("density", density, copula, lattice, output)
+    draw = command("sample", sample, copula, output)
+    draw.add_argument("--n", type=int, required=True, help="Number of (x, y) pairs.")
+    draw.add_argument("--seed", type=int, default=0, help="64-bit generator seed (default: %(default)s).")
+    cells = command("sweep", sweep, grid, mode, output)
+    cells.add_argument("--families", default="gauss,t,clayton,gumbel,frank", help="Comma-separated family list (default: %(default)s).")
+    cells.add_argument("--rhos", type=_float_list, default="0.9,0.8,0.7,0.6,0.5,0.4,0.3,0.2,0.1", help="Comma-separated correlation levels (default: %(default)s).")
+    cells.add_argument("--qs", type=_float_list, default="0.95,0.99", help="Comma-separated quantile levels (default: %(default)s).")
+    cells.add_argument("--nu", type=float, default=DEFAULT_NU, help="t copula degrees of freedom (default: %(default)s).")
+    command("reproduce-table2", reproduce_table2, output).add_argument(
+        "--nu", type=float, default=DEFAULT_NU, help="t copula degrees of freedom (the reference table does not state its value; default: %(default)s).")
+    return parser
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None, standalone_mode: bool = True) -> None:
+    """Run one ``sumdist`` command on ``args`` (default: ``sys.argv[1:]``).  A failure prints
+    ``Error: <message>`` and exits with its status, or with ``standalone_mode=False`` is raised."""
+    try:
+        options = vars(_parser(prog_name).parse_args(args))
+        options.pop("func")(**options)
+    except CommandError as exc:
+        if not standalone_mode:
+            raise
+        print(f"Error: {exc}", file=sys.stderr)
+        sys.exit(exc.exit_code)
 
 
 if __name__ == "__main__":

@@ -13,6 +13,14 @@ __all__ = ["GridSpec", "PAPER_GRID"]
 
 _LATTICE_TOL = 1e-9
 
+# Size limits, checked from the counts before any array exists.  A density
+# grid holds (n_cells + 1)^2 float64 values: 2^13 cells per axis make 0.54 GB,
+# where the step 1e-4 on [-5, 5] would ask for 80 GB.  The table holds one F
+# per z, and a z array of 2^24 values is 134 MB.  The finest grids the tests
+# and the benchmark run (step 0.025: 400 cells, 401 z values) sit far below both.
+_MAX_CELLS = 2**13
+_MAX_Z_VALUES = 2**24
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -34,6 +42,8 @@ class GridSpec:
         if not self.half_width > 0.0:
             raise DomainError(f"half_width must be positive, got {self.half_width!r}")
         ratio = self.half_width / self.step
+        if not 2.0 * ratio < _MAX_CELLS + 0.5:  # also where the ratio overflows to inf
+            raise DomainError(f"half_width and step give {2.0 * ratio:.6g} cells per axis, above the limit of {_MAX_CELLS}")
         if abs(ratio - round(ratio)) > _LATTICE_TOL:
             raise DomainError(
                 f"half_width/step = {ratio!r} must be an integer so the lattice closes exactly"
@@ -46,6 +56,10 @@ class GridSpec:
             raise DomainError(f"need z_min < z_max, got {self.z_min!r} >= {self.z_max!r}")
         if not self.z_step > 0.0:
             raise DomainError(f"z_step must be positive, got {self.z_step!r}")
+        z_steps = (self.z_max - self.z_min) / self.z_step  # inf where the range overflows
+        if not z_steps + _LATTICE_TOL < _MAX_Z_VALUES:
+            count = self._z_count() if math.isfinite(z_steps) else math.inf
+            raise DomainError(f"z_min, z_max and z_step give {count} z values, above the limit of {_MAX_Z_VALUES}")
 
     @property
     def n_cells(self) -> int:
@@ -74,11 +88,11 @@ class GridSpec:
         integer for every z in the grid.  The first two z are checked before
         the z array is built: they carry the offset z_min and the stride
         z_step, so a grid off the lattice is mostly rejected at no cost in
-        memory, whatever its z count.  They are computed as ``z_values``
-        computes them, so the same grids pass, and the error names the first
-        z off the lattice either way.  A stride so small that z_min + z_step
-        rounds back to z_min passes that check, so z_step/step must also be
-        a positive integer wherever there is a second z.
+        memory.  They are computed as ``z_values`` computes them, so the same
+        grids pass, and the error names the first z off the lattice either
+        way.  A stride so small that z_min + z_step rounds back to z_min
+        passes that check, so z_step/step must also be a positive integer
+        wherever there is a second z.
         """
         count = self._z_count()
         self._lattice_indices(self.z_min + self.z_step * np.arange(min(2, count)))

@@ -1,7 +1,10 @@
 """CLI contract tests: flags, exit codes, serialization round-trips."""
 
+import argparse
+import contextlib
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -11,15 +14,16 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import traceback
+from typing import NamedTuple
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sumdist
-from sumdist import __version__, cli, csvwriter, sampler
+from sumdist import __version__, cli, csvwriter, jointdensity, sampler
 from sumdist.cli import _serialize, main
 from sumdist.copula import CopulaFamily, CopulaSpec
 from sumdist.csvwriter import BLOCK_ROWS
@@ -28,9 +32,34 @@ from sumdist.sampler import CHUNK_PAIRS
 from sumdist.sumcdf import cdf_paper_exact, quantile_sweep
 
 
+class Result(NamedTuple):
+    exit_code: int
+    output: str
+
+
+class Runner:
+    """Runs the command line in this process, as a shell would see it:
+    standard output and standard error captured together, and the exit
+    status of a ``SystemExit``, or 1 for an uncaught exception, whose
+    traceback then goes to the output."""
+
+    def invoke(self, cli_main, args) -> Result:
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer), contextlib.redirect_stderr(buffer):
+            try:
+                cli_main(args)
+                code = 0
+            except SystemExit as exc:
+                code = 0 if exc.code is None else exc.code
+            except Exception:
+                traceback.print_exc()
+                code = 1
+        return Result(code, buffer.getvalue())
+
+
 @pytest.fixture()
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 def read_csv(path):
@@ -200,12 +229,72 @@ class TestValidation:
             raise AssertionError(f"z array of {grid} built")
 
         monkeypatch.setattr(GridSpec, "z_values", no_z_array)
-        result = runner.invoke(main, ["dist", "--copula", "gauss", "--rho", "0.5", "--z-step", "1e-16"])
+        # a range of 1e-9 keeps the z count (1e7) under the size limit, which
+        # [-5, 5] at this stride exceeds (test_grid_above_the_size_limit)
+        args = ["dist", "--copula", "gauss", "--rho", "0.5", "--z-max", "-4.999999999", "--z-step", "1e-16"]
+        result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
         assert (
             "invalid grid: z_step/step = 1.9999999999999998e-15 must be a positive integer "
             "so every z stays on the x/y lattice\n"
         ) in result.output
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["dist", "--copula", "gauss", "--rho", "0.5", "--step", "1e-4"], "half_width and step give 100000 cells per axis"),
+            (["density", "--copula", "gauss", "--rho", "0.5", "--step", "1e-4"], "half_width and step give 100000 cells per axis"),
+            (["sweep", "--families", "gauss", "--rhos", "0.5", "--half-width", "1e300"], "half_width and step give 4e+301 cells per axis"),
+            (["dist", "--copula", "gauss", "--rho", "0.5", "--z-min", "-1e15", "--z-max", "1e15"], "z_min, z_max and z_step give 40000000000000001 z values"),
+            (["dist", "--copula", "gauss", "--rho", "0.5", "--z-step", "1e-16"], "z_min, z_max and z_step give 100000000000000001 z values"),
+            (["quantile", "--copula", "gauss", "--rho", "0.5", "--z-max", "inf"], "z_min, z_max and z_step give inf z values"),
+        ],
+        ids=["dist-step", "density-step", "sweep-half-width", "z-range", "z-step", "z-max-inf"],
+    )
+    def test_grid_above_the_size_limit(self, runner, monkeypatch, args, message):
+        # the counts decide before any array exists.  Never run these
+        # unpatched: the step 1e-4 alone asks for an 80 GB density grid
+        def no_array(*args, **kwargs):
+            raise AssertionError("an array of the grid was built")
+
+        for owner, name in [(GridSpec, "axis_points"), (GridSpec, "z_values"), (jointdensity, "joint_pdf_grid"), (cli, "joint_pdf_grid")]:
+            monkeypatch.setattr(owner, name, no_array)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert f"invalid grid: {message}, above the limit of " in result.output
+
+    @pytest.mark.parametrize(
+        "output, denied, problem",
+        [
+            ("d", None, "is a directory"),
+            ("x.csv", "x.csv", "is not writable"),
+            ("missing/x.csv", None, "is not in an existing directory"),
+            ("x.csv/y.csv", None, "is not in an existing directory"),
+            ("d/x.csv", "d", "is in a directory that is not writable"),
+        ],
+        ids=["directory", "read-only-file", "missing-directory", "file-as-directory", "read-only-directory"],
+    )
+    def test_unwritable_output_is_usage_error(self, runner, tmp_path, monkeypatch, output, denied, problem):
+        # checked as the flags are parsed.  A missing directory used to fail
+        # in tempfile.mkstemp, with a traceback, after the table was built
+        (tmp_path / "d").mkdir()
+        (tmp_path / "x.csv").write_bytes(b"old")
+        before = sorted(tmp_path.rglob("*"))
+
+        def no_table(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(cli, "_compute_table", no_table)
+        if denied is not None:
+            # os.access grants root every write, so the denial is simulated
+            access, path = os.access, str(tmp_path / denied)
+            monkeypatch.setattr(os, "access", lambda p, mode, **kw: os.path.abspath(p) != path and access(p, mode, **kw))
+        result = runner.invoke(main, ["dist", "--copula", "gauss", "--rho", "0.5", "--output", str(tmp_path / output)])
+        assert result.exit_code == 2, result.output
+        assert f"argument --output: {str(tmp_path / output)!r} {problem}\n" in result.output
+        assert "Traceback" not in result.output
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "x.csv").read_bytes() == b"old"
 
     @pytest.mark.parametrize("mode", ["paper-exact", "refined"])
     def test_grid_without_cells(self, runner, tmp_path, mode):
@@ -400,7 +489,7 @@ def _sample_run(copula, n, chunk, out):
         patch.setattr(cli, "sample_sum", recording)
         patch.setattr(sampler, "CHUNK_PAIRS", chunk)
         args = ["sample", "--copula", copula, "--rho", "0.9", "--n", str(n), "--seed", "7", "--output", str(out)]
-        result = CliRunner().invoke(main, args)
+        result = Runner().invoke(main, args)
     assert result.exit_code == 0, result.output
     return drawn[0].pairs, out.read_bytes()
 
@@ -673,26 +762,55 @@ def _readme_cli_commands():
 
 class TestReadme:
     @pytest.mark.parametrize("command", _readme_cli_commands())
-    def test_cli_example_runs(self, runner, tmp_path, command):
+    def test_cli_example_runs(self, runner, tmp_path, monkeypatch, command):
         argv = shlex.split(command)[1:]
-        with runner.isolated_filesystem(temp_dir=tmp_path):
-            result = runner.invoke(main, argv)
+        monkeypatch.chdir(tmp_path)
+        result = runner.invoke(main, argv)
         assert result.exit_code == 0, result.output
 
     def test_every_command_has_an_example(self):
         commands = {shlex.split(line)[1] for line in _readme_cli_commands()}
-        assert commands == set(main.commands)
+        (subcommands,) = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert commands == set(subcommands.choices)
+
+
+def _fresh(*argv: str) -> subprocess.CompletedProcess:
+    """``python *argv`` run in a new interpreter that imports this sumdist."""
+    src = os.path.dirname(os.path.dirname(sumdist.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
 
 
 def _fresh_python(code: str) -> str:
     """Standard output of ``code`` run in a new interpreter that imports this sumdist."""
-    src = os.path.dirname(os.path.dirname(sumdist.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    proc = _fresh("-c", code)
+    proc.check_returncode()
     return proc.stdout.strip()
 
 
+class TestEntryPoints:
+    @pytest.mark.parametrize("flag, shown", [("--help", "usage: sumdist [--help] [--version] COMMAND"), ("--version", f"sumdist, version {__version__}")])
+    def test_module_runs(self, flag, shown):
+        proc = _fresh("-m", "sumdist.cli", flag)
+        assert proc.returncode == 0, proc.stderr
+        assert shown in proc.stdout
+
+    def test_in_process_call_returns(self, tmp_path):
+        # the call a traced benchmark replay makes: it returns instead of
+        # exiting, and a failure is raised for the caller to count
+        out = tmp_path / "s.csv"
+        args = ["sweep", "--families", "gauss", "--rhos", "0.5", "--output", str(out)]
+        assert main(args=args, prog_name="sumdist", standalone_mode=False) is None
+        assert read_csv(out)[1] == ["rho", "family", "q95", "q99"]
+        with pytest.raises(cli.UsageError, match="No such option: --flag"):
+            main(args=["dist", "--copula", "gauss", "--rho", "0.5", "--flag"], prog_name="sumdist", standalone_mode=False)
+
+
 class TestImport:
+    def test_cli_import_leaves_click_out(self):
+        # the parser is argparse: numpy is the only package a run imports
+        assert _fresh_python("import sys, sumdist.cli; print('click' in sys.modules)") == "False"
+
     def test_cli_import_leaves_concurrent_futures_out(self):
         assert _fresh_python("import sys, sumdist.cli; print('concurrent.futures' in sys.modules)") == "False"
 

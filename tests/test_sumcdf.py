@@ -299,6 +299,29 @@ class TestGridSpec:
         with pytest.raises(DomainError):
             GridSpec(z_step=-0.1)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"step": 1e-4}, "half_width and step give 100000 cells per axis, above the limit of 8192"),
+            ({"half_width": math.inf}, "half_width and step give inf cells per axis"),
+            ({"z_min": -1e15, "z_max": 1e15}, "z_min, z_max and z_step give 40000000000000001 z values, above the limit of 16777216"),
+            ({"z_max": math.inf}, "give inf z values"),
+            ({"z_min": -1e308, "z_max": 1e308}, "give inf z values"),
+        ],
+    )
+    def test_size_limits(self, kwargs, message):
+        # decided from the counts: no array is built
+        with pytest.raises(DomainError, match=re.escape(message)):
+            GridSpec(**kwargs)
+
+    def test_largest_grid_within_the_size_limits(self):
+        g = GridSpec(step=5.0 / 4096, z_min=0.0, z_max=2.0**24 - 1.0, z_step=1.0)
+        assert g.n_cells == 2**13 and g._z_count() == 2**24
+        with pytest.raises(DomainError, match="8194 cells per axis"):
+            GridSpec(step=5.0 / 4097)
+        with pytest.raises(DomainError, match="16777217 z values"):
+            GridSpec(z_min=0.0, z_max=2.0**24, z_step=1.0)
+
     @pytest.mark.parametrize("z_step, count, last", [(0.35, 29, 4.8), (0.15, 67, 4.9)])
     def test_z_values_stop_at_z_max(self, z_step, count, last):
         # a step that does not divide the range ends at the last point below z_max
