@@ -15,8 +15,10 @@ import importlib
 __version__ = "0.1.0"
 
 # the public names of each module.  A module is imported the first time one
-# of its names is read (PEP 562), so a command loads only the modules it
-# runs: `reproduce-table2` never loads the sampler
+# of its names is read (PEP 562), and the CLI imports each module in the
+# command that runs it, so a command loads only the modules it runs:
+# `reproduce-table2` never loads the sampler, and `sample` loads no grid,
+# joint density or F_Z code
 _MODULE_NAMES = {
     "copula": (
         "CopulaFamily CopulaSpec DependenceSummary copula_cdf copula_density spec_from_rho "

@@ -9,8 +9,17 @@ CSV floats are written as ``%.17g``, byte for byte, but formatted in numpy
 rather than by one Python call per value (see ``csvwriter``).
 
 The parser is the standard library's ``argparse``, so a run imports no
-package but numpy.  Modules only some commands need are imported when those
-commands run: the CSV writer, and the sampler, which only ``sample`` uses.
+package but numpy.  Importing this module loads only ``copula``, ``specfun``
+and ``errors``; each command imports the rest of what it runs when it runs:
+the integration modules (``grid``, ``jointdensity``, ``sumcdf``) for
+``dist``, ``quantile``, ``density`` and the sweeps, the sampler for
+``sample``, and the CSV writer for CSV output.
+
+``run`` is the process entry of the ``sumdist`` script and of ``python -m
+sumdist.cli``: it calls ``main`` and then freezes the garbage collector's
+heap, so that the collections of interpreter shutdown skip the objects the
+operating system is about to reclaim anyway.  ``main`` itself never freezes,
+so an in-process call leaves the collector as it found it.
 
 Exit codes: 2 for flag/validation errors, whose message names the flag, 1 for
 numerical failures (for example a quantile level the table does not bracket).
@@ -19,6 +28,7 @@ Either prints ``Error: <message>`` to standard error.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -26,17 +36,21 @@ import re
 import sys
 import tempfile
 from collections.abc import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
 from .copula import DEFAULT_NU, CopulaFamily, CopulaSpec, spec_from_rho
 from .errors import DomainError, QuantileOutOfRange
-from .grid import GridSpec
-from .jointdensity import joint_pdf_grid
-from .sumcdf import TABLE2_RHOS, TableMode, integrators, quantile, quantile_sweep
+
+if TYPE_CHECKING:  # the commands that build a grid import it when they run
+    from .grid import GridSpec
 
 _FAMILIES = {f.value: f for f in CopulaFamily}
+# the values of the ``sumcdf.TableMode`` members that ``sumcdf.integrators``
+# serves, the default first: listed here so the parser loads no integration code
+_MODES = ("paper-exact", "refined")
 
 
 class CommandError(Exception):
@@ -97,6 +111,8 @@ def _build_spec(copula: str, rho: float | None, theta: float | None, nu: float |
 
 def _build_grid(half_width, step, z_min, z_max, z_step) -> GridSpec:
     """The grid of the flags, with every z on the x/y lattice, as the integration modes need."""
+    from .grid import GridSpec
+
     try:
         grid = GridSpec(half_width=half_width, step=step, z_min=z_min, z_max=z_max, z_step=z_step)
         grid.z_lattice_indices()
@@ -194,6 +210,8 @@ def _grid_meta(grid: GridSpec) -> dict:
 
 
 def _compute_table(spec, grid, mode):
+    from .sumcdf import TableMode, integrators
+
     try:
         return integrators()[TableMode(mode)](spec, grid)
     except DomainError as exc:
@@ -215,6 +233,8 @@ def quantile_cmd(copula, rho, theta, nu, half_width, step, z_min, z_max, z_step,
     spec = _build_spec(copula, rho, theta, nu)
     grid = _build_grid(half_width, step, z_min, z_max, z_step)
     table = _compute_table(spec, grid, mode)
+    from .sumcdf import quantile
+
     try:
         values = [quantile(table, q) for q in levels]
     except (QuantileOutOfRange, DomainError) as exc:
@@ -226,6 +246,9 @@ def quantile_cmd(copula, rho, theta, nu, half_width, step, z_min, z_max, z_step,
 def density(copula, rho, theta, nu, half_width, step, fmt, output):
     """Tabulate the joint density on the x/y lattice (x-major ascending)."""
     spec = _build_spec(copula, rho, theta, nu)
+    from .grid import GridSpec
+    from .jointdensity import joint_pdf_grid
+
     try:
         grid = GridSpec(half_width=half_width, step=step)
     except DomainError as exc:
@@ -235,6 +258,13 @@ def density(copula, rho, theta, nu, half_width, step, fmt, output):
     xs, ys = np.repeat(axis, axis.size), np.tile(axis, axis.size)
     meta = _spec_meta("density", spec, **_lattice_meta(grid))
     _emit(meta, {"x": xs, "y": ys, "f": matrix.ravel()}, fmt, output, f"density_{copula}")
+
+
+def quantile_sweep(families, rhos, qs, nu, grid, mode):
+    """``sumcdf.quantile_sweep``, with the integration modules imported on the first sweep."""
+    from .sumcdf import quantile_sweep as sweep_cells
+
+    return sweep_cells(families, rhos, qs, nu=nu, grid=grid, mode=mode)
 
 
 def sample_sum(spec: CopulaSpec, n: int, rng):
@@ -249,8 +279,10 @@ def sample(copula, rho, theta, nu, n, seed, fmt, output):
     spec = _build_spec(copula, rho, theta, nu)
     if n < 1:
         raise UsageError(f"--n must be >= 1, got {n}")
-    from .sampler import RandomSource  # only sampling needs it; kept out of the CLI import
+    from .sampler import MAX_PAIRS, RandomSource  # only sampling needs it; kept out of the CLI import
 
+    if n > MAX_PAIRS:  # before any array exists
+        raise UsageError(f"--n asks for {n} pairs, above the limit of {MAX_PAIRS}")
     try:
         rng = RandomSource(seed)
     except DomainError as exc:
@@ -293,6 +325,8 @@ def sweep(families, rhos, qs, nu, half_width, step, z_min, z_max, z_step, mode, 
         except DomainError as exc:
             raise UsageError(f"Invalid value for '--nu': {exc}")
     grid = _build_grid(half_width, step, z_min, z_max, z_step)
+    from .sumcdf import TableMode
+
     try:
         reports = quantile_sweep(fams, rhos, qs, nu=nu, grid=grid, mode=TableMode(mode))
     except (DomainError, QuantileOutOfRange) as exc:
@@ -312,6 +346,8 @@ def sweep(families, rhos, qs, nu, half_width, step, z_min, z_max, z_step, mode, 
 
 def reproduce_table2(nu, fmt, output):
     """The 9 x 5 x 2 quantile matrix (q95/q99 per family per rho)."""
+    from .sumcdf import TABLE2_RHOS, TableMode
+
     sweep(families="gauss,t,clayton,gumbel,frank", rhos=tuple(TABLE2_RHOS), qs=(0.95, 0.99), nu=nu, half_width=5.0,
           step=0.05, z_min=-5.0, z_max=5.0, z_step=0.05, mode=TableMode.PAPER_EXACT.value, fmt=fmt, output=output or f"table2.{fmt}")
 
@@ -343,7 +379,7 @@ def _parser(prog: str | None = None) -> argparse.ArgumentParser:
     for flag, default in (("--z-min", -5.0), ("--z-max", 5.0), ("--z-step", 0.05)):
         grid.add_argument(flag, type=float, default=default, help="(default: %(default)s)")
     mode = options()
-    mode.add_argument("--mode", choices=[m.value for m in integrators()], default=TableMode.PAPER_EXACT.value, help="(default: %(default)s)")
+    mode.add_argument("--mode", choices=_MODES, default=_MODES[0], help="(default: %(default)s)")
     output = options()
     output.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv", help="(default: %(default)s)")
     output.add_argument("--output", type=_output_path, help="Output path (default: derived from the command).")
@@ -378,5 +414,15 @@ def main(args: list[str] | None = None, prog_name: str | None = None, standalone
         sys.exit(exc.exit_code)
 
 
+def run() -> None:
+    """The process entry: ``main()`` on ``sys.argv``, then ``gc.freeze()`` on the way out,
+    whether the command returns, exits or raises.  The frozen objects are left out of the
+    collections at interpreter shutdown; the process ends, and its memory goes, right after."""
+    try:
+        main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    main()
+    run()

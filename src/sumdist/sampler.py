@@ -30,13 +30,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import specfun
 from .copula import CopulaFamily, CopulaSpec, _independent
 from .errors import DomainError
-from .sumcdf import DistributionTable, TableMode
+
+if TYPE_CHECKING:  # only empirical_cdf needs sumcdf, and imports it when called
+    from .sumcdf import DistributionTable
 
 __all__ = [
     "RandomSource",
@@ -54,6 +57,12 @@ _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB
 _STREAM_SALT = 0xD1342543DE82EF95
 
+# The most pairs one sample may hold, checked before any array exists.  The
+# pairs are 16 bytes each, so 2^25 of them make 0.54 GB, the size of the
+# largest density grid GridSpec admits; the sums and the CSV rows come on
+# top.  The largest samples the tests draw, 10^6 pairs, sit far below; an n
+# of 10^15 would ask numpy for 16 PB.
+MAX_PAIRS = 2**25
 # one substream per this many output pairs; fixed so the substream layout
 # depends only on n
 CHUNK_PAIRS = 1 << 16
@@ -344,6 +353,8 @@ def sample_copula(spec: CopulaSpec, n: int, rng: RandomSource) -> np.ndarray:
     """
     if n < 1:
         raise DomainError(f"sample_copula requires n >= 1, got {n!r}")
+    if n > MAX_PAIRS:
+        raise DomainError(f"sample_copula got n = {n!r} pairs, above the limit of {MAX_PAIRS}")
     generate = _chunk_independent if _independent(spec) else _CHUNK_GENERATORS[spec.family]
     pairs = np.empty((n, 2))
     for k, start in enumerate(range(0, n, CHUNK_PAIRS)):
@@ -371,6 +382,8 @@ def sample_sum(spec: CopulaSpec, n: int, rng: RandomSource) -> SampleSet:
 
 def empirical_cdf(samples: SampleSet, z_values) -> DistributionTable:
     """Empirical distribution of x + y evaluated at the given z grid."""
+    from .sumcdf import DistributionTable, TableMode
+
     if samples.n < 1:
         raise DomainError("empirical_cdf requires a nonempty sample set")
     zs = np.asarray(z_values, dtype=float)

@@ -1,9 +1,12 @@
 """CLI contract tests: flags, exit codes, serialization round-trips."""
 
 import argparse
+import ast
 import contextlib
 import functools
+import gc
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -257,7 +260,7 @@ class TestValidation:
         def no_array(*args, **kwargs):
             raise AssertionError("an array of the grid was built")
 
-        for owner, name in [(GridSpec, "axis_points"), (GridSpec, "z_values"), (jointdensity, "joint_pdf_grid"), (cli, "joint_pdf_grid")]:
+        for owner, name in [(GridSpec, "axis_points"), (GridSpec, "z_values"), (jointdensity, "joint_pdf_grid")]:
             monkeypatch.setattr(owner, name, no_array)
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
@@ -381,6 +384,21 @@ class TestSample:
     def test_n_must_be_positive(self, runner):
         result = runner.invoke(main, ["sample", "--copula", "gauss", "--rho", "0.3", "--n", "0"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("n", [sampler.MAX_PAIRS + 1, 10**15])
+    def test_n_above_the_size_limit(self, runner, tmp_path, monkeypatch, n):
+        # the count decides before any array exists.  Never run these
+        # unpatched: 10^15 pairs once asked numpy for 16 PB, and exited 1
+        # with a traceback
+        def no_array(*args, **kwargs):
+            raise AssertionError("an array of the sample was built")
+
+        monkeypatch.setattr(np, "empty", no_array)
+        out = tmp_path / "s.csv"
+        result = runner.invoke(main, ["sample", "--copula", "gauss", "--rho", "0.5", "--n", str(n), "--output", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"--n asks for {n} pairs, above the limit of {sampler.MAX_PAIRS}" in result.output
+        assert not out.exists()
 
     def test_bad_seed_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(
@@ -788,12 +806,68 @@ def _fresh_python(code: str) -> str:
     return proc.stdout.strip()
 
 
+def _loaded_after(*argv: str) -> list[str]:
+    """The ``sumdist.`` modules a new interpreter holds after ``main(argv)``."""
+    code = (
+        "import sys, sumdist.cli\n"
+        f"sumdist.cli.main({list(argv)!r})\n"
+        "print(sorted(m for m in sys.modules if m.startswith('sumdist.')))"
+    )
+    return ast.literal_eval(_fresh_python(code).splitlines()[-1])
+
+
 class TestEntryPoints:
     @pytest.mark.parametrize("flag, shown", [("--help", "usage: sumdist [--help] [--version] COMMAND"), ("--version", f"sumdist, version {__version__}")])
     def test_module_runs(self, flag, shown):
         proc = _fresh("-m", "sumdist.cli", flag)
         assert proc.returncode == 0, proc.stderr
         assert shown in proc.stdout
+
+    def test_module_exit_codes(self, tmp_path):
+        # the process entry keeps main's statuses and its piped summary line
+        out = tmp_path / "s.csv"
+        proc = _fresh("-m", "sumdist.cli", "sample", "--copula", "gauss", "--rho", "0.9", "--n", "2000", "--seed", "7", "--output", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"sample family=gauss rho=0.9 n=2000 seed=7 rows=2000 sha256=74dfe49054303e2f -> {out}\n"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == "74dfe49054303e2f4e96e526153118f61e3b3dc8ee631d55649ceaccc725bfca"
+        proc = _fresh("-m", "sumdist.cli", "sample", "--copula", "gauss", "--rho", "0.9", "--n", "0")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "Error: --n must be >= 1, got 0\n")
+        # a level the table does not bracket: a numerical failure
+        proc = _fresh("-m", "sumdist.cli", "quantile", "--copula", "gauss", "--rho", "0.5", "--q", "0.99", "--z-min", "-2", "--z-max", "2",
+                      "--output", str(tmp_path / "q.csv"))
+        assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+        assert proc.stderr.startswith("Error: q=0.99 not bracketed by the gauss (rho=0.5) paper-exact table")
+
+    @pytest.mark.parametrize("argv", [["--version"], ["sample", "--copula", "gauss", "--rho", "0.5", "--n", "0"]], ids=["exit-0", "exit-2"])
+    def test_process_entry_freezes_the_heap(self, argv):
+        # on every way out, so that shutdown's collections skip the heap
+        code = (
+            "import gc, sys, sumdist.cli\n"
+            f"sys.argv = ['sumdist', *{argv!r}]\n"
+            "try:\n"
+            "    sumdist.cli.run()\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "print(gc.get_freeze_count() > 0)"
+        )
+        assert _fresh_python(code).splitlines()[-1] == "True"
+
+    def test_in_process_call_leaves_the_collector_as_it_was(self, runner, tmp_path):
+        frozen = gc.get_freeze_count()
+        result = runner.invoke(main, ["sample", "--copula", "gauss", "--rho", "0.5", "--n", "10", "--output", str(tmp_path / "s.csv")])
+        assert result.exit_code == 0, result.output
+        assert runner.invoke(main, ["sample", "--copula", "gauss", "--rho", "0.5", "--n", "0"]).exit_code == 2
+        assert gc.get_freeze_count() == frozen
+
+    def test_script_calls_what_the_main_guard_calls(self):
+        pyproject = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "pyproject.toml")
+        with open(pyproject, encoding="utf-8") as handle:
+            target = re.search(r'^\[project\.scripts\]\nsumdist = "(.*)"$', handle.read(), re.M).group(1)
+        (guard,) = [node for node in ast.parse(inspect.getsource(cli)).body
+                    if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+        module, name = target.split(":")
+        assert module == "sumdist.cli" and callable(getattr(cli, name))
+        assert [ast.unparse(stmt) for stmt in guard.body] == [f"{name}()"]
 
     def test_in_process_call_returns(self, tmp_path):
         # the call a traced benchmark replay makes: it returns instead of
@@ -821,6 +895,31 @@ class TestImport:
     def test_cli_import_leaves_the_sampler_out(self):
         # only `sample` needs it
         assert _fresh_python("import sys, sumdist.cli; print('sumdist.sampler' in sys.modules)") == "False"
+
+    def test_cli_import_leaves_the_integration_modules_out(self):
+        # only the commands that tabulate or sweep load them, when they run
+        code = "import sys, sumdist.cli; print([m for m in ('sumdist.grid', 'sumdist.jointdensity', 'sumdist.sumcdf') if m in sys.modules])"
+        assert _fresh_python(code) == "[]"
+
+    @pytest.mark.parametrize("copula", ["gauss", "t"])
+    def test_sample_loads_only_what_it_runs(self, tmp_path, copula):
+        loaded = _loaded_after("sample", "--copula", copula, "--rho", "0.5", "--n", "10", "--output", str(tmp_path / "s.csv"))
+        assert loaded == ["sumdist.cli", "sumdist.copula", "sumdist.csvwriter", "sumdist.errors", "sumdist.sampler", "sumdist.specfun"]
+
+    def test_sampler_import_leaves_sumcdf_out(self):
+        # only empirical_cdf needs it, and imports it when called
+        assert _fresh_python("import sys, sumdist.sampler; print('sumdist.sumcdf' in sys.modules)") == "False"
+
+    def test_density_leaves_sumcdf_out(self, tmp_path):
+        loaded = _loaded_after("density", "--copula", "gauss", "--rho", "0.5", "--step", "0.5", "--output", str(tmp_path / "d.csv"))
+        assert "sumdist.jointdensity" in loaded and "sumdist.sumcdf" not in loaded
+
+    def test_mode_choices_are_the_integration_modes(self):
+        # the parser lists them itself, so that building it loads no sumcdf
+        from sumdist import sumcdf
+
+        assert list(cli._MODES) == [m.value for m in sumcdf.integrators()]
+        assert cli._MODES[0] == sumcdf.TableMode.PAPER_EXACT.value
 
     def test_cli_import_leaves_the_t_quantile_out(self):
         # only a t axis needs it
@@ -866,3 +965,9 @@ class TestImport:
     def test_sample_sum_is_a_module_global_of_the_cli(self):
         # the `sample` command calls it by name, so a wrapper set on it is used
         assert callable(cli.__dict__["sample_sum"])
+
+    @pytest.mark.parametrize("name", ["quantile_sweep", "spec_from_rho", "_emit", "_write_artifact"])
+    def test_traced_names_are_module_globals_of_the_cli(self, name):
+        # likewise for the other names bench/tracer.py wraps on the cli; the
+        # sweep command imports sumcdf only when it calls quantile_sweep
+        assert callable(cli.__dict__[name])

@@ -196,6 +196,23 @@ class TestSampleCopula:
         with pytest.raises(DomainError):
             sample_copula(CopulaSpec.gauss(0.5), 0, RandomSource(1))
 
+    @pytest.mark.parametrize("draw", [sample_copula, sample_sum])
+    def test_n_above_the_size_limit(self, monkeypatch, draw):
+        # the count decides before any array exists: np.empty is reached at
+        # the limit and not above it.  Never run these n unpatched
+        class Reached(Exception):
+            pass
+
+        def no_array(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(np, "empty", no_array)
+        with pytest.raises(Reached):
+            draw(CopulaSpec.gauss(0.5), sampler.MAX_PAIRS, RandomSource(1))
+        for n in (sampler.MAX_PAIRS + 1, 10**15):
+            with pytest.raises(DomainError, match=f"got n = {n} pairs, above the limit of {sampler.MAX_PAIRS}$"):
+                draw(CopulaSpec.gauss(0.5), n, RandomSource(1))
+
     @pytest.mark.parametrize("family", [CopulaFamily.CLAYTON, CopulaFamily.GUMBEL])
     @pytest.mark.parametrize("theta", [60.0, 200.0])
     def test_strong_dependence(self, family, theta):
