@@ -104,9 +104,12 @@ def _build_spec(copula: str, rho: float | None, theta: float | None, nu: float |
             return CopulaSpec.student_t(rho, DEFAULT_NU if nu is None else nu)
         if theta is not None:
             return CopulaSpec(family, theta=theta)
-        return spec_from_rho(family, rho)
     except DomainError as exc:
         raise UsageError(str(exc))
+    try:
+        return spec_from_rho(family, rho)
+    except DomainError as exc:
+        raise UsageError(f"Invalid value for '--rho': {exc}")
 
 
 def _build_grid(half_width, step, z_min, z_max, z_step) -> GridSpec:

@@ -8,7 +8,12 @@ taken with a fixed tanh-sinh rule whose nodes are computed at import.
 
 The density kernels take arrays only, so grids need no per-point Python; a
 scalar density is a one-point block, with the bits of the grid entry.  One
-predicate, ``_independent``, routes Archimedean independence.
+predicate, ``_independent``, routes Archimedean independence.  Clayton's
+generator sum ln s and Gumbel's ln A each have one array function, which
+the family's density kernel and its CDF (a one-point block) both call;
+Frank's CDF takes the base of the density's denominator where its quotient
+form would round towards log1p(-1).  Every CDF is held to the
+Frechet-Hoeffding bounds.
 """
 
 from __future__ import annotations
@@ -257,8 +262,9 @@ def theta_from_tau(family: CopulaFamily, tau: float) -> float:
             raise DomainError(f"clayton needs tau in (0, 1), got {tau!r}")
         return 2.0 * tau / (1.0 - tau)
     if family is CopulaFamily.GUMBEL:
-        if not (0.0 < tau < 1.0):
-            raise DomainError(f"gumbel needs tau in (0, 1), got {tau!r}")
+        # tau = 0 is theta = 1, independence, which the family includes
+        if not (0.0 <= tau < 1.0):
+            raise DomainError(f"gumbel needs tau in [0, 1), got {tau!r}")
         return 1.0 / (1.0 - tau)
     if family is CopulaFamily.FRANK:
         if not (-1.0 < tau < 1.0) or tau == 0.0:
@@ -384,33 +390,58 @@ def _t_kernel(rho, nu, ln_norm, q1, q2):
     return np.exp(ln_c, out=ln_c)
 
 
+# expm1 is finite up to ln(DBL_MAX) = 709.78, and two of its values sum finitely
+_EXPM1_MAX = 709.0
+
+
+def _clayton_log_s(theta, ln_u1, ln_u2):
+    """ln s, with s = u1^-theta + u2^-theta - 1 Clayton's generator sum, on
+    broadcastable arrays of ln u.
+
+    With a_i = -theta ln u_i it is log1p(expm1(a1) + expm1(a2)), which does
+    not cancel near independence.  Where an a_i passes ``_EXPM1_MAX`` (theta
+    above about 26 at the clamp), the lane takes the max-shifted form
+    m + ln(e^(a1 - m) + e^(a2 - m) - e^-m), m = max(a1, a2), whose e^-m is
+    then below 1e-307 and drops out: logaddexp(a1, a2).
+    """
+    a1 = -theta * ln_u1
+    a2 = -theta * ln_u2
+    ln_s = np.add(np.expm1(np.minimum(a1, _EXPM1_MAX)), np.expm1(np.minimum(a2, _EXPM1_MAX)))
+    np.log1p(ln_s, out=ln_s)
+    if max(a1.max(), a2.max()) > _EXPM1_MAX:
+        np.copyto(ln_s, np.logaddexp(a1, a2), where=np.maximum(a1, a2) > _EXPM1_MAX)
+    return ln_s
+
+
 def _clayton_kernel(theta, u1, u2):
     # evaluated in log space: u^(-theta) overflows already for
     # theta ~ 50 at the clamp boundary
     l1 = np.log(u1)
     l2 = np.log(u2)
-    a1 = -theta * l1
-    a2 = -theta * l2
-    # ln s = m + log(e^(a1 - m) + e^(a2 - m) - e^-m), m = max(a1, a2)
-    m = np.maximum(a1, a2)
-    ln_s = a1 - m
-    np.exp(ln_s, out=ln_s)
-    term = a2 - m
-    np.exp(term, out=term)
-    ln_s += term
-    np.negative(m, out=term)
-    np.exp(term, out=term)
-    ln_s -= term
-    np.log(ln_s, out=ln_s)
-    ln_s += m
     # ln c = log1p(theta) - (1 + 2 theta) / theta ln s - (theta + 1) (log u1 + log u2)
-    ln_c = ln_s
+    ln_c = _clayton_log_s(theta, l1, l2)
     ln_c *= (1.0 + 2.0 * theta) / theta
     np.subtract(math.log1p(theta), ln_c, out=ln_c)
-    term = np.add(l1, l2, out=term)
+    term = np.add(l1, l2)
     term *= theta + 1.0
     ln_c -= term
     return np.exp(ln_c, out=ln_c)
+
+
+def _gumbel_log_a(theta, la, lb):
+    """ln A, with A = (-ln u1)^theta + (-ln u2)^theta Gumbel's generator sum,
+    on broadcastable arrays of la = ln(-ln u1) and lb = ln(-ln u2): the
+    max-shifted m + ln(e^(theta la - m) + e^(theta lb - m)), m the larger
+    exponent."""
+    ln_big_a = np.maximum(theta * la, theta * lb)
+    term = theta * la - ln_big_a
+    np.exp(term, out=term)
+    other = theta * lb - ln_big_a
+    np.exp(other, out=other)
+    term += other
+    np.log(term, out=term)
+    ln_big_a += term
+    return ln_big_a
 
 
 def _gumbel_kernel(theta, u1, u2):
@@ -418,20 +449,12 @@ def _gumbel_kernel(theta, u1, u2):
     b = -np.log(u2)
     la = np.log(a)
     lb = np.log(b)
-    # ln A = m + log(e^(theta la - m) + e^(theta lb - m)), m = max(theta la, theta lb)
-    ln_big_a = np.maximum(theta * la, theta * lb)
-    ln_c = theta * la - ln_big_a
-    np.exp(ln_c, out=ln_c)
-    sigma = theta * lb - ln_big_a
-    np.exp(sigma, out=sigma)
-    ln_c += sigma
-    np.log(ln_c, out=ln_c)
-    ln_big_a += ln_c
+    ln_big_a = _gumbel_log_a(theta, la, lb)
     # ln c = -sigma + ln sigma + log(theta - 1 + sigma) + (theta - 1) (la + lb)
     #        - 2 ln A + (a + b), with ln sigma = ln A / theta; ln sigma - sigma
     #        is -sigma + ln sigma to the bit
-    np.divide(ln_big_a, theta, out=ln_c)
-    np.exp(ln_c, out=sigma)
+    ln_c = np.divide(ln_big_a, theta)
+    sigma = np.exp(ln_c)
     ln_c -= sigma
     sigma += theta - 1.0
     ln_c += np.log(sigma, out=sigma)
@@ -444,13 +467,9 @@ def _gumbel_kernel(theta, u1, u2):
     return np.exp(ln_c, out=ln_c)
 
 
-def _frank_kernel(theta, u1, u2):
-    # c = theta (1 - e^-theta) e^(-theta (u1 + u2)) / D^2, D a sum of two terms
-    # with the sign of theta.  With t = |theta|, P = 1 - e^(-t u2), Q = 1 - e^(-t (1 - u2))
-    # and w = t (u2 - u1) / 2 (theta > 0) or t (u1 + u2 - 1) / 2 (theta < 0), it is
-    # t (1 - e^-t) e^(-2|w|) / (A + e^(-2|w|) B)^2 with (A, B) = (P, Q) for w >= 0,
-    # else (Q, P): free of cancellation and overflow.  Taking (u1, u2) as
-    # (min, max) keeps the kernel bitwise symmetric.
+def _frank_base(theta, u1, u2):
+    """e^(-2|w|) and the base D = A + e^(-2|w|) B of the Frank density's
+    denominator (see ``_frank_kernel``), as two new arrays."""
     t = abs(theta)
     v2 = np.maximum(u1, u2)
     w = np.minimum(u1, u2)
@@ -476,9 +495,21 @@ def _frank_kernel(theta, u1, u2):
     np.exp(e, out=e)
     b *= e
     b += a
-    b **= 2
+    return e, b
+
+
+def _frank_kernel(theta, u1, u2):
+    # c = theta (1 - e^-theta) e^(-theta (u1 + u2)) / D^2, D a sum of two terms
+    # with the sign of theta.  With t = |theta|, P = 1 - e^(-t u2), Q = 1 - e^(-t (1 - u2))
+    # and w = t (u2 - u1) / 2 (theta > 0) or t (u1 + u2 - 1) / 2 (theta < 0), it is
+    # t (1 - e^-t) e^(-2|w|) / (A + e^(-2|w|) B)^2 with (A, B) = (P, Q) for w >= 0,
+    # else (Q, P): free of cancellation and overflow.  Taking (u1, u2) as
+    # (min, max) keeps the kernel bitwise symmetric.
+    t = abs(theta)
+    e, d = _frank_base(theta, u1, u2)
+    d **= 2
     e *= t * -math.expm1(-t)
-    e /= b
+    e /= d
     return e
 
 
@@ -529,28 +560,42 @@ def copula_density(spec: CopulaSpec, u1: float, u2: float) -> float:
 
 
 def _clayton_cdf(theta: float, u1: float, u2: float) -> float:
-    a1 = -theta * math.log(u1)
-    a2 = -theta * math.log(u2)
-    m = max(a1, a2)
-    ln_s = m + math.log(math.exp(a1 - m) + math.exp(a2 - m) - math.exp(-m))
-    return math.exp(-ln_s / theta)
+    ln_s = _clayton_log_s(theta, np.log([u1]), np.log([u2]))
+    return math.exp(-float(ln_s[0]) / theta)
 
 
 def _gumbel_cdf(theta: float, u1: float, u2: float) -> float:
-    la = math.log(-math.log(u1))
-    lb = math.log(-math.log(u2))
-    m = max(theta * la, theta * lb)
-    ln_big_a = m + math.log(math.exp(theta * la - m) + math.exp(theta * lb - m))
-    return math.exp(-math.exp(ln_big_a / theta))
+    la, lb = np.log(-np.log([[u1], [u2]]))
+    ln_big_a = _gumbel_log_a(theta, la, lb)
+    return math.exp(-math.exp(float(ln_big_a[0]) / theta))
+
+
+def _log_expm1(s: float) -> float:
+    """ln(e^s - 1) for s >= 0, without overflow for large s; -inf at 0."""
+    if s > 1.0:
+        return s + math.log1p(-math.exp(-s))
+    return math.log(math.expm1(s)) if s > 0.0 else -math.inf
 
 
 def _frank_cdf(theta: float, u1: float, u2: float) -> float:
-    if u1 + u2 > 1.0:
-        # survival identity of the radially symmetric Frank copula; avoids
-        # cancellation near (1, 1) for large theta
-        return u1 + u2 - 1.0 + _frank_cdf(theta, 1.0 - u1, 1.0 - u2)
-    g = math.expm1(-theta)
-    return -math.log1p(math.expm1(-theta * u1) * math.expm1(-theta * u2) / g) / theta
+    """C = -log1p(X) / theta, X = expm1(-theta u1) expm1(-theta u2) / expm1(-theta).
+
+    For theta > 0, X lies in [-1, 0) and rounds towards -1 as theta grows;
+    from X <= -1/2 on, 1 + X = e^(-theta v1) D / (1 - e^-theta), with
+    v1 = min(u1, u2) and D the base of the density's denominator
+    (``_frank_base``), a sum of two positive terms.  For theta < 0, X > 0
+    and ln X is a sum of ln expm1 terms that stay finite for any theta.
+    """
+    if theta < 0.0:
+        t = -theta
+        ln_x = (_log_expm1(t * u1) + _log_expm1(t * u2)) - _log_expm1(t)
+        # ln(1 + X) = logaddexp(0, ln X)
+        return (max(ln_x, 0.0) + math.log1p(math.exp(-abs(ln_x)))) / t
+    x = math.expm1(-theta * u1) * math.expm1(-theta * u2) / math.expm1(-theta)
+    if x > -0.5:
+        return -math.log1p(x) / theta
+    _, d = _frank_base(theta, np.array([u1]), np.array([u2]))
+    return min(u1, u2) - (math.log(d[0]) - math.log1p(-math.exp(-theta))) / theta
 
 
 def _tanh_sinh_rule(step: float, reach: float):
@@ -615,11 +660,8 @@ def _elliptical_cdf(spec: CopulaSpec, u1: float, u2: float) -> float:
     """
     u, v = min(u1, u2), max(u1, u2)
     if u + v > 1.0:
-        c = u + v - 1.0 + _conditional_integral(spec, 1.0 - v, 1.0 - u)
-    else:
-        c = _conditional_integral(spec, u, v)
-    # Frechet-Hoeffding bounds, which rounding may cross by an ulp
-    return min(max(c, u + v - 1.0, 0.0), u)
+        return u + v - 1.0 + _conditional_integral(spec, 1.0 - v, 1.0 - u)
+    return _conditional_integral(spec, u, v)
 
 
 def copula_cdf(spec: CopulaSpec, u1: float, u2: float) -> float:
@@ -636,9 +678,12 @@ def copula_cdf(spec: CopulaSpec, u1: float, u2: float) -> float:
         return u1 * u2
     fam = spec.family
     if fam is CopulaFamily.CLAYTON:
-        return _clayton_cdf(spec.theta, u1, u2)
-    if fam is CopulaFamily.GUMBEL:
-        return _gumbel_cdf(spec.theta, u1, u2)
-    if fam is CopulaFamily.FRANK:
-        return _frank_cdf(spec.theta, u1, u2)
-    return _elliptical_cdf(spec, u1, u2)
+        c = _clayton_cdf(spec.theta, u1, u2)
+    elif fam is CopulaFamily.GUMBEL:
+        c = _gumbel_cdf(spec.theta, u1, u2)
+    elif fam is CopulaFamily.FRANK:
+        c = _frank_cdf(spec.theta, u1, u2)
+    else:
+        c = _elliptical_cdf(spec, u1, u2)
+    # Frechet-Hoeffding bounds, which rounding may cross by an ulp
+    return min(max(c, u1 + u2 - 1.0, 0.0), u1, u2)

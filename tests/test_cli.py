@@ -6,6 +6,7 @@ import contextlib
 import functools
 import gc
 import hashlib
+import importlib
 import inspect
 import io
 import json
@@ -185,6 +186,34 @@ class TestValidation:
         assert result.exit_code == 2, result.output
         assert message in result.output
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["quantile", "--copula", "clayton", "--rho", "-0.5"], "clayton needs tau in (0, 1)"),
+            (["quantile", "--copula", "clayton", "--rho", "0"], "clayton needs tau in (0, 1), got 0.0"),
+            (["quantile", "--copula", "frank", "--rho", "0"], "frank needs tau in (-1, 1) \\ {0}, got 0.0"),
+            (["quantile", "--copula", "gumbel", "--rho", "-0.2"], "gumbel needs tau in [0, 1)"),
+            (["dist", "--copula", "frank", "--rho", "1.5"], "requires -1 < rho < 1, got 1.5"),
+            (["sample", "--copula", "clayton", "--rho", "-0.5", "--n", "5"], "clayton needs tau in (0, 1)"),
+        ],
+    )
+    def test_archimedean_rho_errors_name_the_flag(self, runner, args, message):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "Invalid value for '--rho': " in result.output
+        assert message in result.output
+        assert "Traceback" not in result.output
+
+    def test_gumbel_rho_zero_is_theta_one(self, runner, tmp_path):
+        # tau = 0 is theta = 1, independence, which the Gumbel family includes
+        outputs = []
+        for flags in (["--rho", "0"], ["--theta", "1"]):
+            out = tmp_path / f"q{len(outputs)}.csv"
+            result = runner.invoke(main, ["quantile", "--copula", "gumbel", *flags, "--output", str(out)])
+            assert result.exit_code == 0, result.output
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_sweep_ignores_nu_without_t(self, runner, tmp_path):
         args = ["sweep", "--families", "gauss", "--rhos", "0.5", "--nu", "-2", "--output", str(tmp_path / "s.csv")]
@@ -576,8 +605,12 @@ class TestDensity:
         # Phi and phi of the axis moved 1004 of the 10201 densities, by at most
         # 4.9e-16 relative.  Re-pinned again when the command dropped its z
         # flags: the meta line lost z_min, z_max and z_step, and the data rows
-        # kept their bytes
-        assert digest == "337ff7aae9e6fecedda34b2ca2e6057d914912d07337e166cb9c64a84204acd9"
+        # kept their bytes.  Re-pinned when the Clayton generator sum became
+        # log1p(expm1(a1) + expm1(a2)), which does not cancel near
+        # independence: 1458 of the 10201 densities moved, by at most 2.9e-14
+        # relative, the kernel's own rounding at this theta (1.3e-14 against
+        # 50-digit mpmath on either side)
+        assert digest == "de9dd33ec7d0c1034af65da5f08db90528faf5a3ccfb6e8881372649559be09e"
 
 
 def _csv(meta, columns):
@@ -966,8 +999,37 @@ class TestImport:
         # the `sample` command calls it by name, so a wrapper set on it is used
         assert callable(cli.__dict__["sample_sum"])
 
-    @pytest.mark.parametrize("name", ["quantile_sweep", "spec_from_rho", "_emit", "_write_artifact"])
-    def test_traced_names_are_module_globals_of_the_cli(self, name):
-        # likewise for the other names bench/tracer.py wraps on the cli; the
-        # sweep command imports sumcdf only when it calls quantile_sweep
-        assert callable(cli.__dict__[name])
+    @pytest.mark.parametrize(
+        "module, owner, name",
+        [
+            pytest.param("cli", None, "quantile_sweep", id="quantile_sweep"),
+            pytest.param("cli", None, "spec_from_rho", id="spec_from_rho"),
+            pytest.param("cli", None, "_emit", id="_emit"),
+            pytest.param("cli", None, "_write_artifact", id="_write_artifact"),
+            pytest.param("sumcdf", None, "spec_from_rho", id="sumcdf.spec_from_rho"),
+            pytest.param("sumcdf", None, "_sweep_cell", id="sumcdf._sweep_cell"),
+            pytest.param("sumcdf", None, "cdf_paper_exact", id="sumcdf.cdf_paper_exact"),
+            pytest.param("sumcdf", None, "cdf_refined", id="sumcdf.cdf_refined"),
+            pytest.param("sumcdf", None, "quantile", id="sumcdf.quantile"),
+            pytest.param("sumcdf", None, "_grid_on_axes", id="sumcdf._grid_on_axes"),
+            pytest.param("sumcdf", None, "antidiagonal_sums", id="sumcdf.antidiagonal_sums"),
+            pytest.param("jointdensity", None, "_grid_on_axes", id="jointdensity._grid_on_axes"),
+            pytest.param("jointdensity", None, "_axis_coordinate", id="jointdensity._axis_coordinate"),
+            # the copula kernels run under this name (copula.kernel_s)
+            pytest.param("jointdensity", None, "_density_from_coords", id="jointdensity._density_from_coords"),
+            pytest.param("sampler", None, "sample_copula", id="sampler.sample_copula"),
+            pytest.param("sampler", "RandomSource", "uniform_block", id="sampler.RandomSource.uniform_block"),
+            pytest.param("sampler", "RandomSource", "normal_block", id="sampler.RandomSource.normal_block"),
+            pytest.param("sampler", "RandomSource", "gamma_block", id="sampler.RandomSource.gamma_block"),
+            pytest.param("sampler", "RandomSource", "chi_square_block", id="sampler.RandomSource.chi_square_block"),
+        ],
+    )
+    def test_traced_names_are_module_globals_of_the_cli(self, module, owner, name):
+        # likewise for the names bench/tracer.py wraps, which it looks up in
+        # the module's or the class's own __dict__ and otherwise lists as not
+        # traced; the sweep command imports sumcdf only when it calls
+        # quantile_sweep
+        namespace = importlib.import_module(f"sumdist.{module}").__dict__
+        if owner is not None:
+            namespace = namespace[owner].__dict__
+        assert callable(namespace[name])

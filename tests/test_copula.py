@@ -139,6 +139,17 @@ class TestDependenceConversions:
             tau = tau_from_theta(family, theta)
             assert theta_from_tau(family, tau) == pytest.approx(theta, rel=1e-8, abs=1e-8)
 
+    def test_tau_zero(self):
+        # Gumbel's theta = 1 is independence, inside the family; Clayton and
+        # Frank reach independence only in the limit
+        assert theta_from_tau(CopulaFamily.GUMBEL, 0.0) == 1.0
+        for family in (CopulaFamily.CLAYTON, CopulaFamily.FRANK):
+            with pytest.raises(DomainError, match="needs tau"):
+                theta_from_tau(family, 0.0)
+        for family in (CopulaFamily.CLAYTON, CopulaFamily.GUMBEL):
+            with pytest.raises(DomainError, match="needs tau"):
+                theta_from_tau(family, -0.1)
+
     def test_frank_negative_tau_antisymmetry(self):
         assert theta_from_tau(CopulaFamily.FRANK, -0.4) == pytest.approx(
             -theta_from_tau(CopulaFamily.FRANK, 0.4), rel=1e-10
@@ -397,6 +408,18 @@ class TestCopulaCdf:
             assert copula_cdf(spec, u2, u1) == pytest.approx(v, rel=1e-14, abs=1e-15)
 
 
+CLAYTON_POINTS = [(0.3, 0.7), (0.01, 0.99), (1e-8, 0.5), (0.999, 0.9999), (1e-12, 1e-12), (0.5, 0.5)]
+
+
+def _clayton_oracle(theta, u1, u2):
+    """Clayton C and c at 50 digits: s = u1^-theta + u2^-theta - 1,
+    C = s^(-1/theta), c = (1 + theta) (u1 u2)^(-theta - 1) s^(-2 - 1/theta)."""
+    with mpmath.workdps(50):
+        t, a, b = mpmath.mpf(theta), mpmath.mpf(u1), mpmath.mpf(u2)
+        s = a**-t + b**-t - 1
+        return s ** (-1 / t), (1 + t) * (a * b) ** (-t - 1) * s ** (-2 - 1 / t)
+
+
 # Archimedean specs within copula._INDEP_TOL of independence.  The closed
 # forms fail there: Clayton at 1e-20 gave C(0.3, 0.7) = 0.3, at 1e-15 a
 # density 20% off 1; Frank at 1e-300 a NaN density
@@ -427,13 +450,113 @@ class TestIndependence:
         assert not copula._independent(CopulaSpec.gauss(0.0))
         assert not copula._independent(CopulaSpec.student_t(0.0))
 
-    @pytest.mark.parametrize("theta", [2e-9, 1e-8, 1e-6])
+    @pytest.mark.parametrize("theta", [2e-9, 1e-8, 1e-7, 1e-6])
     def test_clayton_just_outside_stays_near_independence(self, theta):
-        # the closed form, not the rule: its cancellation costs up to 2e-16 / theta
-        # relative (8e-8 at theta = 2e-9, against 50-digit mpmath)
+        # the closed form, not the rule.  The max-shifted generator sum that
+        # both once used cancelled, up to 2e-16 / theta relative (8.5e-8 in C
+        # and 8.0e-8 in c at theta = 2e-9); log1p(expm1(a1) + expm1(a2)) does not
         spec = CopulaSpec.clayton(theta)
-        assert copula_cdf(spec, 0.3, 0.7) == pytest.approx(0.21, abs=1e-7)
-        assert copula_density(spec, 0.3, 0.7) == pytest.approx(1.0, abs=1e-6)
+        for u1, u2 in CLAYTON_POINTS:
+            want_cdf, want_density = _clayton_oracle(theta, u1, u2)
+            assert copula_cdf(spec, u1, u2) == pytest.approx(want_cdf, rel=5e-14, abs=0), (u1, u2)
+            assert copula_density(spec, u1, u2) == pytest.approx(want_density, rel=5e-14, abs=0), (u1, u2)
+
+
+class TestGeneratorSums:
+    @pytest.mark.parametrize(
+        "theta, cdf_bound, density_bound",
+        # no worse than the max-shifted sum on every lane, whose worst C / c
+        # errors on these points were 4.9e-15 / 1.3e-14, 1.8e-15 / 7.2e-14 and
+        # 1.8e-15 / 1.3e-12 (c carries (theta + 1) ln u)
+        [(4.965423277339248, 5e-15, 1.4e-14), (60.0, 2e-15, 7.5e-14), (200.0, 2e-15, 1.4e-12)],
+    )
+    def test_clayton_at_strong_dependence(self, theta, cdf_bound, density_bound):
+        spec = CopulaSpec.clayton(theta)
+        for u1, u2 in CLAYTON_POINTS:
+            want_cdf, want_density = _clayton_oracle(theta, u1, u2)
+            # where the true value is a normal double
+            if want_cdf >= 2.0**-1022:
+                assert copula_cdf(spec, u1, u2) == pytest.approx(float(want_cdf), rel=cdf_bound, abs=0), (u1, u2)
+            if 2.0**-1022 <= want_density <= 2.0**1023:
+                assert copula_density(spec, u1, u2) == pytest.approx(float(want_density), rel=density_bound, abs=0), (u1, u2)
+
+    @pytest.mark.parametrize(
+        "spec, name",
+        [(CopulaSpec.clayton(4.965), "_clayton_log_s"), (CopulaSpec.clayton(200.0), "_clayton_log_s"), (CopulaSpec.gumbel(3.48), "_gumbel_log_a")],
+    )
+    def test_density_and_cdf_share_the_generator_sum(self, monkeypatch, spec, name):
+        calls = []
+        inner = getattr(copula, name)
+        monkeypatch.setattr(copula, name, lambda *args: calls.append(args) or inner(*args))
+        copula_density(spec, 0.3, 0.7)
+        assert len(calls) == 1
+        copula_cdf(spec, 0.3, 0.7)
+        assert len(calls) == 2
+
+    def test_clayton_sum_takes_the_max_shifted_form_where_expm1_overflows(self):
+        # a = -theta ln u around the switch at 709; a lane of each form in one block
+        ln_u = np.array([-700.0, -709.0, -709.5, -720.0, -1e-12])
+        got = copula._clayton_log_s(1.0, ln_u[:, None], ln_u[None, :])
+        for i, a1 in enumerate(-ln_u):
+            for j, a2 in enumerate(-ln_u):
+                with mpmath.workdps(50):
+                    want = mpmath.log(mpmath.expm1(a1) + mpmath.expm1(a2) + 1)
+                assert got[i, j] == pytest.approx(float(want), rel=1e-15), (a1, a2)
+
+
+FRANK_THETAS = [1e-6, 1.0, 12.03, 40.0, 79.4, 138.8, 800.0, 1e300]
+FRANK_POINTS = [
+    (1e-10, 1e-10), (1e-10, 0.5), (0.01, 0.99), (0.1, 0.2), (0.3, 0.6), (0.45, 0.5),
+    (0.5, 0.5), (0.3, 0.7), (0.6, 0.7), (0.9, 0.95), (0.999, 0.9999),
+]
+
+
+def _frank_cdf_oracle(theta, u1, u2):
+    """Frank C = -ln(1 + X) / theta, X = expm1(-theta u1) expm1(-theta u2) / expm1(-theta),
+    at 400 digits (at 60, 1 + X cancels near (1, 1) at theta = 138.8).  For
+    theta = 1e300, with 1 + X expanded: (e^(-theta u1) + e^(-theta u2) -
+    e^-theta - e^(-theta (u1 + u2))) / (1 - e^-theta)."""
+    with mpmath.workdps(400):
+        t, a, b = mpmath.mpf(theta), mpmath.mpf(u1), mpmath.mpf(u2)
+        if abs(t) <= 1000:
+            return -mpmath.log1p(mpmath.expm1(-t * a) * mpmath.expm1(-t * b) / mpmath.expm1(-t)) / t
+        n = mpmath.exp(-t * a) + mpmath.exp(-t * b) - mpmath.exp(-t) - mpmath.exp(-t * (a + b))
+        return -mpmath.log(n / -mpmath.expm1(-t)) / t
+
+
+class TestFrankCdf:
+    @pytest.mark.parametrize("theta", [sign * theta for theta in FRANK_THETAS for sign in (1.0, -1.0)])
+    def test_against_400_digit_reference(self, theta):
+        spec = CopulaSpec.frank(theta)
+        for u1, u2 in FRANK_POINTS:
+            got = copula_cdf(spec, u1, u2)
+            assert max(0.0, u1 + u2 - 1.0) <= got <= min(u1, u2), (u1, u2)
+            assert copula_cdf(spec, u2, u1) == got
+            want = _frank_cdf_oracle(theta, u1, u2)
+            # where the true C is a normal double
+            if want >= 2.0**-1022:
+                assert got == pytest.approx(float(want), rel=1e-13, abs=0), (u1, u2)
+
+    def test_strong_dependence(self):
+        # the quotient form rounded X towards -1 here: C(0.45, 0.5) was
+        # 0.450546, above min(u1, u2)
+        assert copula_cdf(CopulaSpec.frank(80.0), 0.45, 0.5) == pytest.approx(0.449773, abs=1e-6)
+        # and log1p(-1) raised a math domain error, on the diagonal from
+        # theta = 74.9 (rho = 0.9966) on
+        for spec in [spec_from_rho(CopulaFamily.FRANK, 0.999), CopulaSpec.frank(75.0)]:
+            for u1, u2 in [(0.3, 0.6), (0.5, 0.5), (0.9, 0.9)]:
+                assert max(0.0, u1 + u2 - 1.0) <= copula_cdf(spec, u1, u2) <= min(u1, u2)
+
+    @given(
+        st.floats(min_value=-1e300, max_value=1e300).filter(lambda t: abs(t) > 1e-9),
+        st.floats(min_value=5e-324, max_value=1.0, exclude_max=True),
+        st.floats(min_value=5e-324, max_value=1.0, exclude_max=True),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_never_raises_and_stays_in_the_frechet_bounds(self, theta, u1, u2):
+        got = copula_cdf(CopulaSpec.frank(theta), u1, u2)
+        assert max(0.0, u1 + u2 - 1.0) <= got <= min(u1, u2)
+        assert copula_cdf(CopulaSpec.frank(theta), u2, u1) == got
 
 
 class TestCopulaDensity:

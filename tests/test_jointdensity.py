@@ -267,10 +267,14 @@ def _reference_t(rho, nu, ln_norm, q1, q2):
 
 
 def _reference_clayton(theta, u1, u2):
+    # ln s = log1p(expm1(a1) + expm1(a2)), which does not cancel near
+    # independence; the max-shifted form where an expm1 overflows, with its
+    # e^-m term, below 1e-307 there, dropped: logaddexp
     a1 = -theta * np.log(u1)
     a2 = -theta * np.log(u2)
-    m = np.maximum(a1, a2)
-    ln_s = m + np.log(np.exp(a1 - m) + np.exp(a2 - m) - np.exp(-m))
+    with np.errstate(over="ignore"):
+        ln_s = np.log1p(np.expm1(a1) + np.expm1(a2))
+    ln_s = np.where(np.maximum(a1, a2) > 709.0, np.logaddexp(a1, a2), ln_s)
     ln_c = (
         math.log1p(theta)
         - (1.0 + 2.0 * theta) / theta * ln_s

@@ -17,9 +17,12 @@ import subprocess
 import sys
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import ndtr
+
+import fz_oracle
 
 import sumdist
 from sumdist import jointdensity, sumcdf
@@ -568,6 +571,44 @@ def three_grid_refined_raw(spec, grid):
             tri = (east[m - 1] + north[m - 1] + center[m - 1]) / 6.0
         raw.append((full + tri) * grid.step * grid.step)
     return np.array(raw)
+
+
+# the largest |raw F - F_Z| over z in fz_oracle.ZS, measured and rounded up
+# at two digits; the grid modes' own error (lattice bias and truncation),
+# not rounding, sets each
+ORACLE_BOUNDS = {
+    # paper-exact on PAPER_GRID: the lattice reading's bias
+    ("paper-exact", 0.05): {"clayton": 4.9e-3, "gumbel": 5.2e-3, "frank": 5.0e-3, "t": 5.2e-3},
+    ("refined", 0.05): {"clayton": 1.4e-5, "gumbel": 1.2e-5, "frank": 1.2e-5, "t": 1.1e-5},
+    ("refined", 0.025): {"clayton": 3.2e-6, "gumbel": 3.3e-6, "frank": 3.4e-6, "t": 3.0e-6},
+}
+
+
+class TestAgainstOracle:
+    """The grid modes against the frozen F_Z values of ``fz_oracle``, which
+    share no formula with sumdist."""
+
+    @pytest.mark.parametrize("family", fz_oracle.FAMILIES)
+    @pytest.mark.parametrize("mode, step", list(ORACLE_BOUNDS))
+    def test_within_the_measured_bound(self, family, mode, step):
+        spec = spec_from_rho(CopulaFamily(family), fz_oracle.RHO, fz_oracle.NU)
+        if family != "t":
+            # the oracle's literal theta is this spec's
+            assert spec.theta == fz_oracle.THETAS[family]
+        grid = PAPER_GRID if mode == "paper-exact" else GridSpec(step=step, z_step=step)
+        assert grid.step == step
+        table = integrators()[TableMode(mode)](spec, grid)
+        for z in fz_oracle.ZS:
+            (k,) = np.flatnonzero(np.isclose(table.z_values, z, rtol=0, atol=1e-9))
+            want = float(fz_oracle.POINTS[(family, z)])
+            assert abs(table.raw_F_values[k] - want) <= ORACLE_BOUNDS[(mode, step)][family], z
+
+    def test_the_oracle_keeps_its_symmetries(self):
+        # Frank and t are radially symmetric, so F_Z(-z) = 1 - F_Z(z)
+        for family in ("frank", "t"):
+            assert fz_oracle.POINTS[(family, 0.0)] == "0.5"
+            low, high = (mpmath.mpf(fz_oracle.POINTS[(family, z)]) for z in (-3.0, 3.0))
+            assert abs(low + high - 1) <= mpmath.mpf("1e-25")
 
 
 class TestRefined:
