@@ -97,19 +97,23 @@ def _build_spec(copula: str, rho: float | None, theta: float | None, nu: float |
             raise UsageError("--nu applies to the t copula only")
         if (rho is None) == (theta is None):
             raise UsageError(f"{copula} copula needs exactly one of --rho or --theta")
+    if family is CopulaFamily.GAUSS:
+        return _flagged("--rho", CopulaSpec.gauss, rho)
+    if family is CopulaFamily.STUDENT_T:
+        # rho first, beside a valid nu, so that each error names its own flag
+        _flagged("--rho", CopulaSpec.student_t, rho)
+        return _flagged("--nu", CopulaSpec.student_t, rho, DEFAULT_NU if nu is None else nu)
+    if theta is not None:
+        return _flagged("--theta", CopulaSpec, family, theta=theta)
+    return _flagged("--rho", spec_from_rho, family, rho)
+
+
+def _flagged(flag: str, build, *args, **kwargs) -> CopulaSpec:
+    """``build(*args, **kwargs)``, with a ``DomainError`` as a usage error that names ``flag``."""
     try:
-        if family is CopulaFamily.GAUSS:
-            return CopulaSpec.gauss(rho)
-        if family is CopulaFamily.STUDENT_T:
-            return CopulaSpec.student_t(rho, DEFAULT_NU if nu is None else nu)
-        if theta is not None:
-            return CopulaSpec(family, theta=theta)
+        return build(*args, **kwargs)
     except DomainError as exc:
-        raise UsageError(str(exc))
-    try:
-        return spec_from_rho(family, rho)
-    except DomainError as exc:
-        raise UsageError(f"Invalid value for '--rho': {exc}")
+        raise UsageError(f"Invalid value for '{flag}': {exc}")
 
 
 def _build_grid(half_width, step, z_min, z_max, z_step) -> GridSpec:
@@ -323,10 +327,7 @@ def sweep(families, rhos, qs, nu, half_width, step, z_min, z_max, z_step, mode, 
         raise UsageError(f"--qs lists a level more than once: {','.join(map(repr, qs))}")
     if CopulaFamily.STUDENT_T in fams:
         # a bad --nu is a flag error, caught before any cell runs
-        try:
-            CopulaSpec.student_t(rhos[0], nu)
-        except DomainError as exc:
-            raise UsageError(f"Invalid value for '--nu': {exc}")
+        _flagged("--nu", CopulaSpec.student_t, rhos[0], nu)
     grid = _build_grid(half_width, step, z_min, z_max, z_step)
     from .sumcdf import TableMode
 

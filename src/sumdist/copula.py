@@ -67,6 +67,10 @@ DEFAULT_NU = 4.0
 # at nu = 2e7, 2e-6 at 1e9, and at 1e12 the tables overshoot 1
 _T_NU_MIN, _T_NU_MAX = 0.2, 1e6
 
+# the largest Archimedean |theta|: from about 1e306 on, -theta ln u and
+# theta ln(-ln u) overflow at the clamp u = 1e-300
+_THETA_MAX = 1e300
+
 # below this tau, Frank's theta = 9 tau (1 + 0.81 tau^2) to within 1.3e-4 theta^4
 # relative, which is under 2e-16 for theta < 1e-3
 _FRANK_SERIES_TAU = 1e-3 / 9.0
@@ -93,9 +97,9 @@ class CopulaSpec:
 
     * Gauss: ``rho`` in (-1, 1)
     * Student-t: ``rho`` in (-1, 1) and ``nu`` in [0.2, 1e6]
-    * Clayton: finite ``theta`` > 0
-    * Gumbel: finite ``theta`` >= 1
-    * Frank: finite ``theta`` != 0
+    * Clayton: ``theta`` in (0, 1e300]
+    * Gumbel: ``theta`` in [1, 1e300]
+    * Frank: ``theta`` != 0 with ``|theta|`` <= 1e300
     """
 
     family: CopulaFamily
@@ -133,6 +137,8 @@ class CopulaSpec:
                 raise DomainError(f"gumbel copula requires finite theta >= 1, got {th!r}")
             if fam is CopulaFamily.FRANK and (th == 0.0 or not math.isfinite(th)):
                 raise DomainError(f"frank copula requires finite theta != 0, got {th!r}")
+            if abs(th) > _THETA_MAX:
+                raise DomainError(f"{fam.value} copula requires |theta| <= {_THETA_MAX:g}, got {th!r}")
 
     # -- convenience constructors ------------------------------------------
     @staticmethod

@@ -10,21 +10,20 @@ Two integration modes are provided:
   tables on their own grid.
 
 * ``REFINED`` integrates cell midpoints over whole cells below the boundary
-  line plus an exact triangular treatment of the cells the line crosses
-  (three-point edge-midpoint rule, exact for quadratics), giving clean
-  second-order convergence.  It builds two density grids, at the cell
-  centers and at the east edge midpoints (x_i + s/2, y_j).  Every family is
-  exchangeable, c(u, v) = c(v, u), and its kernel is bitwise symmetric in
-  its arguments, so the north edge-midpoint grid (x_i, y_j + s/2) is the
-  transpose of the east one.  A matrix and its transpose have the same
-  anti-diagonals, so the east sums serve for both, up to the order in which
-  each diagonal is added.
+  line, plus the lower-left triangle of each cell the line crosses, for
+  second-order convergence.  It builds one grid, at the cell centers, with
+  anti-diagonal sums D_k.  A triangle's centroid lies (s/6, s/6) below and
+  left of its cell center, and central differences along the diagonals give
+  the gradient there, so the crossed diagonal k holds
+  s^2 [D_k/2 - (D_{k+1} - D_{k-1})/12] (D = 0 off the square), kept within
+  [0, s^2 D_k] where the density outruns that linear term (an under-resolved
+  tail, as Gauss rho = -0.99 at step 0.05); no Table 2 cell reaches either end.
 
-The same symmetry makes every grid with equal axes (paper-exact's lattice,
-refined's cell centers) a symmetric matrix, which the density layer
-evaluates on its upper triangle only (see :mod:`sumdist.jointdensity`).
+Every family's kernel is bitwise exchangeable, so a grid with equal axes
+(paper-exact's lattice, refined's cell centers) is symmetric, and the
+density layer evaluates its upper triangle only (:mod:`sumdist.jointdensity`).
 
-Both modes reduce each density lattice to its anti-diagonal sums (the
+Both modes reduce their density grid to its anti-diagonal sums (the
 boundary line is an anti-diagonal) and accumulate them in ascending order;
 paper-exact mode adds the lower saturation, a suffix sum of the column y_0.
 Every sum is a plain recursive sum in a fixed order, so tables are bitwise
@@ -180,30 +179,21 @@ def cdf_paper_exact(spec: CopulaSpec, grid: GridSpec = PAPER_GRID) -> Distributi
 
 
 def cdf_refined(spec: CopulaSpec, grid: GridSpec = PAPER_GRID) -> DistributionTable:
-    """F_Z by midpoint cells plus exact triangular boundary cells."""
+    """F_Z by midpoint cells plus centroid-rule triangles on the boundary cells."""
     n = grid.n_cells
-    step = grid.step
     mids = grid.cell_midpoints()
-    lower_edges = grid.axis_points()[:-1]
-    # each grid is reduced as soon as it is built, so one is alive at a time.
-    # The north grid f(x_i, y_j + s/2) is the transpose of the east grid, as
-    # the density is exchangeable bit for bit, so its anti-diagonal sums are
-    # the east ones up to the order of addition, and it is never built.  The
-    # same symmetry has the center grid, whose axes are equal, evaluated on
-    # its upper triangle; the east grid is not square and is evaluated whole
-    with _axis_memo():
-        diag_center = antidiagonal_sums(_grid_on_axes(spec, mids, mids))
-        diag_east = antidiagonal_sums(_grid_on_axes(spec, mids, lower_edges))  # (x_i + s/2, y_j)
+    diag = antidiagonal_sums(_grid_on_axes(spec, mids, mids))
     # cells with i + j <= m - 2 lie fully below the line y = z - x; cells
     # with i + j == m - 1 are crossed corner-to-corner and keep their
-    # lower-left triangle: area s^2/2 with the 3-point edge-midpoint rule
-    # (the hypotenuse midpoint is the cell center).  Both are padded with a
-    # zero for the lines below the square, and tri also above it
-    full = np.concatenate(([0.0], np.cumsum(diag_center)))
-    tri = np.concatenate(([0.0], (diag_east + diag_east + diag_center) / 6.0, [0.0]))  # east, north, center
+    # lower-left triangle (module docstring).  Both are padded with a zero
+    # for the lines below the square, and tri also above it
+    full = np.concatenate(([0.0], np.cumsum(diag)))
+    padded = np.concatenate(([0.0], diag, [0.0]))
+    tri = np.clip(diag / 2.0 - (padded[2:] - padded[:-2]) / 12.0, 0.0, diag)
+    tri = np.concatenate(([0.0], tri, [0.0]))
     zs = grid.z_values()
     m_z = grid.z_lattice_indices()
-    raw = (full[np.clip(m_z - 1, 0, 2 * n - 1)] + tri[np.clip(m_z, 0, 2 * n)]) * step * step
+    raw = (full[np.clip(m_z - 1, 0, 2 * n - 1)] + tri[np.clip(m_z, 0, 2 * n)]) * grid.step * grid.step
     return DistributionTable(z_values=zs, raw_F_values=raw, spec=spec, mode=TableMode.REFINED, grid=grid)
 
 

@@ -149,26 +149,48 @@ class TestValidation:
         assert result.exit_code == 2
 
     @pytest.mark.parametrize(
-        "args, message",
+        "args, flag, message",
         [
-            (["dist", "--copula", "gauss", "--rho", "1.0"], "requires -1 < rho < 1, got 1.0"),
-            (["dist", "--copula", "gauss", "--rho", "nan"], "requires -1 < rho < 1, got nan"),
-            (["dist", "--copula", "t", "--rho", "0.5", "--nu", "-1"], "requires nu > 0, got -1.0"),
-            (["sample", "--copula", "gauss", "--rho", "-1", "--n", "5"], "requires -1 < rho < 1, got -1.0"),
-            (["sweep", "--families", "t", "--nu", "-2"], "requires nu > 0, got -2.0"),
-            (["reproduce-table2", "--nu", "nan"], "requires nu > 0, got nan"),
+            (["dist", "--copula", "gauss", "--rho", "1.0"], "--rho", "requires -1 < rho < 1, got 1.0"),
+            (["dist", "--copula", "gauss", "--rho", "nan"], "--rho", "requires -1 < rho < 1, got nan"),
+            (["dist", "--copula", "t", "--rho", "1.5"], "--rho", "requires -1 < rho < 1, got 1.5"),
+            (["dist", "--copula", "t", "--rho", "0.5", "--nu", "-1"], "--nu", "requires nu > 0, got -1.0"),
+            (["sample", "--copula", "gauss", "--rho", "-1", "--n", "5"], "--rho", "requires -1 < rho < 1, got -1.0"),
+            (["sweep", "--families", "t", "--nu", "-2"], "--nu", "requires nu > 0, got -2.0"),
+            (["reproduce-table2", "--nu", "nan"], "--nu", "requires nu > 0, got nan"),
             # before, these exited 1 after RuntimeWarnings in the kernels
-            (["dist", "--copula", "t", "--rho", "0.5", "--nu", "1e-3"], "requires 0.2 <= nu <= 1e+06, got 0.001"),
-            (["dist", "--copula", "t", "--rho", "0.5", "--nu", "1e300"], "requires 0.2 <= nu <= 1e+06, got 1e+300"),
-            (["sample", "--copula", "t", "--rho", "0.5", "--nu", "0.01", "--n", "5"], "requires 0.2 <= nu <= 1e+06, got 0.01"),
-            (["sweep", "--families", "t", "--nu", "2e6"], "requires 0.2 <= nu <= 1e+06, got 2000000.0"),
+            (["dist", "--copula", "t", "--rho", "0.5", "--nu", "1e-3"], "--nu", "requires 0.2 <= nu <= 1e+06, got 0.001"),
+            (["dist", "--copula", "t", "--rho", "0.5", "--nu", "0.1"], "--nu", "requires 0.2 <= nu <= 1e+06, got 0.1"),
+            (["dist", "--copula", "t", "--rho", "0.5", "--nu", "2e6"], "--nu", "requires 0.2 <= nu <= 1e+06, got 2000000.0"),
+            (["dist", "--copula", "t", "--rho", "0.5", "--nu", "1e300"], "--nu", "requires 0.2 <= nu <= 1e+06, got 1e+300"),
+            (["sample", "--copula", "t", "--rho", "0.5", "--nu", "0.01", "--n", "5"], "--nu", "requires 0.2 <= nu <= 1e+06, got 0.01"),
+            (["sweep", "--families", "t", "--nu", "2e6"], "--nu", "requires 0.2 <= nu <= 1e+06, got 2000000.0"),
+            (["dist", "--copula", "clayton", "--theta", "-1"], "--theta", "requires finite theta > 0, got -1.0"),
+            (["dist", "--copula", "gumbel", "--theta", "0.5"], "--theta", "requires finite theta >= 1, got 0.5"),
+            (["dist", "--copula", "frank", "--theta", "0"], "--theta", "requires finite theta != 0, got 0.0"),
+            # beyond |theta| = 1e300 the generator sums overflow
+            (["dist", "--copula", "clayton", "--theta", "1e301"], "--theta", "requires |theta| <= 1e+300, got 1e+301"),
+            (["dist", "--copula", "gumbel", "--theta", "1e308"], "--theta", "requires |theta| <= 1e+300, got 1e+308"),
+            (["sample", "--copula", "frank", "--theta", "-1e301", "--n", "5"], "--theta", "requires |theta| <= 1e+300, got -1e+301"),
         ],
     )
-    def test_invalid_elliptical_parameters(self, runner, args, message):
+    def test_invalid_elliptical_parameters(self, runner, args, flag, message):
+        # the name covers the Archimedean thetas too: every copula parameter
+        # error names its flag, with the range CopulaSpec checks
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
+        assert f"Invalid value for '{flag}': " in result.output
         assert message in result.output
         assert "Traceback" not in result.output
+
+    def test_theta_at_the_bound_is_accepted(self, runner, tmp_path):
+        out = tmp_path / "d.csv"
+        result = runner.invoke(main, ["dist", "--copula", "clayton", "--theta", "1e300", "--output", str(out)])
+        assert result.exit_code == 0, result.output
+        # Gumbel's tables at such theta overshoot, which is a numerical failure
+        result = runner.invoke(main, ["dist", "--copula", "gumbel", "--theta", "1e300", "--output", str(out)])
+        assert result.exit_code == 1, result.output
+        assert "raw F values outside [0, 1 + 1e-6]" in result.output
 
     @pytest.mark.parametrize(
         "args, message",
@@ -767,8 +789,13 @@ class TestSweep:
         # form, in the same change, moved no quantile here.  Re-pinned when
         # the t quantile went to Newton steps from Hill's start, stopped at a
         # relative step of 1e-13 instead of an absolute residual of 1e-13:
-        # only the three t rows moved, by at most 1.6e-13 relative
-        assert digest == "dc67c27f0ead7a719c949de7c28299c8d9c10304e6f66e5b3f06dcdc10f179bf"
+        # only the three t rows moved, by at most 1.6e-13 relative.
+        # Re-pinned when the crossed cells' triangles went from the east
+        # edge-midpoint grid to the centroid rule on the cell-center grid's
+        # own anti-diagonal sums: every row moved, by at most 1.43e-6 in a
+        # quantile, and the worst Gauss quantile error went from 6.33e-5 to
+        # 6.40e-5, which linear interpolation on the 0.025 z lattice sets
+        assert digest == "815a10e1b71839f4a066e8e10f90ab9d47c8691ef62f73aeeb2b397cbdd72602"
 
     @pytest.mark.parametrize(
         "flag, value",

@@ -81,6 +81,34 @@ class TestCopulaSpecValidation:
         with pytest.raises(DomainError, match=name):
             make(value)
 
+    @pytest.mark.parametrize("make", [CopulaSpec.clayton, CopulaSpec.gumbel, CopulaSpec.frank])
+    def test_theta_bound(self, make):
+        assert make(1e300).theta == 1e300
+        for theta in (math.nextafter(1e300, math.inf), 1e301, 1e308):
+            with pytest.raises(DomainError, match=r"requires \|theta\| <= 1e\+300, got "):
+                make(theta)
+        if make is CopulaSpec.frank:
+            assert make(-1e300).theta == -1e300
+            with pytest.raises(DomainError, match=r"requires \|theta\| <= 1e\+300, got -1e\+301"):
+                make(-1e301)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [CopulaSpec.clayton(1e300), CopulaSpec.gumbel(1e300), CopulaSpec.frank(1e300), CopulaSpec.frank(-1e300)],
+        ids=["clayton", "gumbel", "frank", "frank_negative"],
+    )
+    def test_cdf_and_density_finite_at_the_theta_bound(self, spec):
+        # tier-1 turns an overflow warning into an error
+        for u1 in (1e-300, 1e-12, 0.3, 0.5, 1.0 - 1e-12):
+            for u2 in (1e-300, 1e-12, 0.3, 0.5, 1.0 - 1e-12):
+                assert math.isfinite(copula_cdf(spec, u1, u2))
+                assert math.isfinite(copula_density(spec, u1, u2))
+
+    def test_clayton_cdf_at_the_theta_bound(self):
+        # at theta = 1e306 this overflowed and returned 0; the copula is
+        # all but comonotone, so C is min(u1, u2)
+        assert copula_cdf(CopulaSpec.clayton(1e300), 1e-300, 0.5) == pytest.approx(1e-300, rel=1e-12)
+
     @pytest.mark.parametrize("nu", [0.2, 1e6])
     def test_t_nu_range_edges_accepted(self, nu):
         assert CopulaSpec.student_t(0.5, nu).nu == nu

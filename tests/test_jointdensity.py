@@ -172,9 +172,9 @@ SYMMETRY_SPECS = [spec_from_rho(f, rho) for f in ALL_FAMILIES for rho in (0.9, 0
 class TestGridOnAxes:
     @pytest.mark.parametrize("spec", SYMMETRY_SPECS, ids=lambda s: repr(s.describe()))
     def test_swapping_the_axes_transposes_the_grid(self, spec):
-        # refined mode takes the north edge-midpoint grid to be the
-        # transpose of the east one; a family that is not exchangeable
-        # (a rotated copula, say) breaks this
+        # the kernels are bitwise exchangeable, which the triangle path of
+        # a square grid relies on; a family that is not exchangeable (a
+        # rotated copula, say) breaks this
         grid = GridSpec(step=0.05)
         mids, edges = grid.cell_midpoints(), grid.axis_points()[:-1]
         east = jointdensity._grid_on_axes(spec, mids, edges)

@@ -127,7 +127,9 @@ def _stress_matrices(case: str) -> list[np.ndarray]:
         m[(i + j) % 3 == 0] = 0.0
         return [np.zeros((5, 5)), m]
     assert case == "clayton_cell"
-    # the density grids of one refined cell
+    # Clayton densities at rho = 0.9 on the cell midpoints and the lower
+    # cell edges: positive entries over hundreds of orders of magnitude,
+    # shaped as the density grids are
     spec = spec_from_rho(CopulaFamily.CLAYTON, 0.9)
     mids = PAPER_GRID.cell_midpoints()
     lower_edges = PAPER_GRID.axis_points()[:-1]
@@ -444,13 +446,17 @@ def _assert_within_summation_bound(got, want, points):
     the 2N - 1 diagonals, one in adding the saturated column and two in
     the products by step, 3N in all.  In ``cdf_refined`` the cell-center
     path is the same (the added triangle term stands in for the saturated
-    column), and the triangle path has N - 1 + 2 + 1 + 2 = N + 4 <= 3N
-    (east + east is exact doubling).  The references round each diagonal
-    correctly or Kahan-sum each column (u or 2u), Kahan-sum the rest (2u),
-    and round two products (2u); the refined triangle adds three more
-    roundings (east + north, + center, / 6).  So each is within 7u F of
-    the exact sum, the two within (3N + 7) u F, and the test allows one u
-    more for the second-order terms.  Observed differences are about 1e-15.
+    column).  The triangle D_{m-1}/2 - (D_m - D_{m-2})/12 passes a term of
+    D_{m-1} through N - 1 + 1 + 1 + 2 = N + 3 roundings (halving is exact)
+    and a term of the stencil's D_m or D_{m-2} through N + 5 <= 3N; the
+    stencil's terms carry weight 1/12, and D_m/12 stays below 2% of F/s^2
+    on the grids tested here (1.3% at most).  The references round each
+    diagonal correctly or Kahan-sum each column (u or 2u), Kahan-sum the
+    rest (2u), and round two products (2u); the refined triangle adds three
+    more roundings (the difference, / 12 and the subtraction).  So each is
+    within 7u F of the exact sum, the two within (3N + 7) u F, and the test
+    allows one u more for the second-order terms.  Observed differences are
+    about 1e-15.
     """
     got, want = np.asarray(got), np.asarray(want)
     bound = (3 * points + 8) * U * want
@@ -545,30 +551,32 @@ class TestPaperExact:
             assert np.all(np.abs(f1 - f2) <= 4.0 * np.abs(f2 - f4) + 1e-6)
 
 
-def three_grid_refined_raw(spec, grid):
-    """Raw refined F from three density grids, the north one built explicitly.
+def centroid_rule_refined_raw(spec, grid):
+    """Raw refined F by the rule of ``cdf_refined``, summed more accurately.
 
-    This is the reduction ``cdf_refined`` had before it took the north
-    grid's anti-diagonal sums from the east grid: correctly rounded
-    anti-diagonal sums, accumulated with Kahan summation.
+    The cell-center grid's anti-diagonal sums are correctly rounded and
+    accumulated with Kahan summation; the triangle stencil
+    D_{m-1}/2 - (D_m - D_{m-2})/12, with D = 0 off the square and held to
+    [0, D_{m-1}], is taken in Python floats.
     """
     n = grid.n_cells
     mids = grid.cell_midpoints()
-    edges = grid.axis_points()[:-1]
-    center = _fsum_diagonals(_grid_on_axes(spec, mids, mids)).tolist()
-    east = _fsum_diagonals(_grid_on_axes(spec, mids, edges)).tolist()
-    north = _fsum_diagonals(_grid_on_axes(spec, edges, mids)).tolist()
-    acc, cum_center = (0.0, 0.0), []
-    for d in center:
+    diag = _fsum_diagonals(_grid_on_axes(spec, mids, mids)).tolist()
+    acc, cum = (0.0, 0.0), []
+    for d in diag:
         acc = _kahan_add(acc, d)
-        cum_center.append(acc[0])
+        cum.append(acc[0])
+
+    def d_at(k):
+        return diag[k] if 0 <= k <= 2 * n - 2 else 0.0
+
     m_z = np.rint((grid.z_values() + 2.0 * grid.half_width) / grid.step).astype(int)
     raw = []
     for m in m_z.tolist():
-        full = cum_center[min(m - 2, 2 * n - 2)] if m >= 2 else 0.0
+        full = cum[min(m - 2, 2 * n - 2)] if m >= 2 else 0.0
         tri = 0.0
         if 0 <= m - 1 <= 2 * n - 2:
-            tri = (east[m - 1] + north[m - 1] + center[m - 1]) / 6.0
+            tri = min(max(d_at(m - 1) / 2.0 - (d_at(m) - d_at(m - 2)) / 12.0, 0.0), d_at(m - 1))
         raw.append((full + tri) * grid.step * grid.step)
     return np.array(raw)
 
@@ -578,36 +586,57 @@ def three_grid_refined_raw(spec, grid):
 # not rounding, sets each
 ORACLE_BOUNDS = {
     # paper-exact on PAPER_GRID: the lattice reading's bias
-    ("paper-exact", 0.05): {"clayton": 4.9e-3, "gumbel": 5.2e-3, "frank": 5.0e-3, "t": 5.2e-3},
-    ("refined", 0.05): {"clayton": 1.4e-5, "gumbel": 1.2e-5, "frank": 1.2e-5, "t": 1.1e-5},
-    ("refined", 0.025): {"clayton": 3.2e-6, "gumbel": 3.3e-6, "frank": 3.4e-6, "t": 3.0e-6},
+    ("paper-exact", 0.05): {
+        0.9: {"gauss": 5.2e-3, "clayton": 4.9e-3, "gumbel": 5.2e-3, "frank": 5.0e-3, "t": 5.2e-3},
+        0.5: {"gauss": 5.8e-3, "clayton": 5.8e-3, "gumbel": 5.9e-3, "frank": 5.5e-3, "t": 6.1e-3},
+        0.1: {"gauss": 6.8e-3, "clayton": 6.8e-3, "gumbel": 6.9e-3, "frank": 6.7e-3, "t": 7.4e-3},
+    },
+    ("refined", 0.05): {
+        0.9: {"gauss": 1.1e-5, "clayton": 1.4e-5, "gumbel": 1.2e-5, "frank": 1.2e-5, "t": 1.1e-5},
+        0.5: {"gauss": 1.2e-5, "clayton": 1.3e-5, "gumbel": 1.3e-5, "frank": 1.4e-5, "t": 1.0e-5},
+        0.1: {"gauss": 1.1e-5, "clayton": 9.7e-6, "gumbel": 1.1e-5, "frank": 1.1e-5, "t": 8.1e-6},
+    },
+    ("refined", 0.025): {
+        0.9: {"gauss": 3.1e-6, "clayton": 3.2e-6, "gumbel": 3.3e-6, "frank": 3.4e-6, "t": 3.0e-6},
+        0.5: {"gauss": 3.3e-6, "clayton": 2.9e-6, "gumbel": 3.5e-6, "frank": 3.9e-6, "t": 2.9e-6},
+        0.1: {"gauss": 3.1e-6, "clayton": 2.9e-6, "gumbel": 3.1e-6, "frank": 3.2e-6, "t": 2.3e-6},
+    },
 }
+
+
+def _oracle_f_z(family: str, rho: float, z: float) -> float:
+    """F_Z(z) from ``fz_oracle``, or for Gauss from its closed form Phi(z / sqrt(2 + 2 rho))."""
+    if family == "gauss":
+        return float(mpmath.ncdf(mpmath.mpf(z) / mpmath.sqrt(2 + 2 * mpmath.mpf(rho))))
+    return float(fz_oracle.POINTS[(family, rho, z)])
 
 
 class TestAgainstOracle:
     """The grid modes against the frozen F_Z values of ``fz_oracle``, which
-    share no formula with sumdist."""
+    share no formula with sumdist, and against the Gauss closed form."""
 
-    @pytest.mark.parametrize("family", fz_oracle.FAMILIES)
+    @pytest.mark.parametrize("family", ("gauss",) + fz_oracle.FAMILIES)
+    @pytest.mark.parametrize("rho", fz_oracle.RHOS)
     @pytest.mark.parametrize("mode, step", list(ORACLE_BOUNDS))
-    def test_within_the_measured_bound(self, family, mode, step):
-        spec = spec_from_rho(CopulaFamily(family), fz_oracle.RHO, fz_oracle.NU)
-        if family != "t":
+    def test_within_the_measured_bound(self, family, rho, mode, step):
+        spec = spec_from_rho(CopulaFamily(family), rho, fz_oracle.NU)
+        if family in ("clayton", "gumbel", "frank"):
             # the oracle's literal theta is this spec's
-            assert spec.theta == fz_oracle.THETAS[family]
+            assert spec.theta == fz_oracle.THETAS[(family, rho)]
         grid = PAPER_GRID if mode == "paper-exact" else GridSpec(step=step, z_step=step)
         assert grid.step == step
         table = integrators()[TableMode(mode)](spec, grid)
         for z in fz_oracle.ZS:
             (k,) = np.flatnonzero(np.isclose(table.z_values, z, rtol=0, atol=1e-9))
-            want = float(fz_oracle.POINTS[(family, z)])
-            assert abs(table.raw_F_values[k] - want) <= ORACLE_BOUNDS[(mode, step)][family], z
+            bound = ORACLE_BOUNDS[(mode, step)][rho][family]
+            assert abs(table.raw_F_values[k] - _oracle_f_z(family, rho, z)) <= bound, z
 
-    def test_the_oracle_keeps_its_symmetries(self):
+    @pytest.mark.parametrize("rho", fz_oracle.RHOS)
+    def test_the_oracle_keeps_its_symmetries(self, rho):
         # Frank and t are radially symmetric, so F_Z(-z) = 1 - F_Z(z)
         for family in ("frank", "t"):
-            assert fz_oracle.POINTS[(family, 0.0)] == "0.5"
-            low, high = (mpmath.mpf(fz_oracle.POINTS[(family, z)]) for z in (-3.0, 3.0))
+            assert fz_oracle.POINTS[(family, rho, 0.0)] == "0.5"
+            low, high = (mpmath.mpf(fz_oracle.POINTS[(family, rho, z)]) for z in (-3.0, 3.0))
             assert abs(low + high - 1) <= mpmath.mpf("1e-25")
 
 
@@ -615,13 +644,41 @@ class TestRefined:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     @pytest.mark.parametrize("rho", [0.9, 0.5, 0.1])
     @pytest.mark.parametrize("step", [0.05, 0.025])
-    def test_matches_three_grid_reference(self, family, rho, step):
-        # the east grid's anti-diagonal sums stand in for the north grid's,
-        # which add the same entries in the reverse order
+    def test_matches_accurately_summed_reference(self, family, rho, step):
         spec = spec_from_rho(family, rho)
         grid = GridSpec(step=step, z_step=step)
         got = cdf_refined(spec, grid).raw_F_values
-        _assert_within_summation_bound(got, three_grid_refined_raw(spec, grid), grid.n_cells)
+        _assert_within_summation_bound(got, centroid_rule_refined_raw(spec, grid), grid.n_cells)
+
+    def test_builds_one_grid_on_the_cell_midpoints(self, monkeypatch):
+        calls = []
+
+        def counted(spec, xs, ys):
+            calls.append((xs, ys))
+            return original(spec, xs, ys)
+
+        original = sumcdf._grid_on_axes
+        monkeypatch.setattr(sumcdf, "_grid_on_axes", counted)
+        grid = GridSpec(step=0.1, z_step=0.1)
+        cdf_refined(spec_from_rho(CopulaFamily.CLAYTON, 0.9), grid)
+        assert len(calls) == 1
+        ((xs, ys),) = calls
+        assert np.array_equal(xs, grid.cell_midpoints())
+        assert np.array_equal(ys, grid.cell_midpoints())
+
+    @pytest.mark.parametrize(
+        "rho, step, sup", [(-0.99, 0.1, 7.2e-3), (-0.99, 0.05, 2.4e-3), (-0.999, 0.05, 1.2e-2), (-0.999, 0.025, 5.1e-3)]
+    )
+    def test_under_resolved_tails_keep_the_triangles_non_negative(self, rho, step, sup):
+        # Z has sd 0.14 (rho = -0.99) or 0.045 (-0.999), a few steps at most,
+        # so the density grows by far more than the stencil's linear term
+        # from one anti-diagonal to the next; unheld to [0, D], the lower
+        # triangles there go negative and F below -1e-12 in every case.  sup
+        # is the measured error, rounded up at two digits
+        table = cdf_refined(CopulaSpec.gauss(rho), GridSpec(step=step, z_step=step))
+        assert np.min(table.raw_F_values) >= 0.0
+        want = ndtr(table.z_values / math.sqrt(2.0 + 2.0 * rho))
+        assert np.max(np.abs(table.raw_F_values - want)) <= sup
 
     @pytest.mark.parametrize("rho, q99", [(0.997, 4.6217), (0.999, 4.6648)])
     def test_frank_near_comonotone(self, rho, q99):
@@ -842,9 +899,9 @@ class TestQuantileSweep:
             calls.clear()
             reports = quantile_sweep([CopulaFamily.STUDENT_T], rhos, grid=grid, mode=TableMode.REFINED)
             counts.append(len(calls))
-        # cell midpoints and lower cell edges: two distinct axes, shared
-        # across rho because the t coordinate depends on nu only
-        assert counts == [2, 2]
+        # one axis, the cell midpoints, shared across rho because the t
+        # coordinate depends on nu only
+        assert counts == [1, 1]
         assert jointdensity._AXIS_MEMO.get() is None
         for rho, report in zip(rhos, reports):
             table = cdf_refined(spec_from_rho(CopulaFamily.STUDENT_T, rho), grid)
