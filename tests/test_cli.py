@@ -3,6 +3,7 @@
 import argparse
 import ast
 import contextlib
+import decimal
 import functools
 import gc
 import hashlib
@@ -27,13 +28,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sumdist
-from sumdist import __version__, cli, csvwriter, jointdensity, sampler
+from sumdist import __version__, cli, csvwriter, jointdensity, sampler, sumcdf
 from sumdist.cli import _serialize, main
 from sumdist.copula import CopulaFamily, CopulaSpec
 from sumdist.csvwriter import BLOCK_ROWS
 from sumdist.grid import GridSpec
 from sumdist.sampler import CHUNK_PAIRS
-from sumdist.sumcdf import cdf_paper_exact, quantile_sweep
+from sumdist.errors import DomainError
+from sumdist.sumcdf import TableMode, cdf_paper_exact, quantile_sweep
 
 
 class Result(NamedTuple):
@@ -191,6 +193,30 @@ class TestValidation:
         result = runner.invoke(main, ["dist", "--copula", "gumbel", "--theta", "1e300", "--output", str(out)])
         assert result.exit_code == 1, result.output
         assert "raw F values outside [0, 1 + 1e-6]" in result.output
+
+    @pytest.mark.parametrize(
+        "spec, mode, step, miss",
+        [
+            # strong negative dependence: the density's ridge along y = -x is
+            # narrower than the lattice, and F overshoots 1 near the top
+            (CopulaSpec.frank(-138.8), "paper-exact", 0.05, "0.00819 beyond 1"),
+            (CopulaSpec.frank(-138.8), "refined", 0.05, "0.00819 beyond 1"),
+            (CopulaSpec.frank(-138.8), "refined", 0.025, "8.33e-06 beyond 1"),
+            (CopulaSpec.gauss(-0.999), "refined", 0.1, "0.0386 beyond 1"),
+        ],
+        ids=["frank-paper-exact", "frank-refined-0.05", "frank-refined-0.025", "gauss-refined-0.1"],
+    )
+    def test_strong_negative_dependence_overshoot(self, runner, tmp_path, spec, mode, step, miss):
+        parameter = "rho" if spec.family == CopulaFamily.GAUSS else "theta"
+        label = f"{spec.family.value} ({parameter}={getattr(spec, parameter)!r}) {mode} table"
+        with pytest.raises(DomainError) as info:
+            sumcdf.integrators()[TableMode(mode)](spec, GridSpec(step=step, z_step=step))
+        assert label in str(info.value) and miss in str(info.value)
+        args = ["dist", "--copula", spec.family.value, f"--{parameter}", str(getattr(spec, parameter)), "--mode", mode]
+        result = runner.invoke(main, [*args, "--step", str(step), "--z-step", str(step), "--output", str(tmp_path / "d.csv")])
+        assert result.exit_code == 1, result.output
+        assert label in result.output and miss in result.output
+        assert "Traceback" not in result.output
 
     @pytest.mark.parametrize(
         "args, message",
@@ -724,6 +750,60 @@ class TestSerialize:
         columns = {"x": rng.standard_normal(n), "k": list(range(n)), "y": (1e-6 * rng.standard_normal(n)).tolist()}
         want = _serialize_per_value(self.META, {**columns, "x": columns["x"].tolist()})
         assert _csv(self.META, columns) == want
+
+    # the values that leave fixed notation, and the neighbours of its ends
+    EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, *(
+        (np.array([1e-4, 1e16]).view(np.int64)[:, None] + np.arange(-2, 3)).view(np.float64).ravel().tolist()
+    )]
+
+    @pytest.mark.parametrize("block", [1, 7, 4099])
+    @pytest.mark.parametrize("names", [("x", "y"), ("x", "y", "f")], ids=["sample", "density"])
+    def test_edge_values_across_blocks(self, monkeypatch, block, names):
+        monkeypatch.setattr(csvwriter, "BLOCK_ROWS", block)
+        rng = np.random.default_rng(block)
+        n = 2 * block + 20
+        values = rng.standard_normal((n, len(names)))  # row-major, as the sample's pairs
+        edges = [*self.EDGES, *(-v for v in self.EDGES)]
+        # the rows either side of each block boundary, each column a different edge value
+        rows = sorted({r for b in range(block, n, block) for r in range(b - 3, b + 3) if 0 <= r < n})
+        for c in range(len(names)):
+            for i, r in enumerate(rows):
+                values[r, c] = edges[(i + 7 * c) % len(edges)]
+        columns = {name: values[:, c] for c, name in enumerate(names)}
+        assert _csv(self.META, columns) == _serialize_per_value(self.META, {k: v.tolist() for k, v in columns.items()})
+
+    @pytest.mark.parametrize("block", [1, 7, 4099])
+    def test_sweep_layout_across_blocks(self, monkeypatch, block):
+        # str and mixed columns keep their bytes, NUL padded to whole words
+        # and dropped; names of 1, 7, 8 and 17 bytes straddle the word size
+        monkeypatch.setattr(csvwriter, "BLOCK_ROWS", block)
+        n = 2 * block + 3
+        rng = np.random.default_rng(n)
+        families = ["t", "clayton", "gumbel-8", "frank-with-17-ch"]
+        columns = {
+            "rho": rng.uniform(0, 1, n).tolist(),
+            "family": [families[i % 4] for i in range(n)],
+            "q95": [self.EDGES[i % len(self.EDGES)] if i % 3 == 0 else float(v) for i, v in enumerate(rng.standard_normal(n))],
+            "n": [[7, None, True, 2**70, 0.5, np.float64(-0.0)][i % 6] for i in range(n)],
+            "q99.5": (10.0 ** rng.uniform(-5, 17, n)).tolist(),
+        }
+        assert _csv(self.META, columns) == _serialize_per_value(self.META, columns)
+
+    def test_word_tables(self):
+        # against the decimal text of each group, exponent and trailing-zero count
+        texts = [f"{g:04d}" for g in range(10000)]
+        assert csvwriter._QUADS.tolist() == [int.from_bytes(t.encode(), "little") for t in texts]
+        assert csvwriter._TRAILING_ZEROS.tolist() == [len(t) - len(t.rstrip("0")) for t in texts]
+        words = lambda table, entry: sum(int(table[j, entry]) << 64 * j for j in range(3))
+        raw = int.from_bytes(b"\0" + b"12345678901234567", "little")  # the sign slot, then 17 digits
+        for e in range(-4, 16):
+            keep, shift, const = words(csvwriter._KEEP, e + 4), int(csvwriter._SHIFT[e + 4]), words(csvwriter._CONST, e + 4)
+            fixed = format(decimal.Decimal("12345678901234567").scaleb(e - 16), "f")
+            assert (raw & keep) | (raw - (raw & keep)) << shift | const == int.from_bytes(b"\0" + fixed.encode(), "little")
+            for t in range(17):
+                # %.17g cuts the fraction's trailing zeros, and the point if nothing follows it
+                trimmed = format(decimal.Decimal("1" * (17 - t) + "0" * t).scaleb(e - 16), "f").rstrip("0").rstrip(".")
+                assert words(csvwriter._END, 17 * (e + 4) + t) == (1 << 8 * (1 + len(trimmed))) - 1
 
 
 class TestSweep:
