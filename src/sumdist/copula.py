@@ -332,11 +332,12 @@ def _axis_coordinate(spec: CopulaSpec, u):
     """Per-axis transform feeding the density kernel (scalar or array ``u``).
 
     Arrays go through the array kernels, scalars through the scalar
-    functions.  The normal quantile meets |Phi(x) - u| <= 1e-12; the t
-    quantile is within 1e-12 relative for u and 1 - u down to 1e-300, and
-    raises ``DomainError`` where it is not a finite double (nu = 0.5, u
-    below 2.4e-155).  Kernel and scalar agree to a few units of 1e-15
-    relative but not always to the last bit.
+    functions.  The normal quantile is within 1e-15 relative, and its
+    kernel and scalar agree to the bit; the t quantile is within 1e-12
+    relative for u and 1 - u down to 1e-300, and raises ``DomainError``
+    where it is not a finite double (nu = 0.5, u below 2.4e-155).  Its
+    kernel and scalar agree to a few units of 1e-15 relative but not always
+    to the last bit.
     """
     if spec.family is CopulaFamily.GAUSS:
         if np.ndim(u):
@@ -535,12 +536,10 @@ def _density_from_coords(spec: CopulaSpec, c1, c2) -> np.ndarray:
     return _frank_kernel(spec.theta, c1, c2)
 
 
-def _density_at(spec: CopulaSpec, u1: float, u2: float) -> float:
-    """The copula density at one point of clamped u, evaluated as a one-point
-    block: for equal coordinates, the bits of a grid entry."""
-    c1 = np.array([_axis_coordinate(spec, u1)])
-    c2 = np.array([_axis_coordinate(spec, u2)])
-    return float(_density_from_coords(spec, c1, c2)[0])
+def _density_at(spec: CopulaSpec, c1: float, c2: float) -> float:
+    """The copula density at one point of kernel coordinates, evaluated as a
+    one-point block: for equal coordinates, the bits of a grid entry."""
+    return float(_density_from_coords(spec, np.array([c1]), np.array([c2]))[0])
 
 
 def _clamp_u(u):
@@ -557,7 +556,7 @@ def copula_density(spec: CopulaSpec, u1: float, u2: float) -> float:
     """
     if not (0.0 < u1 < 1.0 and 0.0 < u2 < 1.0):
         raise DomainError(f"copula_density requires u in (0, 1) strictly, got ({u1!r}, {u2!r})")
-    return _density_at(spec, _clamp_u(u1), _clamp_u(u2))
+    return _density_at(spec, _axis_coordinate(spec, _clamp_u(u1)), _axis_coordinate(spec, _clamp_u(u2)))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ import contextvars
 import numpy as np
 
 from . import specfun
-from .copula import CopulaSpec, _axis_coordinate, _clamp_u, _density_at, _density_from_coords
+from .copula import UEPS, CopulaFamily, CopulaSpec, _axis_coordinate, _clamp_u, _density_at, _density_from_coords
 from .errors import DomainError
 from .grid import GridSpec
 
@@ -59,8 +59,27 @@ def joint_pdf(spec: CopulaSpec, x: float, y: float) -> float:
     phi_product = specfun.std_normal_pdf(x) * specfun.std_normal_pdf(y)
     if phi_product < _UNDERFLOW_FLOOR:
         return 0.0
-    u1, u2 = _clamp_u(specfun.std_normal_cdf(x)), _clamp_u(specfun.std_normal_cdf(y))
-    return _density_at(spec, u1, u2) * phi_product
+    c1 = _point_coordinate(spec, x, _clamp_u(specfun.std_normal_cdf(x)))
+    c2 = _point_coordinate(spec, y, _clamp_u(specfun.std_normal_cdf(y)))
+    return _density_at(spec, c1, c2) * phi_product
+
+
+def _point_coordinate(spec: CopulaSpec, x, u):
+    """Kernel coordinate of the normal-margin point(s) ``x``, whose clamped Phi is ``u``.
+
+    That is ``_axis_coordinate(spec, u)``, except for the Gauss family, whose
+    coordinate Phi^-1(u) is ``x`` itself wherever u is not clamped.  There
+    the point is taken as is: the round trip would carry Phi's last-bit
+    rounding (scalar and array Phi differ by one ulp at x = -4.75) through
+    the exact quantile, and the density's slope amplifies it.  Clamped
+    points keep Phi^-1(u).
+    """
+    if spec.family is not CopulaFamily.GAUSS:
+        return _axis_coordinate(spec, u)
+    inside = (u > UEPS) & (u < 1.0 - UEPS)
+    if np.ndim(x):
+        return np.where(inside, x, _axis_coordinate(spec, u))
+    return float(x) if inside else _axis_coordinate(spec, u)
 
 
 @contextlib.contextmanager
@@ -87,7 +106,8 @@ def _axis_memo():
 
 
 def _axis_terms(spec: CopulaSpec, axis: np.ndarray, memo: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Copula coordinate and phi of each axis point, computed once per ``memo``.
+    """Copula coordinate (see ``_point_coordinate``) and phi of each axis
+    point, computed once per ``memo``.
 
     The coordinate depends on the family and nu only, never on rho or
     theta, so cells of one sweep that share them share it.
@@ -98,7 +118,7 @@ def _axis_terms(spec: CopulaSpec, axis: np.ndarray, memo: dict) -> tuple[np.ndar
         memo[points] = (u, specfun.std_normal_pdf_array(axis))
     key = (spec.family, spec.nu, points)
     if key not in memo:
-        memo[key] = _axis_coordinate(spec, memo[points][0])
+        memo[key] = _point_coordinate(spec, axis, memo[points][0])
     return memo[key], memo[points][1]
 
 

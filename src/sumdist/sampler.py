@@ -15,7 +15,9 @@ only on (spec, seed, n) - never on chunking or vectorization.
 
 Family constructions:
 
-* Gauss: 2x2 Cholesky of the correlation matrix applied to a normal pair.
+* Gauss: 2x2 Cholesky of the correlation matrix applied to a normal pair;
+  with normal margins the pair itself is the draw, with no round trip
+  through Phi and its quantile.
 * Student-t: the Gauss pair scaled by sqrt(nu / chi-square_nu).
 * Clayton: gamma(1/theta) frailty mixing of exponentials.
 * Gumbel: positive-stable frailty of index 1/theta via the
@@ -68,9 +70,9 @@ MAX_PAIRS = 2**25
 CHUNK_PAIRS = 1 << 16
 # the elementwise stages after the draws (the Gauss copula's Phi, the t
 # copula's T_nu, the normal margins' Phi^-1) run over this many pairs at a
-# time, chosen by timing: each temporary is 128 KB and Phi^-1 peaks at 1.6 MB
-# a block, against 13 MB for a whole chunk.  Every stage works lane by lane,
-# so no result depends on it.
+# time, chosen by timing: each temporary is 128 KB, and Phi peaks at 1.0 MB
+# and Phi^-1 at 0.8 MB a block, against 13 MB for a whole chunk.  Every
+# stage works lane by lane, so no result depends on it.
 BLOCK_PAIRS = 1 << 13
 
 _INV_2_53 = 2.0 ** -53
@@ -247,9 +249,13 @@ def _correlated_normal_pair(rng: RandomSource, rho: float, m: int) -> tuple[np.n
     return x, y
 
 
+def _gauss_normals(spec: CopulaSpec, rng: RandomSource, m: int) -> np.ndarray:
+    """The Gauss copula's correlated normal pairs: its draws with N(0, 1) margins."""
+    return np.column_stack(_correlated_normal_pair(rng, spec.rho, m))
+
+
 def _chunk_gauss(spec: CopulaSpec, rng: RandomSource, m: int) -> np.ndarray:
-    x, y = _correlated_normal_pair(rng, spec.rho, m)
-    return _blockwise(specfun.std_normal_cdf_array, np.column_stack([x, y]))
+    return _blockwise(specfun.std_normal_cdf_array, _gauss_normals(spec, rng, m))
 
 
 def _chunk_student_t(spec: CopulaSpec, rng: RandomSource, m: int) -> np.ndarray:
@@ -343,6 +349,27 @@ _CHUNK_GENERATORS = {
 }
 
 
+def _draw(spec: CopulaSpec, n: int, rng: RandomSource, generate, uniform: bool = True) -> np.ndarray:
+    """n pairs from ``generate``, chunk k from ``rng.substream(k)``: the one
+    chunk loop, and the one check of n, of :func:`sample_copula` and
+    :func:`sample_sum`.  ``uniform`` chunks must lie inside (0, 1)^2."""
+    if n < 1:
+        raise DomainError(f"sample_copula requires n >= 1, got {n!r}")
+    if n > MAX_PAIRS:
+        raise DomainError(f"sample_copula got n = {n!r} pairs, above the limit of {MAX_PAIRS}")
+    pairs = np.empty((n, 2))
+    for k, start in enumerate(range(0, n, CHUNK_PAIRS)):
+        m = min(CHUNK_PAIRS, n - start)
+        chunk = pairs[start : start + m]
+        chunk[:] = generate(spec, rng.substream(k), m)
+        lo, hi = float(chunk.min()), float(chunk.max())
+        if uniform and not (0.0 < lo and hi < 1.0):
+            params = ", ".join(f"{name}={value!r}" for name, value in spec.describe().items() if name != "family")
+            bad = hi if 0.0 < lo else lo
+            raise DomainError(f"{spec.family.value} copula sampling failed for {params}: a draw of {bad!r} lies outside (0, 1)")
+    return pairs
+
+
 def sample_copula(spec: CopulaSpec, n: int, rng: RandomSource) -> np.ndarray:
     """n pairs on (0,1)^2 distributed by the copula of ``spec``.
 
@@ -351,32 +378,23 @@ def sample_copula(spec: CopulaSpec, n: int, rng: RandomSource) -> np.ndarray:
     (see ``copula._independent``) every family draws the same pairs of
     uniforms.  A draw that rounds to 0 or 1 is a ``DomainError``.
     """
-    if n < 1:
-        raise DomainError(f"sample_copula requires n >= 1, got {n!r}")
-    if n > MAX_PAIRS:
-        raise DomainError(f"sample_copula got n = {n!r} pairs, above the limit of {MAX_PAIRS}")
     generate = _chunk_independent if _independent(spec) else _CHUNK_GENERATORS[spec.family]
-    pairs = np.empty((n, 2))
-    for k, start in enumerate(range(0, n, CHUNK_PAIRS)):
-        m = min(CHUNK_PAIRS, n - start)
-        chunk = pairs[start : start + m]
-        chunk[:] = generate(spec, rng.substream(k), m)
-        lo, hi = float(chunk.min()), float(chunk.max())
-        if not (0.0 < lo and hi < 1.0):
-            params = ", ".join(f"{name}={value!r}" for name, value in spec.describe().items() if name != "family")
-            bad = hi if 0.0 < lo else lo
-            raise DomainError(f"{spec.family.value} copula sampling failed for {params}: a draw of {bad!r} lies outside (0, 1)")
-    return pairs
+    return _draw(spec, n, rng, generate)
 
 
 def sample_sum(spec: CopulaSpec, n: int, rng: RandomSource) -> SampleSet:
     """(x, y) pairs with standard normal margins and copula dependence.
 
-    The uniform pairs of :func:`sample_copula` are pushed through the normal
-    quantile transform in place, ``BLOCK_PAIRS`` pairs at a time, so the
+    The Gauss family draws normal pairs and :func:`sample_copula` returns
+    their Phi, so its margins are those pairs, from the same substreams.
+    Every other family's are the normal quantiles of :func:`sample_copula`'s
+    uniforms, taken in place, ``BLOCK_PAIRS`` pairs at a time, so the
     kernel's temporaries stay in cache whatever n is.
     """
-    pairs = _blockwise(specfun.std_normal_inv_cdf_array, sample_copula(spec, n, rng))
+    if spec.family is CopulaFamily.GAUSS:
+        pairs = _draw(spec, n, rng, _gauss_normals, uniform=False)
+    else:
+        pairs = _blockwise(specfun.std_normal_inv_cdf_array, sample_copula(spec, n, rng))
     return SampleSet(pairs=pairs, spec=spec, seed=rng.seed)
 
 

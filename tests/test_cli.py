@@ -508,27 +508,34 @@ class TestSample:
     # of the values, by at most 8.5e-13 (Clayton) and 2.0e-14 (Gumbel).  The
     # two t ones were re-pinned when the t CDF took the quantile's side rule
     # for its incomplete beta, which moved it only where 3 nu/(nu + 2) < x^2
-    # < nu: at n = 70000, 4.9% of the values moved, by at most 1.7e-15
+    # < nu: at n = 70000, 4.9% of the values moved, by at most 1.7e-15.
+    # All eleven were re-pinned when the normal quantile became Wichura's
+    # AS241 in one rational pass, and the Gauss margins became the drawn
+    # normal pairs themselves: 74% to 81% of the values moved, most in the
+    # upper tail, where the former Halley step was up to 1.1e-9 relative
+    # off; the largest move was 2.9e-10 (5.3e-11 relative, Clayton at
+    # n = 70000, x = 5.53), and the Gauss ones, which the Phi round trip
+    # carried, moved by at most 2.5e-12
     @pytest.mark.parametrize(
         "args, digest",
         [
-            (["--copula", "gauss", "--rho", "0.9", "--n", "2000"], "74dfe49054303e2f4e96e526153118f61e3b3dc8ee631d55649ceaccc725bfca"),
-            (["--copula", "t", "--rho", "0.9", "--n", "2000"], "7f25144f71ed5869ed00355fe32870f6ea954d8237fb56fc7a6cfddc243c1041"),
-            (["--copula", "clayton", "--rho", "0.9", "--n", "2000"], "72cbd29e632daa771caab340122b739ceda51b5323762cce46739544821e4288"),
-            (["--copula", "gumbel", "--rho", "0.9", "--n", "2000"], "b96bbedee3b74c8644eccd5e7caa6488eb59755b62c573041237c9aa14eb5832"),
+            (["--copula", "gauss", "--rho", "0.9", "--n", "2000"], "c370a91496bb4962a7e0221048be90c54f80b079e341c1971c6b0983106e3c24"),
+            (["--copula", "t", "--rho", "0.9", "--n", "2000"], "1aada19c242f2b3247e378dd49ba3348bbe6d22981d1de0d19d2714e86ea5ac0"),
+            (["--copula", "clayton", "--rho", "0.9", "--n", "2000"], "c9a6f6b62fda72221078642035875cc8c826e5224f010412818e516f6db34cdb"),
+            (["--copula", "gumbel", "--rho", "0.9", "--n", "2000"], "2d33941a8f17ee691bb423a692a3ee735e44703ef862b54445d24deef39e93fa"),
             # re-pinned earlier when Frank's theta became the exact root of
             # tau(theta); with the former theta 12.025352564014565 the bytes
             # were as before
-            (["--copula", "frank", "--rho", "0.9", "--n", "2000"], "412d2caf1a444d47864bced922671a46d14a99521b3e5293e28714ca7c0a0d91"),
+            (["--copula", "frank", "--rho", "0.9", "--n", "2000"], "c4e55ab99315de2917427dc1a1792841d5a21858bfa36428a537b2d80fa9f23f"),
             (
                 ["--copula", "gumbel", "--rho", "0.5", "--n", "2000", "--format", "json"],
-                "31760a05f05bc185a3b9efb429f6b3fb067bc6b65163dcd87804798cae3f3358",
+                "4a2a1612e07cc05c4a9346d7d4e1f87f08612198363f605244ab0173e9524910",
             ),
-            (["--copula", "gauss", "--rho", "0.9", "--n", "70000"], "7a380a5f766f876c2c5d0f5a5cf7a64c92681830caf04b82dfb413cbf80e2dcf"),
-            (["--copula", "t", "--rho", "0.9", "--n", "70000"], "cd190240491a553a30924a40d51c42e60df277c7627d4e22802ff8e619394a4b"),
-            (["--copula", "clayton", "--rho", "0.9", "--n", "70000"], "45c093fc96bb944e08e0faf7dda33540841b31cb9d5ee70377aedcd020882faa"),
-            (["--copula", "gumbel", "--rho", "0.9", "--n", "70000"], "2091f90954d894f7becd50ca10daac1b2ff1f390738b61cbeb57b74caa6d9de6"),
-            (["--copula", "frank", "--rho", "0.9", "--n", "70000"], "1c25ae342a43b66c0ef06b3e22d483e7ef1c6fe2f8ee4773a1097d4d782261be"),
+            (["--copula", "gauss", "--rho", "0.9", "--n", "70000"], "b58126d7c623fa36a7deffe63438ce0d1e21a89a11c8a4417cd322ab3850444b"),
+            (["--copula", "t", "--rho", "0.9", "--n", "70000"], "c829ce20c75936e33a94f142da71a9237dcdf7dcd5fef7af5ae493ee24a9ab33"),
+            (["--copula", "clayton", "--rho", "0.9", "--n", "70000"], "a3a19b61e30d402836fd6f0fd1e76af9813950d1f97a492f4b8ff09c07e07e4f"),
+            (["--copula", "gumbel", "--rho", "0.9", "--n", "70000"], "acb9deb33ba7a6f28cd4eb1c949f65d5803fdd64e31614cbbd7d34848940e21a"),
+            (["--copula", "frank", "--rho", "0.9", "--n", "70000"], "8a429bc8c566496cea451f42e72be6fa1d70266d2448109943a02bfe90c744c0"),
         ],
         ids=["gauss", "t", "clayton", "gumbel", "frank", "json", "gauss-70000", "t-70000", "clayton-70000", "gumbel-70000", "frank-70000"],
     )
@@ -874,8 +881,11 @@ class TestSweep:
         # edge-midpoint grid to the centroid rule on the cell-center grid's
         # own anti-diagonal sums: every row moved, by at most 1.43e-6 in a
         # quantile, and the worst Gauss quantile error went from 6.33e-5 to
-        # 6.40e-5, which linear interpolation on the 0.025 z lattice sets
-        assert digest == "815a10e1b71839f4a066e8e10f90ab9d47c8691ef62f73aeeb2b397cbdd72602"
+        # 6.40e-5, which linear interpolation on the 0.025 z lattice sets.
+        # Re-pinned when the normal quantile became Wichura's AS241: it moved
+        # the start of the t quantile's Newton steps (Hill's), and so the
+        # (0.5, t) and (0.1, t) rows, by at most 4.6e-15 relative
+        assert digest == "a888bb66aac2219f902192f215e03afc69390aae23599e3fc7172235c2fec6d2"
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -964,12 +974,13 @@ class TestEntryPoints:
         assert shown in proc.stdout
 
     def test_module_exit_codes(self, tmp_path):
-        # the process entry keeps main's statuses and its piped summary line
+        # the process entry keeps main's statuses and its piped summary line;
+        # the bytes are TestSample's gauss pin, re-pinned with it
         out = tmp_path / "s.csv"
         proc = _fresh("-m", "sumdist.cli", "sample", "--copula", "gauss", "--rho", "0.9", "--n", "2000", "--seed", "7", "--output", str(out))
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == f"sample family=gauss rho=0.9 n=2000 seed=7 rows=2000 sha256=74dfe49054303e2f -> {out}\n"
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == "74dfe49054303e2f4e96e526153118f61e3b3dc8ee631d55649ceaccc725bfca"
+        assert proc.stdout == f"sample family=gauss rho=0.9 n=2000 seed=7 rows=2000 sha256=c370a91496bb4962 -> {out}\n"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == "c370a91496bb4962a7e0221048be90c54f80b079e341c1971c6b0983106e3c24"
         proc = _fresh("-m", "sumdist.cli", "sample", "--copula", "gauss", "--rho", "0.9", "--n", "0")
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "Error: --n must be >= 1, got 0\n")
         # a level the table does not bracket: a numerical failure

@@ -7,7 +7,16 @@ import pytest
 from scipy import stats
 
 from sumdist import jointdensity, specfun
-from sumdist.copula import CopulaFamily, CopulaSpec, _axis_coordinate, _clamp_u, _density_from_coords, copula_density, spec_from_rho
+from sumdist.copula import (
+    UEPS,
+    CopulaFamily,
+    CopulaSpec,
+    _axis_coordinate,
+    _clamp_u,
+    _density_from_coords,
+    copula_density,
+    spec_from_rho,
+)
 from sumdist.errors import DomainError
 from sumdist.grid import GridSpec
 from sumdist.jointdensity import joint_pdf, joint_pdf_grid
@@ -96,14 +105,28 @@ class TestJointPdfGrid:
 
     @pytest.mark.parametrize("rho", [0.9, 0.3])
     def test_gauss_grid_matches_bivariate_normal(self, rho):
-        # c(Phi(x), Phi(y)) carries the rounding of u = Phi(x) near 1 into the
-        # quantile, eps / (1 - Phi(5)) = 3.9e-10 relative; 9.1e-10 is seen
+        # an axis point inside the clamp is its own Gauss coordinate, so the
+        # rounding of u = Phi(x) near 1, eps / (1 - Phi(5)) = 3.9e-10
+        # relative, does not reach it; 7.4e-14 is seen
         grid = GridSpec(half_width=5.0, step=0.25)
         axis = grid.axis_points()
         g = joint_pdf_grid(CopulaSpec.gauss(rho), grid)
         xy = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
         want = stats.multivariate_normal(mean=[0.0, 0.0], cov=[[1.0, rho], [rho, 1.0]]).pdf(xy)
-        np.testing.assert_allclose(g, want, rtol=5e-9, atol=0.0)
+        np.testing.assert_allclose(g, want, rtol=5e-13, atol=0.0)
+
+    def test_gauss_coordinate_is_the_point_inside_the_clamp(self):
+        # and a point whose Phi is clamped keeps Phi^-1 of the clamp
+        spec = CopulaSpec.gauss(0.9)
+        axis = np.linspace(-8.5, 8.5, 69)
+        u = _clamp_u(specfun.std_normal_cdf_array(axis))
+        inside = (u > UEPS) & (u < 1.0 - UEPS)
+        assert 0 < inside.sum() < axis.size
+        coord = jointdensity._point_coordinate(spec, axis, u)
+        np.testing.assert_array_equal(coord[inside], axis[inside])
+        np.testing.assert_array_equal(coord[~inside], specfun.std_normal_inv_cdf_array(u[~inside]))
+        scalar = [jointdensity._point_coordinate(spec, x, v) for x, v in zip(axis.tolist(), u.tolist())]
+        np.testing.assert_array_equal(scalar, coord)
 
     def test_center_value_independence(self):
         grid = GridSpec(half_width=1.0, step=1.0, z_min=-1.0, z_max=1.0, z_step=1.0)
@@ -148,11 +171,21 @@ class TestJointPdfGrid:
             joint_pdf_grid(spec, "not a grid")
 
 
+def _reference_coordinate(spec, axis):
+    """The kernel coordinate of each axis point.  A Gauss point whose Phi is
+    not clamped is its own coordinate, as the library takes it: the round
+    trip through Phi and its exact quantile would carry Phi's last bit."""
+    u = _clamp_u(specfun.std_normal_cdf_array(axis))
+    coord = _axis_coordinate(spec, u)
+    if spec.family is CopulaFamily.GAUSS:
+        inside = (u > UEPS) & (u < 1.0 - UEPS)
+        coord[inside] = np.asarray(axis, dtype=float)[inside]
+    return coord
+
+
 def unblocked_grid(spec, xs, ys):
     """The density grid in one whole-grid pass: the reference for the row blocks."""
-    u1 = _clamp_u(specfun.std_normal_cdf_array(xs))
-    u2 = _clamp_u(specfun.std_normal_cdf_array(ys))
-    c1, c2 = _axis_coordinate(spec, u1), _axis_coordinate(spec, u2)
+    c1, c2 = _reference_coordinate(spec, xs), _reference_coordinate(spec, ys)
     dens = np.asarray(_density_from_coords(spec, c1[:, None], c2[None, :]), dtype=float)
     weight = np.outer(specfun.std_normal_pdf_array(xs), specfun.std_normal_pdf_array(ys))
     out = dens * weight

@@ -227,7 +227,8 @@ class TestSampleCopula:
         assert estimate_tau(uv[::10]) == pytest.approx(tau_from_theta(family, theta), abs=0.002)
 
     def test_independence_draws_one_layout(self):
-        # uniform pairs, in draw order, from each chunk's substream
+        # uniform pairs, in draw order, from each chunk's substream, for
+        # every Archimedean family at independence
         n = CHUNK_PAIRS + 777
         want = np.concatenate(
             [RandomSource(SEED).substream(k).uniform_block(2 * m).reshape(m, 2) for k, m in enumerate((CHUNK_PAIRS, 777))]
@@ -240,6 +241,10 @@ class TestSampleCopula:
             CopulaSpec.frank(-1e-300),
         ):
             np.testing.assert_array_equal(sample_copula(spec, n, RandomSource(SEED)), want, err_msg=repr(spec.describe()))
+            # and the normal margins are their normal quantiles
+            np.testing.assert_array_equal(
+                sample_sum(spec, n, RandomSource(SEED)).pairs, specfun.std_normal_inv_cdf_array(want), err_msg=repr(spec.describe())
+            )
 
     def test_clayton_near_independence_stays_inside(self):
         # at theta = 1e-12 the frailty construction drew u = 1.0, and the
@@ -366,11 +371,26 @@ class TestArrayTransforms:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_sample_sum_applies_normal_quantile(self, family):
         spec = spec_from_rho(family, 0.9, 4.0)
-        uv = sample_copula(spec, 3000, RandomSource(SEED))
-        pairs = sample_sum(spec, 3000, RandomSource(SEED)).pairs
+        n = CHUNK_PAIRS + 3000
+        uv = sample_copula(spec, n, RandomSource(SEED))
+        pairs = sample_sum(spec, n, RandomSource(SEED)).pairs
         np.testing.assert_allclose(stats.norm.cdf(pairs), uv, rtol=0.0, atol=1e-12)
-        expected = np.array([[specfun.std_normal_inv_cdf(float(u)) for u in row] for row in uv])
-        np.testing.assert_allclose(pairs, expected, rtol=1e-14, atol=0.0)
+        if family is CopulaFamily.GAUSS:
+            # the margins are each substream's correlated normal pairs, with
+            # no round trip through Phi (which loses up to about 1e-11
+            # relative above x = 4.75), and sample_copula holds their Phi
+            normals = np.concatenate(
+                [
+                    np.column_stack(_correlated_normal_pair(RandomSource(SEED).substream(k), spec.rho, m))
+                    for k, m in enumerate((CHUNK_PAIRS, 3000))
+                ]
+            )
+            np.testing.assert_array_equal(pairs, normals)
+            np.testing.assert_array_equal(uv, specfun.std_normal_cdf_array(normals))
+        else:
+            # the kernel is the scalar to the bit
+            expected = np.array([[specfun.std_normal_inv_cdf(u) for u in row] for row in uv[::20].tolist()])
+            np.testing.assert_array_equal(pairs[::20], expected)
 
     def test_gauss_chunk_applies_normal_cdf(self):
         spec = CopulaSpec.gauss(0.9)

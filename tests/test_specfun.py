@@ -23,7 +23,6 @@ from sumdist.errors import DomainError
 from sumdist.grid import PAPER_GRID, GridSpec
 from sumdist.specfun import (
     _INV_SQRT_2,
-    _P_LOW,
     debye1,
     ln_gamma,
     reg_incomplete_beta,
@@ -137,7 +136,6 @@ class TestStdNormalInvCdf:
 
     @pytest.mark.parametrize("p", [1e-320, 5e-324])
     def test_subnormal_p(self, p):
-        # std_normal_cdf flushes Phi(x) to 0 here, so the Halley step is skipped
         x = std_normal_inv_cdf(p)
         assert math.isfinite(x) and x < -37.5
         assert x == pytest.approx(norm.ppf(p), rel=1e-8)
@@ -151,6 +149,58 @@ class TestStdNormalInvCdf:
         scalar = np.array([std_normal_inv_cdf(float(p)) for p in ps])
         np.testing.assert_allclose(scalar, want, rtol=1e-8, atol=0.0)
         np.testing.assert_allclose(std_normal_inv_cdf_array(ps), want, rtol=1e-8, atol=0.0)
+
+
+    def test_relative_error_against_mpmath_root(self):
+        # the last refinement (Acklam's rational and one Halley step) was
+        # 1.1e-9 relative off in the upper tail, where e = Phi(x) - p is
+        # rounding noise: p = 1 - 5.7e-14, x = 7.42
+        rng = np.random.default_rng(7003)
+        p = np.concatenate(
+            [
+                np.logspace(math.log10(5e-324), math.log10(0.5), 300),
+                [5e-324, 0.5 - 2.0**-54],
+                [1.0 - 10.0**-k for k in range(1, 17)],
+                [1.0 - 5.7e-14],
+                rng.uniform(0.0, 1.0, 200),
+            ]
+        )
+        x = std_normal_inv_cdf_array(p)
+        want = np.array([_normal_quantile_40(float(v), float(xv)) for v, xv in zip(p, x)])
+        np.testing.assert_allclose(x, want, rtol=1e-15, atol=0.0)
+        assert np.array_equal(x, [std_normal_inv_cdf(float(v)) for v in p])
+        assert std_normal_inv_cdf(0.5) == 0.0
+
+    def test_mirror_and_kernel_to_the_bit(self):
+        # for p in [1/2, 1), 1 - p is exact, so Phi^-1(1 - p) = -Phi^-1(p)
+        # holds in floating point (Acklam's rational and Halley step broke it
+        # on 123,166 of these p); the scalar and the kernel give the same bits
+        rng = np.random.default_rng(7004)
+        p = np.concatenate(
+            [
+                rng.uniform(0.5, 1.0, 200_000),
+                1.0 - 10.0 ** rng.uniform(-16.0, math.log10(0.075), 19_996),
+                [0.5, 0.925, 1.0 - math.exp(-25.0), 1.0 - 2.0**-53],
+            ]
+        )
+        upper = std_normal_inv_cdf_array(p)
+        lower = std_normal_inv_cdf_array(1.0 - p)
+        assert np.array_equal(lower, -upper)
+        for values, kernel in ((p, upper), (1.0 - p, lower)):
+            scalar = np.array([std_normal_inv_cdf(v) for v in values.tolist()])
+            assert np.array_equal(scalar.view(np.int64), kernel.view(np.int64))
+
+
+def _normal_quantile_40(p: float, x: float) -> float:
+    """The root of Phi(x) = p at 40 digits, by Newton steps from x."""
+    with mpmath.workdps(40):
+        target, root = mpmath.mpf(p), mpmath.mpf(x)
+        for _ in range(6):
+            step = (mpmath.ncdf(root) - target) / mpmath.npdf(root)
+            root -= step
+            if abs(step) <= mpmath.mpf(10) ** -38 * abs(root):
+                break
+        return float(root)
 
 
 class TestLnGamma:
@@ -512,8 +562,9 @@ _NUS = (0.5, 1.0, 2.5, 4.0, 30.0, 200.0)
 _TINY = 2.0**-1022  # the smallest normal double
 
 # |kernel - scalar| <= rtol |scalar| + atol.  Largest values seen on the
-# point sets below: 2.8e-16 (pdf), 6.2e-16 (cdf), 1.4e-15 (inverse cdf),
-# 5.1e-15 (t CDF, at nu = 200), 4.5e-15 (t inverse) relative.  Both sides
+# point sets below: 2.8e-16 (pdf), 6.2e-16 (cdf), 0 (inverse cdf, which
+# agrees to the bit), 5.1e-15 (t CDF, at nu = 200), 4.5e-15 (t inverse)
+# relative.  Both sides
 # of the t CDF take T_nu(-|x|) from an incomplete beta with no 1 - I, so
 # neither gets an atol.  Its gaps grow with nu: the beta's front
 # exp(a ln x + b ln(1 - x)), with nu/2 as a or b, carries nu/2 times the
@@ -558,7 +609,9 @@ def _normal_points() -> np.ndarray:
 
 def _probability_points() -> np.ndarray:
     rng = np.random.default_rng(7002)
-    edges = _with_neighbours([_P_LOW, 1.0 - _P_LOW, 0.5, 1e-300])
+    # branch edges of Phi^-1: |p - 1/2| = 0.425 (central and tail rationals)
+    # and min(p, 1 - p) = e^-25 (the two tail rationals)
+    edges = _with_neighbours([0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0), 0.5, 1e-300])
     return np.concatenate(
         [
             rng.uniform(0.0, 1.0, 60_000),
@@ -566,9 +619,8 @@ def _probability_points() -> np.ndarray:
             1.0 - 10.0 ** rng.uniform(-16.0, -1.0, 20_000),
             edges,
             [1.0 - 2.0**-53, 1e-320, 5e-324],
-            # the Halley step is skipped below p of about 1.1e-307, where
-            # std_normal_cdf flushes Phi to 0; Acklam's x crosses that
-            # cutoff within 1e-5 relative of Phi(-26.5 sqrt 2)
+            # around Phi(-26.5 sqrt 2), below which std_normal_cdf flushes
+            # Phi to 0
             10.0 ** rng.uniform(-323.0, -300.0, 2_000),
             1.1054538321318671e-307 * (1.0 + np.linspace(-1e-5, 1e-5, 2_001)),
         ]
