@@ -21,8 +21,8 @@ __version__ = "0.1.0"
 # joint density or F_Z code
 _MODULE_NAMES = {
     "copula": (
-        "CopulaFamily CopulaSpec DependenceSummary copula_cdf copula_density spec_from_rho "
-        "summarize_dependence tau_from_pearson_rho tau_from_theta theta_from_tau"
+        "CopulaFamily CopulaSpec copula_cdf copula_density spec_from_rho tau_from_pearson_rho tau_from_theta "
+        "theta_from_tau"
     ),
     "errors": "DomainError QuantileOutOfRange",
     "grid": "PAPER_GRID GridSpec",

@@ -43,9 +43,12 @@ from .specfun import (
 # (1/2 - q)/t_nu(0), which never overshoots.  At nu = 1 the start is the
 # Cauchy quantile, which is exact.  A relative step of 1e-13 stops the
 # iteration, widened by nu 2^-51: the beta's front carries nu/2 times the
-# rounding of w, and at nu = 1e6 smaller steps never settle.
+# rounding of w, and at nu = 1e6 smaller steps never settle.  A step below
+# 1e-12 that does not shrink is rounding too: just above nu = 1, where ln G
+# nears -700, one bit of it moves t by ~1.1e-13 and t cycles round the root.
 _HILL_TAIL_MIN = 2.0**-40
 _T_REL_STEP = 1e-13
+_T_NOISE_STEP = 1e-12
 _T_MAXIT = 60
 _LN2 = math.log(2.0)
 _DBL_MAX = float.fromhex("0x1.fffffffffffffp+1023")
@@ -134,7 +137,7 @@ def student_t_inv_cdf(p: float, nu: float) -> float:
         raise setup.not_finite(p)
     log_tail_target, log_core_target = log_q + _LN2, math.log1p(-2.0 * q)
     t = _t_start(setup, q, log_q)
-    lo, hi = 0.0, _DBL_MAX
+    lo, hi, last_step = 0.0, _DBL_MAX, math.inf
     for _ in range(_T_MAXIT):
         g, tail = _t_tail_beta(t, nu)
         sign = 1.0 if tail else -1.0
@@ -152,8 +155,9 @@ def student_t_inv_cdf(p: float, nu: float) -> float:
             hi = t
         if not (lo <= t_new <= hi):
             t_new = math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else 0.5 * hi
-        done = abs(t_new - t) <= setup.rel_step * t_new
-        t = t_new
+        step = abs(t_new - t)
+        done = step <= setup.rel_step * t_new or last_step <= step <= _T_NOISE_STEP * t_new
+        t, last_step = t_new, step
         if done:
             break
     return -t if p < 0.5 else t
@@ -213,6 +217,7 @@ def student_t_inv_cdf_array(p, nu: float) -> np.ndarray:
     t = _t_start_flat(setup, q, log_q)
     lo = np.zeros_like(t)
     hi = np.full_like(t, _DBL_MAX)
+    last_step = np.full_like(t, math.inf)
     lane = np.arange(act.size)
     for _ in range(_T_MAXIT):
         g, tail = _t_tail_beta_flat(t, nu)
@@ -228,10 +233,11 @@ def student_t_inv_cdf_array(p, nu: float) -> np.ndarray:
         if outside.any():
             lo_o, hi_o = lo[outside], hi[outside]
             t_new[outside] = np.where(lo_o > 0.0, np.sqrt(lo_o) * np.sqrt(hi_o), 0.5 * hi_o)
-        done = np.abs(t_new - t) <= setup.rel_step * t_new
+        step = np.abs(t_new - t)
+        done = (step <= setup.rel_step * t_new) | ((last_step <= step) & (step <= _T_NOISE_STEP * t_new))
         x[act[lane[done]]] = t_new[done]
         live = ~done
-        lane, t, lo, hi = lane[live], t_new[live], lo[live], hi[live]
+        lane, t, lo, hi, last_step = lane[live], t_new[live], lo[live], hi[live], step[live]
         log_tail_target, log_core_target = log_tail_target[live], log_core_target[live]
         if not lane.size:
             break

@@ -23,7 +23,8 @@ so an in-process call leaves the collector as it found it.
 
 Exit codes: 2 for flag/validation errors, whose message names the flag, 1 for
 numerical failures (for example a quantile level the table does not bracket).
-Either prints ``Error: <message>`` to standard error.
+Either prints ``Error: <message>`` to standard error.  Only a check that names
+a flag makes a ``DomainError`` a usage error; ``main`` reports any other.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ import numpy as np
 
 from . import __version__
 from .copula import DEFAULT_NU, CopulaFamily, CopulaSpec, spec_from_rho
-from .errors import DomainError, QuantileOutOfRange
+from .errors import DomainError
 
 if TYPE_CHECKING:  # the commands that build a grid import it when they run
     from .grid import GridSpec
@@ -219,10 +220,7 @@ def _grid_meta(grid: GridSpec) -> dict:
 def _compute_table(spec, grid, mode):
     from .sumcdf import TableMode, integrators
 
-    try:
-        return integrators()[TableMode(mode)](spec, grid)
-    except DomainError as exc:
-        raise CommandError(str(exc))
+    return integrators()[TableMode(mode)](spec, grid)
 
 
 def dist(copula, rho, theta, nu, half_width, step, z_min, z_max, z_step, mode, fmt, output):
@@ -242,10 +240,7 @@ def quantile_cmd(copula, rho, theta, nu, half_width, step, z_min, z_max, z_step,
     table = _compute_table(spec, grid, mode)
     from .sumcdf import quantile
 
-    try:
-        values = [quantile(table, q) for q in levels]
-    except (QuantileOutOfRange, DomainError) as exc:
-        raise CommandError(str(exc))
+    values = [quantile(table, q) for q in levels]
     meta = _spec_meta("quantile", spec, mode=mode, **_grid_meta(grid))
     _emit(meta, {"q": list(levels), "value": values}, fmt, output, f"quantile_{copula}")
 
@@ -294,10 +289,7 @@ def sample(copula, rho, theta, nu, n, seed, fmt, output):
         rng = RandomSource(seed)
     except DomainError as exc:
         raise UsageError(f"--seed invalid: {exc}")
-    try:
-        sample_set = sample_sum(spec, n, rng)
-    except DomainError as exc:
-        raise CommandError(str(exc))
+    sample_set = sample_sum(spec, n, rng)
     meta = _spec_meta("sample", spec, n=n, seed=seed)
     _emit(meta, {"x": sample_set.pairs[:, 0], "y": sample_set.pairs[:, 1]}, fmt, output, f"sample_{copula}")
 
@@ -331,10 +323,7 @@ def sweep(families, rhos, qs, nu, half_width, step, z_min, z_max, z_step, mode, 
     grid = _build_grid(half_width, step, z_min, z_max, z_step)
     from .sumcdf import TableMode
 
-    try:
-        reports = quantile_sweep(fams, rhos, qs, nu=nu, grid=grid, mode=TableMode(mode))
-    except (DomainError, QuantileOutOfRange) as exc:
-        raise CommandError(str(exc))
+    reports = quantile_sweep(fams, rhos, qs, nu=nu, grid=grid, mode=TableMode(mode))
     q_names = [_level_name(q) for q in sorted(qs)]
     columns: dict[str, list] = {"rho": [], "family": [], **{name: [] for name in q_names}}
     for report in reports:
@@ -406,11 +395,15 @@ def _parser(prog: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(args: list[str] | None = None, prog_name: str | None = None, standalone_mode: bool = True) -> None:
-    """Run one ``sumdist`` command on ``args`` (default: ``sys.argv[1:]``).  A failure prints
-    ``Error: <message>`` and exits with its status, or with ``standalone_mode=False`` is raised."""
+    """Run one ``sumdist`` command on ``args`` (default: ``sys.argv[1:]``).  A failure, a
+    ``DomainError`` among them, prints ``Error: <message>`` and exits with its status, or with
+    ``standalone_mode=False`` is raised as a ``CommandError``."""
     try:
-        options = vars(_parser(prog_name).parse_args(args))
-        options.pop("func")(**options)
+        try:
+            options = vars(_parser(prog_name).parse_args(args))
+            options.pop("func")(**options)
+        except DomainError as exc:
+            raise CommandError(str(exc)) from exc
     except CommandError as exc:
         if not standalone_mode:
             raise

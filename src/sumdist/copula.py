@@ -33,14 +33,12 @@ __all__ = [
     "CopulaFamily",
     "CopulaSpec",
     "DEFAULT_NU",
-    "DependenceSummary",
     "UEPS",
     "copula_cdf",
     "copula_density",
     "tau_from_pearson_rho",
     "theta_from_tau",
     "tau_from_theta",
-    "summarize_dependence",
     "spec_from_rho",
 ]
 
@@ -280,31 +278,6 @@ def theta_from_tau(family: CopulaFamily, tau: float) -> float:
             return -_frank_theta_from_tau(-tau)
         return _frank_theta_from_tau(tau)
     raise DomainError(f"theta_from_tau is defined for Archimedean families only, got {family!r}")
-
-
-@dataclass(frozen=True)
-class DependenceSummary:
-    """All dependence parameters induced by one Pearson rho."""
-
-    pearson_rho: float
-    kendall_tau: float
-    theta_clayton: float
-    theta_gumbel: float
-    theta_frank: float
-
-
-def summarize_dependence(rho: float) -> DependenceSummary:
-    """Pearson rho -> Kendall tau -> Archimedean thetas, in one record."""
-    tau = tau_from_pearson_rho(rho)
-    if not (0.0 < tau < 1.0):
-        raise DomainError(f"dependence summary needs rho in (0, 1), got rho={rho!r}")
-    return DependenceSummary(
-        pearson_rho=rho,
-        kendall_tau=tau,
-        theta_clayton=theta_from_tau(CopulaFamily.CLAYTON, tau),
-        theta_gumbel=theta_from_tau(CopulaFamily.GUMBEL, tau),
-        theta_frank=theta_from_tau(CopulaFamily.FRANK, tau),
-    )
 
 
 def spec_from_rho(family: CopulaFamily, rho: float, nu: float = DEFAULT_NU) -> CopulaSpec:

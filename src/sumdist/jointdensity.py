@@ -49,7 +49,7 @@ _UNDERFLOW_FLOOR = 1e-300
 # slower)
 _BLOCK_CELLS = 8192
 
-# the per-axis terms of the innermost open _axis_memo block, or None
+# the per-axis terms of the open _axis_memo block, or None
 _AXIS_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar("sumdist_axis_memo", default=None)
 
 
@@ -91,13 +91,9 @@ def _axis_memo():
     The grids of one shape are written into one array, so a grid built in
     the block holds until the next grid of its shape is built; a sweep
     reduces each grid before it builds the next, and keeps the same heap
-    pages from cell to cell.  A nested block joins the open one, and
-    everything is dropped when the outermost block exits, so nothing is
-    cached across calls of the library's entry points.
+    pages from cell to cell.  Everything is dropped when the block exits, so
+    nothing is cached across calls of the library's entry points.
     """
-    if _AXIS_MEMO.get() is not None:
-        yield
-        return
     token = _AXIS_MEMO.set({})
     try:
         yield

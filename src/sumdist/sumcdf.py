@@ -42,7 +42,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .copula import DEFAULT_NU, CopulaFamily, CopulaSpec, spec_from_rho
-from .errors import DomainError, QuantileOutOfRange
+from .errors import DomainError
+from .errors import QuantileOutOfRange  # a DomainError: callers catch the root type
 from .grid import GridSpec, PAPER_GRID
 from .jointdensity import joint_pdf_grid, _axis_memo, _grid_on_axes
 

@@ -416,6 +416,34 @@ class TestValidation:
             rows.append(read_csv(out)[2])
         assert rows[0] == rows[1]
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["dist", "--copula", "t"], "--rho is required for the t copula"),
+            (["dist", "--copula", "gauss"], "--rho is required for the gauss copula"),
+            (["dist", "--copula", "gauss", "--rho", "0.5", "--nu", "4"], "--nu applies to the t copula only"),
+        ],
+    )
+    def test_elliptical_flag_errors(self, runner, args, message):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert result.output == f"Error: {message}\n"
+
+    def test_sweep_level_out_of_range_is_numerical_failure(self, runner, tmp_path):
+        out = tmp_path / "s.csv"
+        args = ["sweep", "--families", "gumbel", "--rhos", "0.9", "--qs", "0.999", "--output", str(out)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith(
+            "Error: q=0.999 not bracketed by the gumbel (theta=3.482711638669624) paper-exact table: "
+        ), result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+        # an in-process call raises it, as a numerical failure
+        with pytest.raises(cli.CommandError, match=r"^q=0\.999 not bracketed by the gumbel") as info:
+            main(args=args, prog_name="sumdist", standalone_mode=False)
+        assert not isinstance(info.value, cli.UsageError) and info.value.exit_code == 1
+
     def test_quantile_out_of_range_is_numerical_failure(self, runner, tmp_path):
         result = runner.invoke(
             main,
@@ -684,6 +712,26 @@ def _serialize_per_value(meta, columns):
 
 class TestSerialize:
     META = {"command": "test", "version": __version__}
+
+    @pytest.mark.parametrize("existing", [b"the bytes of an earlier run\n", None], ids=["replace", "create"])
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, existing):
+        # a block that fails after the first leaves the target as it was
+        # and removes the temp file the blocks went to
+        target = tmp_path / "a.csv"
+        if existing is not None:
+            target.write_bytes(existing)
+
+        def blocks():
+            yield b"first block\n"
+            raise RuntimeError("the second block failed")
+
+        with pytest.raises(RuntimeError, match="the second block failed"):
+            cli._write_artifact(blocks(), str(target))
+        assert not list(tmp_path.glob(".sumdist-*.tmp"))
+        if existing is None:
+            assert not target.exists()
+        else:
+            assert target.read_bytes() == existing
 
     @pytest.mark.parametrize(
         "columns",
@@ -1082,11 +1130,11 @@ class TestImport:
 
     def test_public_names(self):
         assert sumdist.__all__ == sorted(
-            """CopulaFamily CopulaSpec DependenceSummary DistributionTable DomainError GridSpec
+            """CopulaFamily CopulaSpec DistributionTable DomainError GridSpec
             PAPER_GRID QuantileOutOfRange QuantileReport RandomSource SampleSet
             TABLE2_RHOS TableMode __version__ cdf_paper_exact cdf_refined copula_cdf copula_density
             empirical_cdf estimate_spearman_rho estimate_tau joint_pdf joint_pdf_grid quantile
-            quantile_sweep sample_copula sample_sum spec_from_rho summarize_dependence
+            quantile_sweep sample_copula sample_sum spec_from_rho
             tau_from_pearson_rho tau_from_theta theta_from_tau""".split()
         )
 

@@ -20,7 +20,6 @@ from sumdist.copula import (
     copula_cdf,
     copula_density,
     spec_from_rho,
-    summarize_dependence,
     tau_from_pearson_rho,
     tau_from_theta,
     theta_from_tau,
@@ -188,15 +187,6 @@ class TestDependenceConversions:
             theta_from_tau(CopulaFamily.GAUSS, 0.5)
         with pytest.raises(DomainError):
             tau_from_theta(CopulaFamily.STUDENT_T, 2.0)
-
-    def test_summary_round_trips(self):
-        s = summarize_dependence(0.9)
-        for fam, theta in [
-            (CopulaFamily.CLAYTON, s.theta_clayton),
-            (CopulaFamily.GUMBEL, s.theta_gumbel),
-            (CopulaFamily.FRANK, s.theta_frank),
-        ]:
-            assert tau_from_theta(fam, theta) == pytest.approx(s.kendall_tau, abs=1e-8)
 
 
 def _frank_tau_oracle(theta) -> "mpmath.mpf":

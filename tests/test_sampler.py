@@ -180,6 +180,26 @@ class TestSampleCopula:
         tau = estimate_tau(copula_sample_1e5(family))
         assert tau == pytest.approx(tau_from_pearson_rho(0.9), abs=0.02)
 
+    @pytest.mark.parametrize("theta", [spec_from_rho(CopulaFamily.CLAYTON, 0.3).theta, 0.5, 1.0])
+    def test_clayton_frailty_shape_from_one(self, monkeypatch, theta):
+        # below theta = 1 the gamma frailty's shape 1/theta is 1 or more, and
+        # log_gamma_block takes the log of gamma_block's draws directly;
+        # rho = 0.3 leads there (theta = 0.4813), rho = 0.5 does not
+        shapes = []
+        draw = RandomSource.gamma_block
+
+        def recorded(self, shape, count):
+            shapes.append(shape)
+            return draw(self, shape, count)
+
+        monkeypatch.setattr(RandomSource, "gamma_block", recorded)
+        n = 10**5
+        uv = sample_copula(CopulaSpec.clayton(theta), n, RandomSource(SEED))
+        assert shapes and min(shapes) == 1.0 / theta >= 1.0
+        tau = theta / (theta + 2.0)
+        # Var(tau_hat) <= 2 (1 - tau^2) / n (Daniels and Kendall, 1947)
+        assert abs(estimate_tau(uv) - tau) <= 4.0 * math.sqrt(2.0 * (1.0 - tau * tau) / n)
+
     def test_gumbel_upper_tail_clustering(self):
         uv = sample_copula(spec_from_rho(CopulaFamily.GUMBEL, 0.9), 5000, RandomSource(SEED))
         upper = np.mean((uv[:, 0] > 0.95) & (uv[:, 1] > 0.95)) / 0.05

@@ -475,33 +475,63 @@ class TestStudentTQuantilePasses:
     of the t tail (``_t_tail_beta``); at nu = 4 a close start leaves at most
     four on the axes of both grid modes."""
 
-    @pytest.mark.parametrize("name", list(_t_axis_probabilities()))
-    def test_array_passes_at_nu_4(self, monkeypatch, name):
-        p = _t_axis_probabilities()[name]
+    @staticmethod
+    def _counted(monkeypatch, name):
+        """The t points of each pass of ``_tquantile.<name>``, from now on."""
         calls = []
-        one_pass = _tquantile._t_tail_beta_flat
-
-        def counted(*args):
-            calls.append(args[0].size)
-            return one_pass(*args)
-
-        monkeypatch.setattr(_tquantile, "_t_tail_beta_flat", counted)
-        student_t_inv_cdf_array(p, 4.0)
-        assert 1 <= len(calls) <= 4, calls
-
-    def test_scalar_passes_at_nu_4(self, monkeypatch):
-        calls = []
-        one_pass = _tquantile._t_tail_beta
+        one_pass = getattr(_tquantile, name)
 
         def counted(*args):
             calls.append(args[0])
             return one_pass(*args)
 
-        monkeypatch.setattr(_tquantile, "_t_tail_beta", counted)
+        monkeypatch.setattr(_tquantile, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("name", list(_t_axis_probabilities()))
+    def test_array_passes_at_nu_4(self, monkeypatch, name):
+        p = _t_axis_probabilities()[name]
+        calls = self._counted(monkeypatch, "_t_tail_beta_flat")
+        student_t_inv_cdf_array(p, 4.0)
+        assert 1 <= len(calls) <= 4, [t.size for t in calls]
+
+    def test_scalar_passes_at_nu_4(self, monkeypatch):
+        calls = self._counted(monkeypatch, "_t_tail_beta")
         for p in _t_axis_probabilities()["paper"]:
             calls.clear()
             student_t_inv_cdf(float(p), 4.0)
             assert len(calls) <= 4, (p, len(calls))
+
+    @pytest.mark.parametrize(
+        "nu, p", [(1.01, 8.219740308763492e-250), (1.05, 9.65995177398215e-292), (1.1, 3.1440962049673697e-299)]
+    )
+    def test_rounding_cycle_stops(self, monkeypatch, nu, p):
+        # where ln G nears -700 just above nu = 1, one bit of ln G moves t
+        # by 1.0-1.1e-13, above the stop threshold, and the steps cycled
+        # between two neighbours of the root for all 60 passes
+        scalar_calls = self._counted(monkeypatch, "_t_tail_beta")
+        array_calls = self._counted(monkeypatch, "_t_tail_beta_flat")
+        x = student_t_inv_cdf(p, nu)
+        assert student_t_inv_cdf_array(np.array([p]), nu)[0] == x
+        assert len(scalar_calls) <= 6 and len(array_calls) <= 6, (len(scalar_calls), len(array_calls))
+        assert _t_quantile_error(x, p, nu) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e3, 1e-3])
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 4.0, 30.0])
+    def test_bracket_recovers_a_far_start(self, monkeypatch, nu, scale):
+        # a start 10^3 off sends Newton steps out of the bracket, and far in
+        # the tail one 10^3 too large underflows G to 0; the bracket's
+        # geometric means bring the steps back to the root.  At nu = 0.5 the
+        # quantile leaves the doubles below p = 2.4e-155, so the smallest p
+        # stay 10^3 above that edge
+        p = np.geomspace(1e-300, 0.45, 40)
+        p = np.concatenate([p[p > 1e3 * student_t_cdf(-sys.float_info.max, nu)], [0.55, 0.9, 0.999999]])
+        want = student_t_inv_cdf_array(p, nu)
+        start, start_flat = _tquantile._t_start, _tquantile._t_start_flat
+        monkeypatch.setattr(_tquantile, "_t_start", lambda *args: scale * start(*args))
+        monkeypatch.setattr(_tquantile, "_t_start_flat", lambda *args: scale * start_flat(*args))
+        np.testing.assert_allclose(student_t_inv_cdf_array(p, nu), want, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose([student_t_inv_cdf(float(v), nu) for v in p], want, rtol=1e-13, atol=0.0)
 
 
 def _debye1_oracle(theta: float) -> float:
