@@ -1,6 +1,8 @@
-"""The Student-t quantile of :mod:`sumdist.specfun`, scalar and array.
+"""The Student-t quantile of :mod:`sumdist.specfun`, one array kernel.
 
-``specfun.student_t_inv_cdf`` and ``student_t_inv_cdf_array`` import this
+``specfun.student_t_inv_cdf_array`` calls ``student_t_inv_cdf_flat`` on its
+elements, and the scalar ``specfun.student_t_inv_cdf`` on a one-element
+array, so the scalar is the kernel's lane to the bit.  Both import this
 module on their first call.  Only commands with a t axis run the quantile,
 so ``import sumdist.cli`` does not compile it: every invocation compiles
 the modules it imports, and without bytecode that cost shows in start-up
@@ -15,23 +17,19 @@ import numpy as np
 
 from .errors import DomainError
 from .specfun import (
-    _flat,
-    _require,
     _t_log_far_tail,
     _t_log_normalizer,
-    _t_log_pdf,
+    _t_log_pdf_flat,
     _t_log_tail_scale,
-    _t_tail_beta,
     _t_tail_beta_flat,
-    std_normal_inv_cdf,
     std_normal_inv_cdf_array,
 )
 
 # The quantile solves T_nu(-t) = q for t = |x| > 0 by Newton steps from a
 # closed-form start.  Each pass is one evaluation of the t tail,
-# ``specfun._t_tail_beta``, the t CDF's own: the incomplete beta G that holds
-# T_nu(-t) to full relative accuracy, with G = 2 T_nu(-t) on the tail side
-# and 1 - 2 T_nu(-t) on the core side.  The step is Newton's on
+# ``specfun._t_tail_beta_flat``, the t CDF's own: the incomplete beta G that
+# holds T_nu(-t) to full relative accuracy, with G = 2 T_nu(-t) on the tail
+# side and 1 - 2 T_nu(-t) on the core side.  The step is Newton's on
 # ln G - ln G*, G* = 2q or 1 - 2q, with the analytic density.
 #
 # Hill's start ("Algorithm 396: Student's t-quantiles", CACM 1970) divides
@@ -55,7 +53,7 @@ _DBL_MAX = float.fromhex("0x1.fffffffffffffp+1023")
 
 
 class _TQuantileSetup:
-    """Constants of the quantile at one nu, shared by the scalar and the array."""
+    """Constants of the quantile at one nu."""
 
     def __init__(self, nu: float):
         self.nu = nu
@@ -106,73 +104,8 @@ class _TQuantileSetup:
         )
 
 
-def _t_start(setup: _TQuantileSetup, q: float, log_q: float) -> float:
-    """The start of the Newton steps on t = |x|."""
-    nu = setup.nu
-    if nu == 1.0:
-        # 1/(pi q) can round past DBL_MAX at the smallest q that passed
-        return min(1.0 / math.tan(math.pi * q), _DBL_MAX) if q < 0.25 else math.tan(math.pi * (0.5 - q))
-    if setup.hill:
-        y = math.exp(setup.hill_log_y(log_q))
-        if y > 0.05 + setup.a:
-            return math.sqrt(nu * math.expm1(setup.hill_normal(std_normal_inv_cdf(q))))
-        if y >= _HILL_TAIL_MIN:
-            return math.sqrt(nu * setup.hill_tail(y))
-    t = math.exp(min(setup.log_asymptote(log_q), math.log(_DBL_MAX)))
-    return t if t * t >= 2.0 * nu else (0.5 - q) / setup.density_at_0
-
-
-def student_t_inv_cdf(p: float, nu: float) -> float:
-    """The quantile behind :func:`sumdist.specfun.student_t_inv_cdf`."""
-    if not (nu > 0.0):
-        raise DomainError(f"student_t_inv_cdf requires nu > 0, got {nu!r}")
-    if not (0.0 < p < 1.0):
-        raise DomainError(f"student_t_inv_cdf requires 0 < p < 1, got {p!r}")
-    if p == 0.5:
-        return 0.0
-    setup = _TQuantileSetup(nu)
-    q = p if p < 0.5 else 1.0 - p
-    log_q = math.log(q)
-    if log_q < setup.log_q_min:
-        raise setup.not_finite(p)
-    log_tail_target, log_core_target = log_q + _LN2, math.log1p(-2.0 * q)
-    t = _t_start(setup, q, log_q)
-    lo, hi, last_step = 0.0, _DBL_MAX, math.inf
-    for _ in range(_T_MAXIT):
-        g, tail = _t_tail_beta(t, nu)
-        sign = 1.0 if tail else -1.0
-        # r > 0: t lies below the root
-        if g > 0.0:
-            log_g = math.log(g)
-            r = sign * (log_g - (log_tail_target if tail else log_core_target))
-            # G / (2 t density) stays near 1/nu in the tails, so it cannot overflow
-            t_new = t + r * t * math.exp(log_g - _LN2 - _t_log_pdf(t, nu) - math.log(t))
-        else:
-            r, t_new = -sign * math.inf, math.nan
-        if r > 0.0:
-            lo = t
-        else:
-            hi = t
-        if not (lo <= t_new <= hi):
-            t_new = math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else 0.5 * hi
-        step = abs(t_new - t)
-        done = step <= setup.rel_step * t_new or last_step <= step <= _T_NOISE_STEP * t_new
-        t, last_step = t_new, step
-        if done:
-            break
-    return -t if p < 0.5 else t
-
-
-def _t_log_pdf_flat(x: np.ndarray, nu: float) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        q = x * x / nu
-    huge = np.isinf(q)
-    log1p_q = np.log1p(q)
-    log1p_q[huge] = 2.0 * np.log(np.abs(x[huge])) - math.log(nu)
-    return _t_log_normalizer(nu) - 0.5 * (nu + 1.0) * log1p_q
-
-
 def _t_start_flat(setup: _TQuantileSetup, q: np.ndarray, log_q: np.ndarray) -> np.ndarray:
+    """The start of the Newton steps on t = |x| at each lower-tail probability q."""
     nu = setup.nu
     if nu == 1.0:
         with np.errstate(over="ignore"):
@@ -191,23 +124,19 @@ def _t_start_flat(setup: _TQuantileSetup, q: np.ndarray, log_q: np.ndarray) -> n
     return t
 
 
-def student_t_inv_cdf_array(p, nu: float) -> np.ndarray:
-    """The quantile behind :func:`sumdist.specfun.student_t_inv_cdf_array`.
+def student_t_inv_cdf_flat(p: np.ndarray, nu: float) -> np.ndarray:
+    """The t quantile of each element of the 1-D ``p``, all inside (0, 1).
 
-    Each lane runs the scalar's start, Newton steps and bracket, and stops
-    by the scalar's rule; each pass evaluates the t CDF on the lanes still
-    moving.
+    Behind :func:`sumdist.specfun.student_t_inv_cdf_array` and its one-lane
+    scalar, which check the arguments.  Each lane runs the start, the Newton
+    steps and the bracket, and stops by the rule above.
     """
-    if not (nu > 0.0):
-        raise DomainError(f"student_t_inv_cdf requires nu > 0, got {nu!r}")
-    flat, shape = _flat(p)
-    _require((flat > 0.0) & (flat < 1.0), flat, "student_t_inv_cdf requires 0 < p < 1")
-    x = np.zeros_like(flat)
-    act = np.flatnonzero(flat != 0.5)
+    x = np.zeros_like(p)
+    act = np.flatnonzero(p != 0.5)
     if not act.size:
-        return x.reshape(shape)
+        return x
     setup = _TQuantileSetup(nu)
-    pa = flat[act]
+    pa = p[act]
     q = np.where(pa < 0.5, pa, 1.0 - pa)
     log_q = np.log(q)
     beyond = log_q < setup.log_q_min
@@ -242,4 +171,4 @@ def student_t_inv_cdf_array(p, nu: float) -> np.ndarray:
         if not lane.size:
             break
     x[act[lane]] = t
-    return np.where(flat < 0.5, -x, x).reshape(shape)
+    return np.where(p < 0.5, -x, x)

@@ -72,6 +72,10 @@ _THETA_MAX = 1e300
 # below this tau, Frank's theta = 9 tau (1 + 0.81 tau^2) to within 1.3e-4 theta^4
 # relative, which is under 2e-16 for theta < 1e-3
 _FRANK_SERIES_TAU = 1e-3 / 9.0
+# below this theta, the Newton residual for Frank's theta takes tau(theta)
+# from D1's series: 1 - D1 ~ theta/4 cancels there (1.4e-9 relative error
+# in theta at tau = 1.2e-4 through the complement)
+_FRANK_SERIES_THETA = 0.5
 
 
 class CopulaFamily(enum.Enum):
@@ -236,9 +240,14 @@ def _frank_theta_from_tau(tau: float) -> float:
     step = math.inf
     for _ in range(100):
         d1 = specfun.debye1(theta)
-        # f = (1 - tau(theta)) - (1 - tau), which decreases in theta; the
-        # complement keeps its relative accuracy as tau approaches 1
-        f = 4.0 * (1.0 - d1) / theta - c
+        # f = (1 - tau(theta)) - (1 - tau) = tau - tau(theta), which decreases
+        # in theta; the complement keeps its relative accuracy as tau
+        # approaches 1, and D1's series tau(theta) = 4 theta S(theta^2) keeps
+        # it at small theta
+        if theta < _FRANK_SERIES_THETA:
+            f = tau - 4.0 * theta * specfun._debye1_series(theta * theta)
+        else:
+            f = 4.0 * (1.0 - d1) / theta - c
         if f > 0.0:
             lo = theta
         else:
@@ -305,12 +314,11 @@ def _axis_coordinate(spec: CopulaSpec, u):
     """Per-axis transform feeding the density kernel (scalar or array ``u``).
 
     Arrays go through the array kernels, scalars through the scalar
-    functions.  The normal quantile is within 1e-15 relative, and its
-    kernel and scalar agree to the bit; the t quantile is within 1e-12
-    relative for u and 1 - u down to 1e-300, and raises ``DomainError``
-    where it is not a finite double (nu = 0.5, u below 2.4e-155).  Its
-    kernel and scalar agree to a few units of 1e-15 relative but not always
-    to the last bit.
+    functions, and each scalar agrees with its kernel to the bit (the t
+    scalar is the kernel's one lane).  The normal quantile is within 1e-15
+    relative; the t quantile is within 1e-12 relative for u and 1 - u down
+    to 1e-300, and raises ``DomainError`` where it is not a finite double
+    (nu = 0.5, u below 2.4e-155).
     """
     if spec.family is CopulaFamily.GAUSS:
         if np.ndim(u):

@@ -22,17 +22,26 @@ suite):
 * ``reg_incomplete_beta`` absolute error <= 1e-12 (Lentz continued fraction)
 * ``debye1``              relative error <= 1e-15 (Bernoulli and exponential series)
 
+The Student-t targets hold for the scalar and its array kernel alike: they
+are one implementation (below).
+
 Array kernels.  ``std_normal_pdf_array``, ``std_normal_cdf_array``,
 ``std_normal_inv_cdf_array``, ``student_t_cdf_array`` and
 ``student_t_inv_cdf_array`` map an array of any shape elementwise and raise
-``DomainError`` where the scalar would.  Each runs its scalar's algorithm
-(the same rationals, branches and iteration rules) on every element, with
-numpy's exp, log and log1p where the scalar has ``math``'s.  The two differ
-in the last bit for some arguments, so a kernel meets its scalar's accuracy
-target and agrees with it to a few units of 1e-15 relative, but not always
-to the last bit.  The scalars stay on ``math``: a one-element array costs
-far more than the call.  The normal quantile is the exception: its one log
-is numpy's in the scalar too (a ufunc on a float costs about as much as
+``DomainError`` where the scalar would.  The Student-t family has one
+implementation, on arrays: ``student_t_cdf``, ``student_t_inv_cdf``,
+``student_t_pdf`` and ``reg_incomplete_beta`` check their arguments, with
+the kernel's error text, and run the kernel on a one-element array, so each
+returns its kernel's lane to the bit.  A one-lane call costs several times
+what a ``math`` chain would (about 0.5 ms for the quantile); no command
+makes one, since the grid modes and the sampler call the kernels on whole
+axes, and the scalar ``copula_cdf`` and ``copula_density`` of the t copula
+make one or two per call.  The normal scalars stay on ``math``, where the tests call them over
+a million times: the pdf and CDF kernels run their scalar's rationals and
+branches with numpy's exp, which differs from ``math``'s in the last bit
+for some arguments, so they agree with the scalar to a few units of 1e-16
+relative but not always to the last bit.  The normal quantile's one log is
+numpy's in the scalar too (a ufunc on a float costs about as much as
 ``math.log``), so it and its kernel agree to the bit.
 """
 
@@ -68,6 +77,11 @@ _INV_SQRT_2 = 1.0 / math.sqrt(2.0)
 def _flat(x) -> tuple[np.ndarray, tuple]:
     arr = np.asarray(x, dtype=float)
     return arr.ravel(), arr.shape
+
+
+def _lane(x) -> np.ndarray:
+    """``x`` as the one lane of a kernel's input."""
+    return np.array([x], dtype=float)
 
 
 def _require(ok: np.ndarray, flat: np.ndarray, message: str) -> None:
@@ -407,53 +421,14 @@ _BETA_FPMIN = 1e-300
 _BETA_MAXIT = 600
 
 
-def _beta_cf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _BETA_FPMIN:
-        d = _BETA_FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, _BETA_MAXIT + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETA_FPMIN:
-            d = _BETA_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETA_FPMIN:
-            c = _BETA_FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETA_FPMIN:
-            d = _BETA_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETA_FPMIN:
-            c = _BETA_FPMIN
-        d = 1.0 / d
-        de = d * c
-        h *= de
-        if abs(de - 1.0) <= _BETA_EPS:
-            return h
-    raise DomainError(f"incomplete beta continued fraction failed to converge (a={a}, b={b}, x={x})")
-
-
 def _floor_abs(v: np.ndarray) -> np.ndarray:
     return np.where(np.abs(v) < _BETA_FPMIN, _BETA_FPMIN, v)
 
 
 def _beta_cf_flat(a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """:func:`_beta_cf` for each element of ``x``.
-
-    Every lane runs the scalar's modified Lentz steps and leaves the loop by
-    the scalar's convergence test.
-    """
+    """Continued fraction for the incomplete beta (modified Lentz) at each
+    element of ``x``; a lane leaves the loop once its step's factor is
+    within ``_BETA_EPS`` of 1."""
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -510,15 +485,7 @@ def reg_incomplete_beta(x: float, a: float, b: float) -> float:
         raise DomainError(f"reg_incomplete_beta requires a, b > 0, got a={a!r}, b={b!r}")
     if not (0.0 <= x <= 1.0):
         raise DomainError(f"reg_incomplete_beta requires x in [0, 1], got {x!r}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = a * math.log(x) + b * math.log1p(-x) - _ln_beta(a, b)
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cf(a, b, x) / a
-    return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
+    return float(_reg_incomplete_beta_flat(_lane(x), a, b)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -531,10 +498,14 @@ def _t_log_normalizer(nu: float) -> float:
     return ln_gamma(0.5 * (nu + 1.0)) - ln_gamma(0.5 * nu) - 0.5 * math.log(math.pi * nu)
 
 
-def _t_log_pdf(x: float, nu: float) -> float:
-    """Log of the t density; where x^2/nu overflows, log1p(x^2/nu) is 2 ln|x| - ln nu."""
-    q = x * x / nu
-    log1p_q = math.log1p(q) if q != math.inf else 2.0 * math.log(abs(x)) - math.log(nu)
+def _t_log_pdf_flat(x: np.ndarray, nu: float) -> np.ndarray:
+    """Log of the t density at each element of ``x``; where x^2/nu overflows,
+    log1p(x^2/nu) is 2 ln|x| - ln nu."""
+    with np.errstate(over="ignore"):
+        q = x * x / nu
+    huge = np.isinf(q)
+    log1p_q = np.log1p(q)
+    log1p_q[huge] = 2.0 * np.log(np.abs(x[huge])) - math.log(nu)
     return _t_log_normalizer(nu) - 0.5 * (nu + 1.0) * log1p_q
 
 
@@ -544,7 +515,7 @@ def student_t_pdf(x: float, nu: float) -> float:
         raise DomainError(f"student_t_pdf requires nu > 0, got {nu!r}")
     if not math.isfinite(x):
         raise DomainError(f"student_t_pdf requires finite x, got {x!r}")
-    return math.exp(_t_log_pdf(x, nu))
+    return float(np.exp(_t_log_pdf_flat(_lane(x), nu))[0])
 
 
 def _t_log_tail_scale(nu: float) -> float:
@@ -561,8 +532,9 @@ def _t_log_far_tail(log_ax, nu: float):
     return 0.5 * nu * (math.log(nu) - 2.0 * log_ax) - _t_log_tail_scale(nu)
 
 
-def _t_tail_beta(t: float, nu: float) -> tuple[float, bool]:
-    """(G, tail) at t >= 0: G = 2 T_nu(-t) if tail, else 1 - 2 T_nu(-t).
+def _t_tail_beta_flat(t: np.ndarray, nu: float) -> tuple[np.ndarray, np.ndarray]:
+    """(G, tail) at each element of ``t`` >= 0: G = 2 T_nu(-t) where tail,
+    else 1 - 2 T_nu(-t).
 
     With w = nu/(nu + t^2) and a = nu/2, G is the one incomplete beta whose
     continued fraction runs direct, so T_nu(-t) keeps full relative accuracy
@@ -571,17 +543,6 @@ def _t_tail_beta(t: float, nu: float) -> tuple[float, bool]:
     (t above 1.3e154) w is below every double, and the tail is taken in logs
     (``_t_log_far_tail``).
     """
-    tsq = t * t
-    if tsq == math.inf:
-        return 2.0 * math.exp(_t_log_far_tail(math.log(t), nu)), True
-    w = nu / (nu + tsq)
-    if w < (0.5 * nu + 1.0) / (0.5 * nu + 2.5):
-        return reg_incomplete_beta(w, 0.5 * nu, 0.5), True
-    return reg_incomplete_beta(tsq / (nu + tsq), 0.5, 0.5 * nu), False
-
-
-def _t_tail_beta_flat(t: np.ndarray, nu: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_t_tail_beta` for each element of ``t``."""
     with np.errstate(over="ignore"):
         tsq = t * t
     w = nu / (nu + tsq)
@@ -598,20 +559,34 @@ def _t_tail_beta_flat(t: np.ndarray, nu: float) -> tuple[np.ndarray, np.ndarray]
     return g, tail
 
 
+def _student_t_cdf_flat(x: np.ndarray, nu: float) -> np.ndarray:
+    g, tail = _t_tail_beta_flat(np.abs(x), nu)
+    lower = 0.5 * np.where(tail, g, 1.0 - g)
+    return np.where(x < 0.0, lower, 1.0 - lower)
+
+
 def student_t_cdf(x: float, nu: float) -> float:
     """Distribution function of the Student-t with nu > 0 degrees of freedom.
 
-    T_nu(-|x|) comes from the one incomplete beta of ``_t_tail_beta`` that
-    holds it to full relative accuracy, G/2 on the tail side and (1 - G)/2
-    on the core side, and the symmetric halves are stitched at x = 0.
+    T_nu(-|x|) comes from the one incomplete beta of ``_t_tail_beta_flat``
+    that holds it to full relative accuracy, G/2 on the tail side and
+    (1 - G)/2 on the core side, and the symmetric halves are stitched at
+    x = 0.  The value is the one lane of :func:`student_t_cdf_array`.
     """
     if not (nu > 0.0):
         raise DomainError(f"student_t_cdf requires nu > 0, got {nu!r}")
     if not math.isfinite(x):
         raise DomainError(f"student_t_cdf requires finite x, got {x!r}")
-    g, tail = _t_tail_beta(abs(x), nu)
-    lower = 0.5 * g if tail else 0.5 * (1.0 - g)
-    return lower if x < 0.0 else 1.0 - lower
+    return float(_student_t_cdf_flat(_lane(x), nu)[0])
+
+
+def student_t_cdf_array(x, nu: float) -> np.ndarray:
+    """:func:`student_t_cdf` of each element of ``x``, in the shape of ``x``."""
+    if not (nu > 0.0):
+        raise DomainError(f"student_t_cdf requires nu > 0, got {nu!r}")
+    flat, shape = _flat(x)
+    _require(np.isfinite(flat), flat, "student_t_cdf requires finite x")
+    return _student_t_cdf_flat(flat, nu).reshape(shape)
 
 
 def student_t_inv_cdf(p: float, nu: float) -> float:
@@ -624,41 +599,33 @@ def student_t_inv_cdf(p: float, nu: float) -> float:
     nu = 1 and the asymptote far in the tails, the Cauchy quantile at
     nu = 1) and stop at a relative step of 1e-13; a bracket catches steps
     that leave it.  At nu = 4 that takes three passes of the t CDF's
-    ``_t_tail_beta``, which keeps T_nu(-t) relatively accurate (see
+    ``_t_tail_beta_flat``, which keeps T_nu(-t) relatively accurate (see
     ``sumdist._tquantile``).  Where the quantile is not a finite double
     (at nu = 0.5, for p below about 2.4e-155), a ``DomainError`` names p
-    and nu.
+    and nu.  The value is the one lane of :func:`student_t_inv_cdf_array`.
     """
-    from ._tquantile import student_t_inv_cdf as solve
-
-    return solve(p, nu)
-
-
-def _student_t_cdf_flat(x: np.ndarray, nu: float) -> np.ndarray:
-    g, tail = _t_tail_beta_flat(np.abs(x), nu)
-    lower = 0.5 * np.where(tail, g, 1.0 - g)
-    return np.where(x < 0.0, lower, 1.0 - lower)
-
-
-def student_t_cdf_array(x, nu: float) -> np.ndarray:
-    """:func:`student_t_cdf` of each element of ``x``, in the shape of ``x``."""
     if not (nu > 0.0):
-        raise DomainError(f"student_t_cdf requires nu > 0, got {nu!r}")
-    flat, shape = _flat(x)
-    _require(np.isfinite(flat), flat, "student_t_cdf requires finite x")
-    return _student_t_cdf_flat(flat, nu).reshape(shape)
+        raise DomainError(f"student_t_inv_cdf requires nu > 0, got {nu!r}")
+    if not (0.0 < p < 1.0):
+        raise DomainError(f"student_t_inv_cdf requires 0 < p < 1, got {p!r}")
+    from ._tquantile import student_t_inv_cdf_flat
+
+    return float(student_t_inv_cdf_flat(_lane(p), nu)[0])
 
 
 def student_t_inv_cdf_array(p, nu: float) -> np.ndarray:
     """:func:`student_t_inv_cdf` of each element of ``p``, in the shape of ``p``.
 
-    Each lane runs the scalar's start, Newton steps and bracket, and stops
-    by the scalar's rule; each pass evaluates the t CDF on the lanes still
+    Each pass of the Newton steps evaluates the t CDF on the lanes still
     moving.
     """
-    from ._tquantile import student_t_inv_cdf_array as solve
+    if not (nu > 0.0):
+        raise DomainError(f"student_t_inv_cdf requires nu > 0, got {nu!r}")
+    flat, shape = _flat(p)
+    _require((flat > 0.0) & (flat < 1.0), flat, "student_t_inv_cdf requires 0 < p < 1")
+    from ._tquantile import student_t_inv_cdf_flat
 
-    return solve(p, nu)
+    return student_t_inv_cdf_flat(flat, nu).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

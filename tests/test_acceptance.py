@@ -24,7 +24,7 @@ from sumdist.copula import (
     theta_from_tau,
 )
 from sumdist.grid import GridSpec
-from sumdist.jointdensity import joint_pdf, joint_pdf_grid
+from sumdist.jointdensity import _grid_on_axes, joint_pdf, joint_pdf_grid
 from sumdist.sampler import RandomSource, empirical_cdf, estimate_tau, sample_copula, sample_sum
 from sumdist.specfun import (
     std_normal_cdf,
@@ -252,6 +252,7 @@ def test_criterion_5_truncation_frame_bound(refined_tables_rho09):
     side = np.full(edge.size, 5.0)
     xs = np.concatenate([-side, side, edge, edge])
     ys = np.concatenate([edge, edge, -side, side])
+    ends = np.array([-5.0, 5.0])
     # union bound, whatever the copula: P(|X| > 5) + P(|Y| > 5)
     mass_bound = 4.0 * stats.norm.sf(5.0)
     wide = GridSpec(half_width=6.0)
@@ -259,7 +260,9 @@ def test_criterion_5_truncation_frame_bound(refined_tables_rho09):
     ok = True
     for fam in ALL_FAMILIES:
         spec = spec_from_rho(fam, 0.9, 4.0)
-        dens = np.array([joint_pdf(spec, float(x), float(y)) for x, y in zip(xs, ys)])
+        # the frame's four sides as one-row and one-column grids, in the order of (xs, ys)
+        rows, cols = _grid_on_axes(spec, ends, edge), _grid_on_axes(spec, edge, ends)
+        dens = np.concatenate([rows[0], rows[1], cols[:, 0], cols[:, 1]])
         oracle = _frame_oracle(spec, xs, ys)
         if fam is CopulaFamily.GAUSS:
             # f(5, y) peaks at y = 5 rho = 4.5, a point of the scan
@@ -328,7 +331,7 @@ def test_criterion_7_normalization(refined_tables_rho09):
     mids = eps + step * (np.arange(n) + 0.5)
     for fam in ALL_FAMILIES:
         spec = spec_from_rho(fam, 0.9, 4.0)
-        coords = np.array([_axis_coordinate(spec, float(u)) for u in mids])
+        coords = _axis_coordinate(spec, mids)
         total = 0.0
         for lo in range(0, n, 250):
             block = coords[lo : lo + 250][:, None]

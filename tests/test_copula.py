@@ -236,16 +236,22 @@ class TestFrankInversion:
             spec_from_rho(CopulaFamily.FRANK, rho)
             assert 1 <= len(calls) <= 8, (rho, calls)
 
-    @pytest.mark.parametrize(
-        "tau, rel",
-        # for theta in about [1e-3, 0.1], 1 - D1 ~ theta/4 keeps few of D1's
-        # bits, and that rounding limits the root
-        [(1e-12, 1e-14), (1e-6, 1e-14), (1e-4, 1e-14), (2e-3, 1e-9), (0.05, 1e-14), (0.5, 1e-14), (1.0 - 1e-9, 1e-14)],
-    )
-    def test_round_trip_across_tau(self, tau, rel):
+    @pytest.mark.parametrize("tau", [1e-12, 1e-6, 1e-4, 2e-3, 0.05, 0.5, 1.0 - 1e-9])
+    def test_round_trip_across_tau(self, tau):
         theta = theta_from_tau(CopulaFamily.FRANK, tau)
         with mpmath.workdps(40):
-            assert float(_frank_tau_oracle(theta)) == pytest.approx(tau, rel=rel, abs=0)
+            assert float(_frank_tau_oracle(theta)) == pytest.approx(tau, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("tau", [1.2e-4, 1.7e-4, 2e-4, 1e-3, 1e-2, 0.05])
+    def test_theta_above_the_series_switch(self, tau):
+        # theta from about 1e-3 up: the residual 4 (1 - D1)/theta - (1 - tau),
+        # where 1 - D1 ~ theta/4 cancels, put theta 1.4e-9 off at
+        # tau = 1.2e-4 and 1.2e-13 off at 1e-2; below theta = 0.5 the
+        # residual takes tau(theta) from D1's series
+        theta = theta_from_tau(CopulaFamily.FRANK, tau)
+        with mpmath.workdps(40):
+            root = mpmath.findroot(lambda t: _frank_tau_oracle(t) - tau, theta)
+            assert theta == pytest.approx(float(root), rel=1e-15, abs=0)
 
 
 
@@ -648,7 +654,7 @@ class TestCopulaDensity:
         mids = eps + step * (np.arange(n) + 0.5)
         from sumdist.copula import _axis_coordinate, _density_from_coords
 
-        coords = np.array([_axis_coordinate(spec, float(u)) for u in mids])
+        coords = _axis_coordinate(spec, mids)
         total = 0.0
         block = 250
         for lo in range(0, n, block):

@@ -3,8 +3,9 @@
 Expected values marked as oracle-frozen were computed with mpmath at 40
 significant digits (see the exact expressions in comments); the library
 itself never touches mpmath.  The array kernels are checked against scipy
-or mpmath at their accuracy targets, and against the scalar functions to
-within a measured agreement bound.
+or mpmath at their accuracy targets.  The normal scalars are checked against
+their kernels to within a measured agreement bound; each Student-t scalar is
+its kernel's one lane, checked bitwise at the branch edges of its kernel.
 """
 
 import math
@@ -18,11 +19,13 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 from scipy.stats import t as t_dist
 
-from sumdist import _tquantile
+from sumdist import _tquantile, specfun
 from sumdist.errors import DomainError
 from sumdist.grid import PAPER_GRID, GridSpec
 from sumdist.specfun import (
     _INV_SQRT_2,
+    _reg_incomplete_beta_flat,
+    _t_log_pdf_flat,
     debye1,
     ln_gamma,
     reg_incomplete_beta,
@@ -264,6 +267,18 @@ class TestRegIncompleteBeta:
         with pytest.raises(DomainError):
             reg_incomplete_beta(x, a, b)
 
+    def test_continued_fraction_that_does_not_converge_raises(self, monkeypatch):
+        # the error names a, b and x of the fraction that ran: below
+        # x = (a + 1)/(a + b + 2) the direct one, above it the one on 1 - x
+        # with a and b swapped, and of an array its first lane still moving
+        monkeypatch.setattr(specfun, "_BETA_MAXIT", 1)
+        with pytest.raises(DomainError, match=r"failed to converge \(a=2\.0, b=3\.0, x=0\.25\)$"):
+            reg_incomplete_beta(0.25, 2.0, 3.0)
+        with pytest.raises(DomainError, match=r"failed to converge \(a=3\.0, b=2\.0, x=0\.25\)$"):
+            reg_incomplete_beta(0.75, 2.0, 3.0)
+        with pytest.raises(DomainError, match=r"failed to converge \(a=2\.0, b=3\.0, x=0\.3\)$"):
+            _reg_incomplete_beta_flat(np.array([1e-300, 0.3, 0.25]), 2.0, 3.0)
+
 
 class TestStudentTPdf:
     def test_cauchy_at_zero(self):
@@ -429,15 +444,14 @@ class TestStudentTTails:
         tiny = self._LOG_SPACED[self._LOG_SPACED > student_t_cdf(-sys.float_info.max, nu)]
         p = np.concatenate([tiny, *_t_axis_probabilities().values()])
         p = p[p != 0.5]
-        array = student_t_inv_cdf_array(p, nu)
-        scalar = np.array([student_t_inv_cdf(float(v), nu) for v in p])
+        # the scalar is the kernel's lane (TestStudentTLanes)
+        got = student_t_inv_cdf_array(p, nu)
         # scipy's own t.ppf saturates near 4.7e153, where its x * x overflows
         want = t_dist.ppf(p, nu)
         usable = np.abs(want) < 1e150
-        for got in (array, scalar):
-            np.testing.assert_allclose(got[usable], want[usable], rtol=1e-12, atol=0.0)
-            for x, v in zip(got[: tiny.size], tiny):
-                assert _t_quantile_error(float(x), float(v), nu) <= 1e-12, (v, x)
+        np.testing.assert_allclose(got[usable], want[usable], rtol=1e-12, atol=0.0)
+        for x, v in zip(got[: tiny.size], tiny):
+            assert _t_quantile_error(float(x), float(v), nu) <= 1e-12, (v, x)
 
     def test_beyond_the_doubles_is_domain_error(self):
         edge = student_t_cdf(-sys.float_info.max, 0.5)
@@ -450,7 +464,7 @@ class TestStudentTTails:
         # just inside, the quantile is a double near -DBL_MAX
         x = student_t_inv_cdf(1.01 * edge, 0.5)
         assert -sys.float_info.max <= x < -1.7e308
-        assert student_t_inv_cdf_array(np.array([1.01 * edge]), 0.5)[0] == pytest.approx(x, rel=1e-14)
+        assert student_t_inv_cdf_array(np.array([1.01 * edge]), 0.5)[0] == x
         assert _t_quantile_error(x, 1.01 * edge, 0.5) <= 1e-12
 
     @pytest.mark.parametrize("nu", [0.5, 1.0, 4.0])
@@ -460,20 +474,21 @@ class TestStudentTTails:
         want = [_t_lower_tail_oracle(float(v), nu) for v in x]
         got = np.array([student_t_cdf(float(v), nu) for v in x])
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
-        _assert_t_cdf_agrees(nu, np.concatenate([x, -x]))
+        both = np.concatenate([x, -x])
+        _assert_agrees(lambda a: student_t_cdf_array(a, nu), lambda v: student_t_cdf(v, nu), both, None)
         assert all(student_t_cdf(float(-v), nu) == 1.0 for v in x)
 
     def test_cauchy_quantile_at_1e_300(self):
         # 1/(pi p), inside the range where x * x overflows
         x = student_t_inv_cdf(1e-300, 1.0)
         assert x == pytest.approx(-1.0 / (math.pi * 1e-300), rel=1e-13)
-        assert student_t_inv_cdf_array(np.array([1e-300]), 1.0)[0] == pytest.approx(x, rel=1e-14)
+        assert student_t_inv_cdf_array(np.array([1e-300]), 1.0)[0] == x
 
 
 class TestStudentTQuantilePasses:
     """The quantile's cost is its number of t CDF passes, each one evaluation
-    of the t tail (``_t_tail_beta``); at nu = 4 a close start leaves at most
-    four on the axes of both grid modes."""
+    of the t tail (``_t_tail_beta_flat``); at nu = 4 a close start leaves at
+    most four on the axes of both grid modes."""
 
     @staticmethod
     def _counted(monkeypatch, name):
@@ -496,7 +511,7 @@ class TestStudentTQuantilePasses:
         assert 1 <= len(calls) <= 4, [t.size for t in calls]
 
     def test_scalar_passes_at_nu_4(self, monkeypatch):
-        calls = self._counted(monkeypatch, "_t_tail_beta")
+        calls = self._counted(monkeypatch, "_t_tail_beta_flat")
         for p in _t_axis_probabilities()["paper"]:
             calls.clear()
             student_t_inv_cdf(float(p), 4.0)
@@ -509,11 +524,12 @@ class TestStudentTQuantilePasses:
         # where ln G nears -700 just above nu = 1, one bit of ln G moves t
         # by 1.0-1.1e-13, above the stop threshold, and the steps cycled
         # between two neighbours of the root for all 60 passes
-        scalar_calls = self._counted(monkeypatch, "_t_tail_beta")
-        array_calls = self._counted(monkeypatch, "_t_tail_beta_flat")
+        calls = self._counted(monkeypatch, "_t_tail_beta_flat")
         x = student_t_inv_cdf(p, nu)
+        scalar_passes = len(calls)
+        calls.clear()
         assert student_t_inv_cdf_array(np.array([p]), nu)[0] == x
-        assert len(scalar_calls) <= 6 and len(array_calls) <= 6, (len(scalar_calls), len(array_calls))
+        assert scalar_passes <= 6 and len(calls) <= 6, (scalar_passes, len(calls))
         assert _t_quantile_error(x, p, nu) <= 1e-12
 
     @pytest.mark.parametrize("scale", [1e3, 1e-3])
@@ -527,8 +543,7 @@ class TestStudentTQuantilePasses:
         p = np.geomspace(1e-300, 0.45, 40)
         p = np.concatenate([p[p > 1e3 * student_t_cdf(-sys.float_info.max, nu)], [0.55, 0.9, 0.999999]])
         want = student_t_inv_cdf_array(p, nu)
-        start, start_flat = _tquantile._t_start, _tquantile._t_start_flat
-        monkeypatch.setattr(_tquantile, "_t_start", lambda *args: scale * start(*args))
+        start_flat = _tquantile._t_start_flat
         monkeypatch.setattr(_tquantile, "_t_start_flat", lambda *args: scale * start_flat(*args))
         np.testing.assert_allclose(student_t_inv_cdf_array(p, nu), want, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose([student_t_inv_cdf(float(v), nu) for v in p], want, rtol=1e-13, atol=0.0)
@@ -591,20 +606,14 @@ class TestDebye1:
 _NUS = (0.5, 1.0, 2.5, 4.0, 30.0, 200.0)
 _TINY = 2.0**-1022  # the smallest normal double
 
-# |kernel - scalar| <= rtol |scalar| + atol.  Largest values seen on the
-# point sets below: 2.8e-16 (pdf), 6.2e-16 (cdf), 0 (inverse cdf, which
-# agrees to the bit), 5.1e-15 (t CDF, at nu = 200), 4.5e-15 (t inverse)
-# relative.  Both sides
-# of the t CDF take T_nu(-|x|) from an incomplete beta with no 1 - I, so
-# neither gets an atol.  Its gaps grow with nu: the beta's front
-# exp(a ln x + b ln(1 - x)), with nu/2 as a or b, carries nu/2 times the
-# last bit in which numpy's log and log1p differ from math's.
+# |kernel - scalar| <= rtol |scalar| + atol for the normal family.  Largest
+# values seen on the point sets below: 2.8e-16 (pdf), 6.2e-16 (cdf), 0
+# (inverse cdf, which agrees to the bit) relative.  The t scalars are their
+# kernels' lanes and agree to the bit (bound None)
 _AGREE = {
     "pdf": (1e-14, 0.0),
     "cdf": (1e-14, 0.0),
     "inv_cdf": (1e-14, 0.0),
-    "t_cdf": (1e-14, 0.0),
-    "t_inv_cdf": (5e-14, 0.0),
 }
 
 
@@ -614,17 +623,17 @@ def _with_neighbours(values) -> np.ndarray:
 
 
 def _assert_agrees(kernel, scalar, values, bound) -> None:
-    """The kernel keeps the shape and is within ``bound`` of the scalar loop."""
+    """The kernel keeps the shape and is within ``bound`` of the scalar loop;
+    with ``bound`` None each scalar is the kernel's lane, to the bit."""
     values = np.asarray(values, dtype=float)
     expected = np.array([scalar(float(v)) for v in values.ravel()]).reshape(values.shape)
     got = kernel(values)
     assert got.shape == values.shape
+    if bound is None:
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+        return
     rtol, atol = bound
     np.testing.assert_allclose(got, expected, rtol=rtol, atol=atol)
-
-
-def _assert_t_cdf_agrees(nu: float, values: np.ndarray) -> None:
-    _assert_agrees(lambda a: student_t_cdf_array(a, nu), lambda v: student_t_cdf(v, nu), values, _AGREE["t_cdf"])
 
 
 def _normal_points() -> np.ndarray:
@@ -695,7 +704,6 @@ class TestArrayKernels:
     @pytest.mark.parametrize("nu", _NUS)
     def test_t_cdf_accuracy(self, nu):
         x = _t_points(nu)
-        _assert_t_cdf_agrees(nu, x)
         np.testing.assert_allclose(student_t_cdf_array(x, nu), t_dist.cdf(x, nu), rtol=0.0, atol=1e-10)
 
     @pytest.mark.parametrize("nu", _NUS)
@@ -704,9 +712,6 @@ class TestArrayKernels:
         # at nu = 0.5 the quantile of 1e-300 is not a double (see TestStudentTTails)
         tiny = 1e-300 if nu >= 1.0 else 1e-150
         p = np.concatenate([rng.uniform(0.0, 1.0, 400), [0.5, 1e-12, 1.0 - 1e-12, tiny, 1.0 - 2.0**-53]])
-        _assert_agrees(
-            lambda a: student_t_inv_cdf_array(a, nu), lambda v: student_t_inv_cdf(v, nu), p, _AGREE["t_inv_cdf"]
-        )
         x = student_t_inv_cdf_array(p, nu)
         np.testing.assert_allclose(t_dist.cdf(x, nu), p, rtol=0.0, atol=1e-10)
 
@@ -739,11 +744,141 @@ class TestArrayKernels:
             (std_normal_pdf_array, std_normal_pdf, _AGREE["pdf"]),
             (std_normal_cdf_array, std_normal_cdf, _AGREE["cdf"]),
             (std_normal_inv_cdf_array, std_normal_inv_cdf, _AGREE["inv_cdf"]),
-            (lambda a: student_t_cdf_array(a, 4.0), lambda v: student_t_cdf(v, 4.0), _AGREE["t_cdf"]),
-            (lambda a: student_t_inv_cdf_array(a, 4.0), lambda v: student_t_inv_cdf(v, 4.0), _AGREE["t_inv_cdf"]),
+            (lambda a: student_t_cdf_array(a, 4.0), lambda v: student_t_cdf(v, 4.0), None),
+            (lambda a: student_t_inv_cdf_array(a, 4.0), lambda v: student_t_inv_cdf(v, 4.0), None),
         ],
     )
     def test_shape_kept(self, kernel, scalar, bound):
         assert kernel(np.empty(0)).shape == (0,)
         assert kernel(np.empty((0, 3))).shape == (0, 3)
         _assert_agrees(kernel, scalar, np.linspace(0.05, 0.95, 12).reshape(3, 4), bound)
+
+
+# ---------------------------------------------------------------------------
+# each Student-t scalar is its kernel's one lane: the same bits at every
+# branch edge of the kernel, and the same error text
+# ---------------------------------------------------------------------------
+
+_LANE_NUS = (0.5, 1.0, 1.5, 2.5, 4.0, 30.0, 200.0, 1e6)
+
+
+def _t_cdf_edges(nu: float) -> np.ndarray:
+    """x at the t CDF kernel's branch edges, both signs, and a few t draws."""
+    # w = nu/(nu + x^2) switches from the core to the tail beta at
+    # x^2 = 3 nu/(nu + 2), and x * x overflows above sqrt(DBL_MAX)
+    edges = _with_neighbours([math.sqrt(3.0 * nu / (nu + 2.0)), math.sqrt(sys.float_info.max)])
+    draws = np.random.default_rng(7005).standard_t(nu, 20)
+    points = np.concatenate([edges, [0.0, 5e-324, 1e-300, 0.5, 30.0, 1e200, sys.float_info.max], draws])
+    return np.concatenate([points, -points])
+
+
+def _t_quantile_edges(nu: float) -> np.ndarray:
+    """p at the t quantile kernel's branch edges, in both tails, and a few uniform draws."""
+    setup = _tquantile._TQuantileSetup(nu)
+    # the asymptote's start gives way to the line through 0 where its t^2 = 2 nu
+    q = [math.exp(-0.5 * nu * math.log(2.0) - setup.log_scale)]
+    if nu == 1.0:
+        # the Cauchy start switches its form at q = 1/4
+        q.append(0.25)
+    if setup.hill:
+        # Hill's normal expansion gives way to his tail series at
+        # y = 0.05 + a, and that to the asymptote at y = 2^-40
+        for y in (0.05 + setup.a, _tquantile._HILL_TAIL_MIN):
+            q.append(math.exp(0.5 * nu * math.log(y) - math.log(2.0 * setup.d)))
+    # below T_nu(-DBL_MAX) the quantile is not a double
+    floor = max(1e-300, 1.01 * student_t_cdf(-sys.float_info.max, nu))
+    q = _with_neighbours([v for v in q if floor < v < 0.5])
+    draws = np.random.default_rng(7006).uniform(0.0, 0.5, 10)
+    q = np.concatenate([q, [floor, 1e-200, 1e-30, 1e-12, 0.01, 0.3, 0.5 - 2.0**-54], draws])
+    upper = 1.0 - q[q > 1e-16]
+    return np.concatenate([q[q >= floor], upper, [0.5, 1.0 - 2.0**-53]])
+
+
+class TestStudentTLanes:
+    @pytest.mark.parametrize("nu", _LANE_NUS)
+    def test_cdf_is_the_kernel_lane(self, nu):
+        _assert_agrees(lambda a: student_t_cdf_array(a, nu), lambda v: student_t_cdf(v, nu), _t_cdf_edges(nu), None)
+
+    @pytest.mark.parametrize("nu", _LANE_NUS)
+    def test_quantile_is_the_kernel_lane(self, nu):
+        p = _t_quantile_edges(nu)
+        _assert_agrees(lambda a: student_t_inv_cdf_array(a, nu), lambda v: student_t_inv_cdf(v, nu), p, None)
+
+    @pytest.mark.parametrize("nu", _LANE_NUS)
+    def test_pdf_is_the_kernel_lane(self, nu):
+        # log1p(x^2/nu) is taken as 2 ln|x| - ln nu where x^2/nu overflows:
+        # above sqrt(DBL_MAX nu) for nu < 1, where x * x overflows otherwise
+        x = np.concatenate([_t_cdf_edges(nu), _with_neighbours([math.sqrt(sys.float_info.max * min(nu, 1.0))])])
+        _assert_agrees(lambda a: np.exp(_t_log_pdf_flat(a, nu)), lambda v: student_t_pdf(v, nu), x, None)
+
+    @pytest.mark.parametrize("a, b", [(2.0, 3.0), (5.0, 0.5), (0.5, 5.0), (2.5, 1.5), (100.0, 0.5), (0.25, 0.5)])
+    def test_incomplete_beta_is_the_kernel_lane(self, a, b):
+        # the continued fraction runs direct below x = (a + 1)/(a + b + 2)
+        # and on 1 - x above it
+        x = np.concatenate(
+            [_with_neighbours([(a + 1.0) / (a + b + 2.0)]), [0.0, 5e-324, 1e-300, 0.25, 0.5, 0.9, 1.0 - 2.0**-53, 1.0]]
+        )
+        _assert_agrees(lambda v: _reg_incomplete_beta_flat(v, a, b), lambda v: reg_incomplete_beta(v, a, b), x, None)
+
+    def test_each_branch_is_reached(self, monkeypatch):
+        # the quantile's point sets reach the tail and core betas and the far
+        # tail, and each start: Hill's normal expansion and tail series, the
+        # asymptote, the line through 0 and the Cauchy start's two forms
+        seen = set()
+        tail_beta, start = _tquantile._t_tail_beta_flat, _tquantile._t_start_flat
+
+        def mark(**hits):
+            seen.update(name for name, hit in hits.items() if np.any(hit))
+
+        def tail_beta_seen(t, nu):
+            g, tail = tail_beta(t, nu)
+            with np.errstate(over="ignore"):
+                far = np.isinf(t * t)
+            mark(tail=tail & ~far, core=~tail, far=far)
+            return g, tail
+
+        def start_seen(setup, q, log_q):
+            if setup.nu == 1.0:
+                mark(cauchy_small=q < 0.25, cauchy_central=q >= 0.25)
+                return start(setup, q, log_q)
+            hill = np.zeros(q.shape, bool), np.zeros(q.shape, bool)
+            if setup.hill:
+                with np.errstate(over="ignore"):
+                    y = np.exp(setup.hill_log_y(log_q))
+                hill = y > 0.05 + setup.a, (y <= 0.05 + setup.a) & (y >= _tquantile._HILL_TAIL_MIN)
+            with np.errstate(over="ignore"):
+                t = np.exp(np.minimum(setup.log_asymptote(log_q), math.log(_tquantile._DBL_MAX)))
+                line = t * t < 2.0 * setup.nu
+            rest = ~(hill[0] | hill[1])
+            mark(hill_normal=hill[0], hill_series=hill[1], line=rest & line, asymptote=rest & ~line)
+            return start(setup, q, log_q)
+
+        monkeypatch.setattr(_tquantile, "_t_tail_beta_flat", tail_beta_seen)
+        monkeypatch.setattr(_tquantile, "_t_start_flat", start_seen)
+        for nu in _LANE_NUS:
+            student_t_inv_cdf_array(_t_quantile_edges(nu), nu)
+        assert seen == {
+            "tail", "core", "far", "cauchy_small", "cauchy_central", "hill_normal", "hill_series", "line", "asymptote"
+        }
+
+    def test_error_text_is_the_kernels(self):
+        # the quantile at nu = 0.5 is not a double below p = 2.4e-155
+        cases = [
+            (lambda: student_t_inv_cdf(1e-200, 0.5), lambda: student_t_inv_cdf_array(np.array([1e-200]), 0.5)),
+            (lambda: student_t_inv_cdf(0.0, 4.0), lambda: student_t_inv_cdf_array(np.array([0.0]), 4.0)),
+            (lambda: student_t_inv_cdf(0.3, -1.0), lambda: student_t_inv_cdf_array(np.array([0.3]), -1.0)),
+            (lambda: student_t_cdf(math.inf, 4.0), lambda: student_t_cdf_array(np.array([math.inf]), 4.0)),
+            (lambda: student_t_cdf(1.0, 0.0), lambda: student_t_cdf_array(np.array([1.0]), 0.0)),
+        ]
+        messages = []
+        for scalar, kernel in cases:
+            with pytest.raises(DomainError) as from_scalar:
+                scalar()
+            with pytest.raises(DomainError) as from_kernel:
+                kernel()
+            assert str(from_scalar.value) == str(from_kernel.value)
+            messages.append(str(from_scalar.value))
+        assert messages[0] == (
+            "student_t_inv_cdf(1e-200, nu=0.5): the quantile lies beyond -1.7976931348623157e+308, "
+            "so it is not a finite double"
+        )
