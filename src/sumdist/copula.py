@@ -310,24 +310,18 @@ def spec_from_rho(family: CopulaFamily, rho: float, nu: float = DEFAULT_NU) -> C
 # ---------------------------------------------------------------------------
 
 
-def _axis_coordinate(spec: CopulaSpec, u):
-    """Per-axis transform feeding the density kernel (scalar or array ``u``).
+def _axis_coordinate(spec: CopulaSpec, u: np.ndarray) -> np.ndarray:
+    """Per-axis transform feeding the density kernel, on an array ``u``.
 
-    Arrays go through the array kernels, scalars through the scalar
-    functions, and each scalar agrees with its kernel to the bit (the t
-    scalar is the kernel's one lane).  The normal quantile is within 1e-15
-    relative; the t quantile is within 1e-12 relative for u and 1 - u down
-    to 1e-300, and raises ``DomainError`` where it is not a finite double
-    (nu = 0.5, u below 2.4e-155).
+    The normal quantile is within 1e-15 relative; the t quantile is within
+    1e-12 relative for u and 1 - u down to 1e-300, and raises
+    ``DomainError`` where it is not a finite double (nu = 0.5, u below
+    2.4e-155).  The Archimedean coordinate is u itself.
     """
     if spec.family is CopulaFamily.GAUSS:
-        if np.ndim(u):
-            return specfun.std_normal_inv_cdf_array(u)
-        return specfun.std_normal_inv_cdf(u)
+        return specfun.std_normal_inv_cdf_array(u)
     if spec.family is CopulaFamily.STUDENT_T:
-        if np.ndim(u):
-            return specfun.student_t_inv_cdf_array(u, spec.nu)
-        return specfun.student_t_inv_cdf(u, spec.nu)
+        return specfun.student_t_inv_cdf_array(u, spec.nu)
     return u
 
 
@@ -517,27 +511,23 @@ def _density_from_coords(spec: CopulaSpec, c1, c2) -> np.ndarray:
     return _frank_kernel(spec.theta, c1, c2)
 
 
-def _density_at(spec: CopulaSpec, c1: float, c2: float) -> float:
-    """The copula density at one point of kernel coordinates, evaluated as a
-    one-point block: for equal coordinates, the bits of a grid entry."""
-    return float(_density_from_coords(spec, np.array([c1]), np.array([c2]))[0])
-
-
-def _clamp_u(u):
-    if np.ndim(u):
-        return np.clip(u, UEPS, 1.0 - UEPS)
-    return min(max(u, UEPS), 1.0 - UEPS)
+def _clamp_u(u: np.ndarray) -> np.ndarray:
+    return np.clip(u, UEPS, 1.0 - UEPS)
 
 
 def copula_density(spec: CopulaSpec, u1: float, u2: float) -> float:
     """Copula density c(u1, u2) for u strictly inside the unit square.
 
     Inputs are clamped to [1e-12, 1 - 1e-12] before evaluation; exact 0 and 1
-    are domain errors because several families diverge there.
+    are domain errors because several families diverge there.  The value is
+    a one-point block: one axis transform of [u1, u2] and one kernel call,
+    so it has the bits of the kernel's entry at those coordinates in any
+    grid.
     """
     if not (0.0 < u1 < 1.0 and 0.0 < u2 < 1.0):
         raise DomainError(f"copula_density requires u in (0, 1) strictly, got ({u1!r}, {u2!r})")
-    return _density_at(spec, _axis_coordinate(spec, _clamp_u(u1)), _axis_coordinate(spec, _clamp_u(u2)))
+    c = _axis_coordinate(spec, _clamp_u(np.array([u1, u2], dtype=float)))
+    return float(_density_from_coords(spec, c[:1], c[1:])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +609,9 @@ def _conditional_integral(spec: CopulaSpec, u: float, v: float) -> float:
     w_min = math.ulp(0.0)
     if spec.family is CopulaFamily.STUDENT_T:
         w_min = max(w_min, 2.0 * specfun.student_t_cdf(-sys.float_info.max, spec.nu))
-    x = _axis_coordinate(spec, np.maximum(u * _TS_NODES, w_min))
-    y = _axis_coordinate(spec, max(v, w_min))
+    # the nodes' coordinates and v's, from one axis transform
+    coords = _axis_coordinate(spec, np.append(np.maximum(u * _TS_NODES, w_min), max(v, w_min)))
+    x, y = coords[:-1], coords[-1:]
     rho = spec.rho
     r2 = 1.0 - rho * rho
     if spec.family is CopulaFamily.GAUSS:

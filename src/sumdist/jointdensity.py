@@ -1,8 +1,10 @@
 """Copula-induced bivariate densities with standard normal margins.
 
 The joint density is the composition c(Phi(x), Phi(y)) * phi(x) * phi(y);
-one code path serves all five families, with the copula density evaluated
-through the family kernels of :mod:`sumdist.copula`.
+one code path, on arrays, serves all five families and every point: the
+margins come from the array kernels of :mod:`sumdist.specfun`, the copula
+density from the family kernels of :mod:`sumdist.copula`, and a single
+point (``joint_pdf``) is the one entry of a 1 x 1 grid.
 
 A density grid is filled in blocks of whole rows, about ``_BLOCK_CELLS``
 points each.  Every block has its own kernel call, weights and underflow
@@ -30,7 +32,7 @@ import contextvars
 import numpy as np
 
 from . import specfun
-from .copula import UEPS, CopulaFamily, CopulaSpec, _axis_coordinate, _clamp_u, _density_at, _density_from_coords
+from .copula import UEPS, CopulaFamily, CopulaSpec, _axis_coordinate, _clamp_u, _density_from_coords
 from .errors import DomainError
 from .grid import GridSpec
 
@@ -55,31 +57,13 @@ _AXIS_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar("sumdis
 
 def joint_pdf(spec: CopulaSpec, x: float, y: float) -> float:
     """Density f(x, y) = c(Phi(x), Phi(y)) phi(x) phi(y) of (X, Y) with N(0,1)
-    margins under the copula of ``spec``, c from a one-point block."""
-    phi_product = specfun.std_normal_pdf(x) * specfun.std_normal_pdf(y)
-    if phi_product < _UNDERFLOW_FLOOR:
-        return 0.0
-    c1 = _point_coordinate(spec, x, _clamp_u(specfun.std_normal_cdf(x)))
-    c2 = _point_coordinate(spec, y, _clamp_u(specfun.std_normal_cdf(y)))
-    return _density_at(spec, c1, c2) * phi_product
+    margins under the copula of ``spec``.
 
-
-def _point_coordinate(spec: CopulaSpec, x, u):
-    """Kernel coordinate of the normal-margin point(s) ``x``, whose clamped Phi is ``u``.
-
-    That is ``_axis_coordinate(spec, u)``, except for the Gauss family, whose
-    coordinate Phi^-1(u) is ``x`` itself wherever u is not clamped.  There
-    the point is taken as is: the round trip would carry Phi's last-bit
-    rounding (scalar and array Phi differ by one ulp at x = -4.75) through
-    the exact quantile, and the density's slope amplifies it.  Clamped
-    points keep Phi^-1(u).
+    The value is the one entry of the grid on the axes [x] and [y], so it
+    is the ``joint_pdf_grid`` entry at (x, y) to the bit, and 0 where
+    phi(x) phi(y) is below the underflow floor.
     """
-    if spec.family is not CopulaFamily.GAUSS:
-        return _axis_coordinate(spec, u)
-    inside = (u > UEPS) & (u < 1.0 - UEPS)
-    if np.ndim(x):
-        return np.where(inside, x, _axis_coordinate(spec, u))
-    return float(x) if inside else _axis_coordinate(spec, u)
+    return float(_grid_on_axes(spec, [x], [y])[0, 0])
 
 
 @contextlib.contextmanager
@@ -102,8 +86,13 @@ def _axis_memo():
 
 
 def _axis_terms(spec: CopulaSpec, axis: np.ndarray, memo: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Copula coordinate (see ``_point_coordinate``) and phi of each axis
-    point, computed once per ``memo``.
+    """Copula coordinate and phi of each axis point, computed once per ``memo``.
+
+    The coordinate is ``_axis_coordinate`` of the clamped Phi, except for
+    the Gauss family, whose coordinate Phi^-1(u) is the point itself
+    wherever u is not clamped.  There the point is taken as is: the round
+    trip would carry Phi's last-bit rounding through the exact quantile, and
+    the density's slope amplifies it.  Clamped points keep Phi^-1(u).
 
     The coordinate depends on the family and nu only, never on rho or
     theta, so cells of one sweep that share them share it.
@@ -112,10 +101,14 @@ def _axis_terms(spec: CopulaSpec, axis: np.ndarray, memo: dict) -> tuple[np.ndar
     if points not in memo:
         u = _clamp_u(specfun.std_normal_cdf_array(axis))
         memo[points] = (u, specfun.std_normal_pdf_array(axis))
+    u, pdf = memo[points]
     key = (spec.family, spec.nu, points)
     if key not in memo:
-        memo[key] = _point_coordinate(spec, axis, memo[points][0])
-    return memo[key], memo[points][1]
+        coord = _axis_coordinate(spec, u)
+        if spec.family is CopulaFamily.GAUSS:
+            coord = np.where((u > UEPS) & (u < 1.0 - UEPS), axis, coord)
+        memo[key] = coord
+    return memo[key], pdf
 
 
 def _grid_on_axes(spec: CopulaSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

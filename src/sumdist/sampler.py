@@ -354,9 +354,9 @@ def _draw(spec: CopulaSpec, n: int, rng: RandomSource, generate, uniform: bool =
     chunk loop, and the one check of n, of :func:`sample_copula` and
     :func:`sample_sum`.  ``uniform`` chunks must lie inside (0, 1)^2."""
     if n < 1:
-        raise DomainError(f"sample_copula requires n >= 1, got {n!r}")
+        raise DomainError(f"sampling requires n >= 1 pairs, got n = {n!r}")
     if n > MAX_PAIRS:
-        raise DomainError(f"sample_copula got n = {n!r} pairs, above the limit of {MAX_PAIRS}")
+        raise DomainError(f"sampling got n = {n!r} pairs, above the limit of {MAX_PAIRS}")
     pairs = np.empty((n, 2))
     for k, start in enumerate(range(0, n, CHUNK_PAIRS)):
         m = min(CHUNK_PAIRS, n - start)

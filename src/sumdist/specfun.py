@@ -22,27 +22,19 @@ suite):
 * ``reg_incomplete_beta`` absolute error <= 1e-12 (Lentz continued fraction)
 * ``debye1``              relative error <= 1e-15 (Bernoulli and exponential series)
 
-The Student-t targets hold for the scalar and its array kernel alike: they
-are one implementation (below).
-
 Array kernels.  ``std_normal_pdf_array``, ``std_normal_cdf_array``,
 ``std_normal_inv_cdf_array``, ``student_t_cdf_array`` and
 ``student_t_inv_cdf_array`` map an array of any shape elementwise and raise
-``DomainError`` where the scalar would.  The Student-t family has one
-implementation, on arrays: ``student_t_cdf``, ``student_t_inv_cdf``,
+``DomainError`` where the scalar would.  Each is the one implementation of
+its function: the scalars ``std_normal_pdf``, ``std_normal_cdf``,
+``std_normal_inv_cdf``, ``student_t_cdf``, ``student_t_inv_cdf``,
 ``student_t_pdf`` and ``reg_incomplete_beta`` check their arguments, with
 the kernel's error text, and run the kernel on a one-element array, so each
-returns its kernel's lane to the bit.  A one-lane call costs several times
-what a ``math`` chain would (about 0.5 ms for the quantile); no command
-makes one, since the grid modes and the sampler call the kernels on whole
-axes, and the scalar ``copula_cdf`` and ``copula_density`` of the t copula
-make one or two per call.  The normal scalars stay on ``math``, where the tests call them over
-a million times: the pdf and CDF kernels run their scalar's rationals and
-branches with numpy's exp, which differs from ``math``'s in the last bit
-for some arguments, so they agree with the scalar to a few units of 1e-16
-relative but not always to the last bit.  The normal quantile's one log is
-numpy's in the scalar too (a ufunc on a float costs about as much as
-``math.log``), so it and its kernel agree to the bit.
+returns its kernel's lane to the bit and the targets above hold for both.
+A one-lane call costs far more than a ``math`` chain would (tens of
+microseconds for the normal functions, about 0.5 ms for the t quantile); no
+command makes one, since the grid modes and the sampler call the kernels on
+whole axes.
 """
 
 from __future__ import annotations
@@ -175,19 +167,6 @@ def _erfc_far(y, escale):
 _ERFC_CUTOFF = 26.5
 
 
-def _erfc_positive(y: float) -> float:
-    """erfc(y) for y >= 0.46875; callers handle the small-|y| erf branch."""
-    if y > _ERFC_CUTOFF:
-        return 0.0
-    # split exp(-y^2) so the large-argument exponential keeps full precision
-    ysq = math.floor(y * 16.0) / 16.0
-    delta = (y - ysq) * (y + ysq)
-    escale = math.exp(-ysq * ysq) * math.exp(-delta)
-    if y <= 4.0:
-        return _erfc_mid(y, escale)
-    return _erfc_far(y, escale)
-
-
 def _erf_small(x):
     """erf(x) for |x| <= 0.46875 (odd by construction)."""
     z = x * x
@@ -200,14 +179,15 @@ def _erf_small(x):
 
 
 def std_normal_pdf(x: float) -> float:
-    """Density of N(0, 1): exp(-x^2/2) / sqrt(2 pi)."""
+    """Density of N(0, 1): exp(-x^2/2) / sqrt(2 pi), the one lane of
+    :func:`std_normal_pdf_array`."""
     if not math.isfinite(x):
         raise DomainError(f"std_normal_pdf requires finite x, got {x!r}")
-    return math.exp(-0.5 * x * x) / _SQRT_2PI
+    return float(_std_normal_pdf_flat(_lane(x))[0])
 
 
 def std_normal_cdf(x: float) -> float:
-    """Distribution function of N(0, 1).
+    """Distribution function of N(0, 1), the one lane of :func:`std_normal_cdf_array`.
 
     Evaluated as erfc(|x|/sqrt(2))/2 on the tail side, which keeps full
     relative accuracy in the far tails and makes Phi(x) + Phi(-x) == 1 hold
@@ -215,12 +195,7 @@ def std_normal_cdf(x: float) -> float:
     """
     if not math.isfinite(x):
         raise DomainError(f"std_normal_cdf requires finite x, got {x!r}")
-    y = x * _INV_SQRT_2
-    ay = abs(y)
-    if ay <= 0.46875:
-        return 0.5 + 0.5 * _erf_small(y)
-    tail = 0.5 * _erfc_positive(ay)
-    return tail if x < 0.0 else 1.0 - tail
+    return float(_std_normal_cdf_flat(_lane(x))[0])
 
 
 # Wichura's PPND16 (AS241, Applied Statistics 37, 1988): three (7, 7)
@@ -250,7 +225,7 @@ _PPND_FAR = (
 
 
 def _ppnd_ratio(c, r):
-    """One of the ``_PPND_*`` rationals at r (a float or an array), by Horner's rule."""
+    """One of the ``_PPND_*`` rationals at each element of ``r``, by Horner's rule."""
     a0, a1, a2, a3, a4, a5, a6, a7, b1, b2, b3, b4, b5, b6, b7 = c
     return (((((((a7 * r + a6) * r + a5) * r + a4) * r + a3) * r + a2) * r + a1) * r + a0) / (
         ((((((b7 * r + b6) * r + b5) * r + b4) * r + b3) * r + b2) * r + b1) * r + 1.0
@@ -263,24 +238,21 @@ def std_normal_inv_cdf(p: float) -> float:
     Wichura's AS241 in one rational pass, within 1e-15 relative in both
     tails, down to the smallest subnormal p.  The tails are reached through
     min(p, 1 - p), which is exact for p >= 1/2, so Phi^-1(1 - p) is
-    -Phi^-1(p) to the bit there.  The log is numpy's, which is the array
-    kernel's, so the scalar and the kernel agree to the bit.
+    -Phi^-1(p) to the bit there.  The value is the one lane of
+    :func:`std_normal_inv_cdf_array`.
     """
     if not (0.0 < p < 1.0):
         raise DomainError(f"std_normal_inv_cdf requires 0 < p < 1, got {p!r}")
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        return q * _ppnd_ratio(_PPND_CENTRAL, 0.180625 - q * q)
-    r = math.sqrt(-np.log(min(p, 1.0 - p)))
-    x = _ppnd_ratio(_PPND_NEAR, r - 1.6) if r <= 5.0 else _ppnd_ratio(_PPND_FAR, r - 5.0)
-    return math.copysign(x, q)
+    return float(_std_normal_inv_cdf_flat(_lane(p))[0])
 
 
 def _erfc_positive_flat(y: np.ndarray) -> np.ndarray:
-    """:func:`_erfc_positive` for each element of ``y``."""
+    """erfc(y) for each element of ``y`` >= 0.46875; callers handle the
+    small-|y| erf branch."""
     out = np.zeros_like(y)
     live = y <= _ERFC_CUTOFF
     y = y[live]
+    # split exp(-y^2) so the large-argument exponential keeps full precision
     ysq = np.floor(y * 16.0) / 16.0
     delta = (y - ysq) * (y + ysq)
     escale = np.exp(-ysq * ysq) * np.exp(-delta)
@@ -305,14 +277,40 @@ def _std_normal_cdf_flat(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _std_normal_pdf_flat(x: np.ndarray) -> np.ndarray:
+    # x * x overflows to inf for huge finite x, and the density is 0 there
+    with np.errstate(over="ignore"):
+        arg = -0.5 * x * x
+    return np.exp(arg) / _SQRT_2PI
+
+
+def _std_normal_inv_cdf_flat(p: np.ndarray) -> np.ndarray:
+    """The normal quantile of each element of ``p`` in (0, 1).
+
+    The central rational runs on every lane, which costs less than picking
+    the central ones out; on the tail lanes, where the tails' rationals then
+    overwrite it, its denominator stays above 0.002, so it is finite there.
+    """
+    q = p - 0.5
+    x = q * _ppnd_ratio(_PPND_CENTRAL, 0.180625 - q * q)
+    tail = np.flatnonzero(np.abs(q) > 0.425)
+    if tail.size:
+        pt = p[tail]
+        r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
+        mag = _ppnd_ratio(_PPND_NEAR, r - 1.6)
+        far = r > 5.0
+        if far.any():
+            mag[far] = _ppnd_ratio(_PPND_FAR, r[far] - 5.0)
+        # np.where, not np.copysign: copysign's first call faults in 128 KB
+        x[tail] = np.where(q[tail] < 0.0, -mag, mag)
+    return x
+
+
 def std_normal_pdf_array(x) -> np.ndarray:
     """:func:`std_normal_pdf` of each element of ``x``, in the shape of ``x``."""
     flat, shape = _flat(x)
     _require(np.isfinite(flat), flat, "std_normal_pdf requires finite x")
-    # x * x overflows to inf for huge finite x, as a Python float does
-    with np.errstate(over="ignore"):
-        arg = -0.5 * flat * flat
-    return (np.exp(arg) / _SQRT_2PI).reshape(shape)
+    return _std_normal_pdf_flat(flat).reshape(shape)
 
 
 def std_normal_cdf_array(x) -> np.ndarray:
@@ -323,27 +321,10 @@ def std_normal_cdf_array(x) -> np.ndarray:
 
 
 def std_normal_inv_cdf_array(p) -> np.ndarray:
-    """:func:`std_normal_inv_cdf` of each element of ``p``, in the shape of ``p``.
-
-    The central rational runs on every lane, which costs less than picking
-    the central ones out; on the tail lanes, where the tails' rationals then
-    overwrite it, its denominator stays above 0.002, so it is finite there.
-    """
+    """:func:`std_normal_inv_cdf` of each element of ``p``, in the shape of ``p``."""
     flat, shape = _flat(p)
     _require((flat > 0.0) & (flat < 1.0), flat, "std_normal_inv_cdf requires 0 < p < 1")
-    q = flat - 0.5
-    x = q * _ppnd_ratio(_PPND_CENTRAL, 0.180625 - q * q)
-    tail = np.flatnonzero(np.abs(q) > 0.425)
-    if tail.size:
-        pt = flat[tail]
-        r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
-        mag = _ppnd_ratio(_PPND_NEAR, r - 1.6)
-        far = r > 5.0
-        if far.any():
-            mag[far] = _ppnd_ratio(_PPND_FAR, r[far] - 5.0)
-        # np.where, not np.copysign: copysign's first call faults in 128 KB
-        x[tail] = np.where(q[tail] < 0.0, -mag, mag)
-    return x.reshape(shape)
+    return _std_normal_inv_cdf_flat(flat).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +454,11 @@ def _reg_incomplete_beta_flat(x: np.ndarray, a: float, b: float) -> np.ndarray:
     direct = x < (a + 1.0) / (a + b + 2.0)
     mirrored = ~direct
     res = np.empty_like(x)
-    res[direct] = front[direct] * _beta_cf_flat(a, b, x[direct]) / a
-    res[mirrored] = 1.0 - front[mirrored] * _beta_cf_flat(b, a, 1.0 - x[mirrored]) / b
+    # a side with no lanes runs no continued fraction
+    if direct.any():
+        res[direct] = front[direct] * _beta_cf_flat(a, b, x[direct]) / a
+    if mirrored.any():
+        res[mirrored] = 1.0 - front[mirrored] * _beta_cf_flat(b, a, 1.0 - x[mirrored]) / b
     out[inner] = res
     return out
 

@@ -1137,6 +1137,8 @@ class TestImport:
             quantile_sweep sample_copula sample_sum spec_from_rho
             tau_from_pearson_rho tau_from_theta theta_from_tau""".split()
         )
+        # dir() lists every public name, loaded or not
+        assert set(sumdist.__all__) <= set(dir(sumdist))
 
     def test_every_public_name_resolves(self):
         # in a new interpreter, where no module is loaded yet

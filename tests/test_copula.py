@@ -120,6 +120,13 @@ class TestCopulaSpecValidation:
         with pytest.raises(DomainError, match=r"requires 0\.2 <= nu <= 1e\+06, got "):
             CopulaSpec.student_t(0.5, nu)
 
+    def test_family_and_theta_required(self):
+        with pytest.raises(DomainError, match="family must be a CopulaFamily, got 'gauss'"):
+            CopulaSpec("gauss", rho=0.5)
+        for family in (CopulaFamily.CLAYTON, CopulaFamily.GUMBEL, CopulaFamily.FRANK):
+            with pytest.raises(DomainError, match=f"^{family.value} copula requires theta$"):
+                CopulaSpec(family)
+
     def test_irrelevant_parameters_rejected(self):
         with pytest.raises(DomainError):
             CopulaSpec(CopulaFamily.GAUSS, rho=0.5, theta=2.0)
@@ -139,6 +146,19 @@ class TestDependenceConversions:
     def test_tau_from_rho_domain(self):
         with pytest.raises(DomainError):
             tau_from_pearson_rho(1.0)
+
+    @pytest.mark.parametrize(
+        "family, theta, message",
+        [
+            (CopulaFamily.CLAYTON, 0.0, r"clayton requires theta > 0, got 0\.0"),
+            (CopulaFamily.CLAYTON, math.nan, "clayton requires theta > 0, got nan"),
+            (CopulaFamily.GUMBEL, 0.5, r"gumbel requires theta >= 1, got 0\.5"),
+            (CopulaFamily.FRANK, 0.0, "frank requires theta != 0"),
+        ],
+    )
+    def test_tau_from_theta_domain(self, family, theta, message):
+        with pytest.raises(DomainError, match=message):
+            tau_from_theta(family, theta)
 
     def test_theta_targets_for_rho_09(self):
         # Pearson 0.9 pipeline: theta_cl 4.9654, theta_gu 3.4827, theta_fr 12.0254

@@ -3,9 +3,8 @@
 Expected values marked as oracle-frozen were computed with mpmath at 40
 significant digits (see the exact expressions in comments); the library
 itself never touches mpmath.  The array kernels are checked against scipy
-or mpmath at their accuracy targets.  The normal scalars are checked against
-their kernels to within a measured agreement bound; each Student-t scalar is
-its kernel's one lane, checked bitwise at the branch edges of its kernel.
+or mpmath at their accuracy targets.  Each scalar is its kernel's one lane,
+checked bitwise at the branch edges of its kernel.
 """
 
 import math
@@ -19,9 +18,11 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 from scipy.stats import t as t_dist
 
-from sumdist import _tquantile, specfun
+from sumdist import _tquantile, jointdensity, specfun
+from sumdist.copula import UEPS, CopulaFamily, CopulaSpec, spec_from_rho
 from sumdist.errors import DomainError
 from sumdist.grid import PAPER_GRID, GridSpec
+from sumdist.jointdensity import joint_pdf, joint_pdf_grid
 from sumdist.specfun import (
     _INV_SQRT_2,
     _reg_incomplete_beta_flat,
@@ -41,6 +42,7 @@ from sumdist.specfun import (
     student_t_inv_cdf_array,
     student_t_pdf,
 )
+from sumdist.sumcdf import TABLE2_RHOS
 
 
 class TestStdNormalPdf:
@@ -177,7 +179,8 @@ class TestStdNormalInvCdf:
     def test_mirror_and_kernel_to_the_bit(self):
         # for p in [1/2, 1), 1 - p is exact, so Phi^-1(1 - p) = -Phi^-1(p)
         # holds in floating point (Acklam's rational and Halley step broke it
-        # on 123,166 of these p); the scalar and the kernel give the same bits
+        # on 123,166 of these p); the scalar is the kernel's lane, checked on
+        # every 1000th p here and at the branch edges in TestNormalLanes
         rng = np.random.default_rng(7004)
         p = np.concatenate(
             [
@@ -190,8 +193,8 @@ class TestStdNormalInvCdf:
         lower = std_normal_inv_cdf_array(1.0 - p)
         assert np.array_equal(lower, -upper)
         for values, kernel in ((p, upper), (1.0 - p, lower)):
-            scalar = np.array([std_normal_inv_cdf(v) for v in values.tolist()])
-            assert np.array_equal(scalar.view(np.int64), kernel.view(np.int64))
+            scalar = np.array([std_normal_inv_cdf(v) for v in values[::1000].tolist()])
+            assert np.array_equal(scalar.view(np.int64), kernel[::1000].view(np.int64))
 
 
 def _normal_quantile_40(p: float, x: float) -> float:
@@ -279,6 +282,24 @@ class TestRegIncompleteBeta:
         with pytest.raises(DomainError, match=r"failed to converge \(a=2\.0, b=3\.0, x=0\.3\)$"):
             _reg_incomplete_beta_flat(np.array([1e-300, 0.3, 0.25]), 2.0, 3.0)
 
+    def test_a_side_with_no_lanes_runs_no_fraction(self, monkeypatch):
+        # a one-lane call runs one continued fraction, and a call with lanes
+        # on both sides of x = (a + 1)/(a + b + 2) one per side
+        sizes = []
+        fraction = specfun._beta_cf_flat
+
+        def counted(a, b, x):
+            sizes.append(x.size)
+            return fraction(a, b, x)
+
+        monkeypatch.setattr(specfun, "_beta_cf_flat", counted)
+        reg_incomplete_beta(0.25, 2.0, 3.0)
+        reg_incomplete_beta(0.75, 2.0, 3.0)
+        student_t_cdf(1.5, 4.0)
+        assert sizes == [1, 1, 1]
+        _reg_incomplete_beta_flat(np.array([0.0, 0.25, 0.75, 0.3, 1.0]), 2.0, 3.0)
+        assert sizes[3:] == [2, 1]
+
 
 class TestStudentTPdf:
     def test_cauchy_at_zero(self):
@@ -313,6 +334,9 @@ class TestStudentTPdf:
     def test_domain(self):
         with pytest.raises(DomainError):
             student_t_pdf(0.0, 0.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="student_t_pdf requires finite x, got "):
+                student_t_pdf(bad, 4.0)
 
 
 def _t_lower_tail_oracle(x: float, nu: float) -> float:
@@ -475,7 +499,7 @@ class TestStudentTTails:
         got = np.array([student_t_cdf(float(v), nu) for v in x])
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
         both = np.concatenate([x, -x])
-        _assert_agrees(lambda a: student_t_cdf_array(a, nu), lambda v: student_t_cdf(v, nu), both, None)
+        _assert_lanes(lambda a: student_t_cdf_array(a, nu), lambda v: student_t_cdf(v, nu), both)
         assert all(student_t_cdf(float(-v), nu) == 1.0 for v in x)
 
     def test_cauchy_quantile_at_1e_300(self):
@@ -600,21 +624,11 @@ class TestDebye1:
 
 # ---------------------------------------------------------------------------
 # array kernels: each held to its accuracy target against an independent
-# oracle, and to a measured agreement bound with the scalar function
+# oracle (the scalars are their lanes, below)
 # ---------------------------------------------------------------------------
 
 _NUS = (0.5, 1.0, 2.5, 4.0, 30.0, 200.0)
 _TINY = 2.0**-1022  # the smallest normal double
-
-# |kernel - scalar| <= rtol |scalar| + atol for the normal family.  Largest
-# values seen on the point sets below: 2.8e-16 (pdf), 6.2e-16 (cdf), 0
-# (inverse cdf, which agrees to the bit) relative.  The t scalars are their
-# kernels' lanes and agree to the bit (bound None)
-_AGREE = {
-    "pdf": (1e-14, 0.0),
-    "cdf": (1e-14, 0.0),
-    "inv_cdf": (1e-14, 0.0),
-}
 
 
 def _with_neighbours(values) -> np.ndarray:
@@ -622,18 +636,13 @@ def _with_neighbours(values) -> np.ndarray:
     return np.concatenate([v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)])
 
 
-def _assert_agrees(kernel, scalar, values, bound) -> None:
-    """The kernel keeps the shape and is within ``bound`` of the scalar loop;
-    with ``bound`` None each scalar is the kernel's lane, to the bit."""
+def _assert_lanes(kernel, scalar, values) -> None:
+    """The kernel keeps the shape, and each scalar is its lane, to the bit."""
     values = np.asarray(values, dtype=float)
     expected = np.array([scalar(float(v)) for v in values.ravel()]).reshape(values.shape)
     got = kernel(values)
     assert got.shape == values.shape
-    if bound is None:
-        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
-        return
-    rtol, atol = bound
-    np.testing.assert_allclose(got, expected, rtol=rtol, atol=atol)
+    np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 def _normal_points() -> np.ndarray:
@@ -678,7 +687,6 @@ def _t_points(nu: float) -> np.ndarray:
 class TestArrayKernels:
     def test_normal_pdf_accuracy(self):
         x = np.append(_normal_points(), 1e200)
-        _assert_agrees(std_normal_pdf_array, std_normal_pdf, x, _AGREE["pdf"])
         # mpmath on every tenth random point and on every edge point
         x = np.concatenate([x[:100_000:10], x[100_000:]])
         with mpmath.workdps(30):
@@ -687,17 +695,14 @@ class TestArrayKernels:
         # where the result is subnormal; x * x overflows at 1e200
         with np.errstate(over="ignore"):
             bound = 1e-15 * (1.0 + x * x) * np.maximum(want, _TINY)
-        for got in (std_normal_pdf_array(x), np.array([std_normal_pdf(float(v)) for v in x])):
-            assert np.all(np.abs(got - want) <= bound)
+        assert np.all(np.abs(std_normal_pdf_array(x) - want) <= bound)
 
     def test_normal_cdf_accuracy(self):
         x = _normal_points()
-        _assert_agrees(std_normal_cdf_array, std_normal_cdf, x, _AGREE["cdf"])
         np.testing.assert_allclose(std_normal_cdf_array(x), norm.cdf(x), rtol=0.0, atol=1e-12)
 
     def test_normal_inv_cdf_accuracy(self):
         p = _probability_points()
-        _assert_agrees(std_normal_inv_cdf_array, std_normal_inv_cdf, p, _AGREE["inv_cdf"])
         x = std_normal_inv_cdf_array(p)
         np.testing.assert_allclose(norm.cdf(x), p, rtol=0.0, atol=1e-12)
 
@@ -739,19 +744,19 @@ class TestArrayKernels:
             kernel(np.array([0.3]), nu)
 
     @pytest.mark.parametrize(
-        "kernel, scalar, bound",
+        "kernel, scalar",
         [
-            (std_normal_pdf_array, std_normal_pdf, _AGREE["pdf"]),
-            (std_normal_cdf_array, std_normal_cdf, _AGREE["cdf"]),
-            (std_normal_inv_cdf_array, std_normal_inv_cdf, _AGREE["inv_cdf"]),
-            (lambda a: student_t_cdf_array(a, 4.0), lambda v: student_t_cdf(v, 4.0), None),
-            (lambda a: student_t_inv_cdf_array(a, 4.0), lambda v: student_t_inv_cdf(v, 4.0), None),
+            (std_normal_pdf_array, std_normal_pdf),
+            (std_normal_cdf_array, std_normal_cdf),
+            (std_normal_inv_cdf_array, std_normal_inv_cdf),
+            (lambda a: student_t_cdf_array(a, 4.0), lambda v: student_t_cdf(v, 4.0)),
+            (lambda a: student_t_inv_cdf_array(a, 4.0), lambda v: student_t_inv_cdf(v, 4.0)),
         ],
     )
-    def test_shape_kept(self, kernel, scalar, bound):
+    def test_shape_kept(self, kernel, scalar):
         assert kernel(np.empty(0)).shape == (0,)
         assert kernel(np.empty((0, 3))).shape == (0, 3)
-        _assert_agrees(kernel, scalar, np.linspace(0.05, 0.95, 12).reshape(3, 4), bound)
+        _assert_lanes(kernel, scalar, np.linspace(0.05, 0.95, 12).reshape(3, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -797,19 +802,19 @@ def _t_quantile_edges(nu: float) -> np.ndarray:
 class TestStudentTLanes:
     @pytest.mark.parametrize("nu", _LANE_NUS)
     def test_cdf_is_the_kernel_lane(self, nu):
-        _assert_agrees(lambda a: student_t_cdf_array(a, nu), lambda v: student_t_cdf(v, nu), _t_cdf_edges(nu), None)
+        _assert_lanes(lambda a: student_t_cdf_array(a, nu), lambda v: student_t_cdf(v, nu), _t_cdf_edges(nu))
 
     @pytest.mark.parametrize("nu", _LANE_NUS)
     def test_quantile_is_the_kernel_lane(self, nu):
         p = _t_quantile_edges(nu)
-        _assert_agrees(lambda a: student_t_inv_cdf_array(a, nu), lambda v: student_t_inv_cdf(v, nu), p, None)
+        _assert_lanes(lambda a: student_t_inv_cdf_array(a, nu), lambda v: student_t_inv_cdf(v, nu), p)
 
     @pytest.mark.parametrize("nu", _LANE_NUS)
     def test_pdf_is_the_kernel_lane(self, nu):
         # log1p(x^2/nu) is taken as 2 ln|x| - ln nu where x^2/nu overflows:
         # above sqrt(DBL_MAX nu) for nu < 1, where x * x overflows otherwise
         x = np.concatenate([_t_cdf_edges(nu), _with_neighbours([math.sqrt(sys.float_info.max * min(nu, 1.0))])])
-        _assert_agrees(lambda a: np.exp(_t_log_pdf_flat(a, nu)), lambda v: student_t_pdf(v, nu), x, None)
+        _assert_lanes(lambda a: np.exp(_t_log_pdf_flat(a, nu)), lambda v: student_t_pdf(v, nu), x)
 
     @pytest.mark.parametrize("a, b", [(2.0, 3.0), (5.0, 0.5), (0.5, 5.0), (2.5, 1.5), (100.0, 0.5), (0.25, 0.5)])
     def test_incomplete_beta_is_the_kernel_lane(self, a, b):
@@ -818,7 +823,7 @@ class TestStudentTLanes:
         x = np.concatenate(
             [_with_neighbours([(a + 1.0) / (a + b + 2.0)]), [0.0, 5e-324, 1e-300, 0.25, 0.5, 0.9, 1.0 - 2.0**-53, 1.0]]
         )
-        _assert_agrees(lambda v: _reg_incomplete_beta_flat(v, a, b), lambda v: reg_incomplete_beta(v, a, b), x, None)
+        _assert_lanes(lambda v: _reg_incomplete_beta_flat(v, a, b), lambda v: reg_incomplete_beta(v, a, b), x)
 
     def test_each_branch_is_reached(self, monkeypatch):
         # the quantile's point sets reach the tail and core betas and the far
@@ -882,3 +887,116 @@ class TestStudentTLanes:
             "student_t_inv_cdf(1e-200, nu=0.5): the quantile lies beyond -1.7976931348623157e+308, "
             "so it is not a finite double"
         )
+
+
+# ---------------------------------------------------------------------------
+# each normal scalar is its kernel's one lane too, and joint_pdf is its grid
+# entry: the same bits at every branch edge, and the same error text
+# ---------------------------------------------------------------------------
+
+_DBL_MAX = sys.float_info.max
+
+
+def _normal_cdf_edges() -> np.ndarray:
+    """x at Phi's branch edges, |x|/sqrt(2) = 0.46875 (erf/erfc), 4 (the
+    erfc rationals) and 26.5 (tail flushed to 0), with neighbours, both
+    signs and both zeros."""
+    edges = _with_neighbours([v / _INV_SQRT_2 for v in (0.46875, 4.0, 26.5)])
+    draws = np.random.default_rng(7007).normal(0.0, 4.0, 30)
+    points = np.concatenate([edges, [0.0, 5e-324, 1e-300, 1.0, 38.0, 1e200, _DBL_MAX], draws])
+    return np.concatenate([points, -points])
+
+
+def _normal_quantile_edges() -> np.ndarray:
+    """p at Phi^-1's branch edges, |p - 1/2| = 0.425 (central and tail
+    rationals), r = 5 (the two tail rationals, p = e^-25 and 1 - e^-25) and
+    p = 1/2, with neighbours, and subnormal p."""
+    edges = _with_neighbours([0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0), 0.5, _TINY])
+    draws = np.random.default_rng(7008).uniform(0.0, 1.0, 30)
+    return np.concatenate([edges, [5e-324, 1e-320, 1e-300, 1e-30, 1.0 - 2.0**-53], draws])
+
+
+# the point sets reach each branch on both sides of each edge
+def _cdf_branches(x):
+    ay = np.abs(x * _INV_SQRT_2)
+    return [ay <= 0.46875, (ay > 0.46875) & (ay <= 4.0), (ay > 4.0) & (ay <= 26.5), ay > 26.5]
+
+
+def _quantile_branches(p):
+    q = np.abs(p - 0.5)
+    with np.errstate(divide="ignore"):
+        r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)))
+    return [q <= 0.425, (q > 0.425) & (r <= 5.0), (q > 0.425) & (r > 5.0)]
+
+
+# the specs of the joint_pdf lanes: every family at the Table 2 rho, and the
+# strongest dependence the grid modes are asked about
+_JOINT_SPECS = [spec_from_rho(family, rho) for family in CopulaFamily for rho in TABLE2_RHOS] + [
+    CopulaSpec.clayton(200.0),
+    CopulaSpec.gumbel(40.0),
+    CopulaSpec.frank(-138.8),
+    CopulaSpec.student_t(0.99, 0.5),
+]
+
+
+class TestNormalLanes:
+    def test_cdf_is_the_kernel_lane(self):
+        x = _normal_cdf_edges()
+        assert all(branch.any() for branch in _cdf_branches(x))
+        _assert_lanes(std_normal_cdf_array, std_normal_cdf, x)
+
+    def test_pdf_is_the_kernel_lane(self):
+        # x * x overflows above sqrt(DBL_MAX), where the density is 0
+        x = np.concatenate([_normal_cdf_edges(), _with_neighbours([math.sqrt(_DBL_MAX), -math.sqrt(_DBL_MAX)])])
+        _assert_lanes(std_normal_pdf_array, std_normal_pdf, x)
+
+    def test_quantile_is_the_kernel_lane(self):
+        p = _normal_quantile_edges()
+        assert all(branch.any() for branch in _quantile_branches(p))
+        _assert_lanes(std_normal_inv_cdf_array, std_normal_inv_cdf, p)
+
+    def test_error_text_is_the_kernels(self):
+        cases = [
+            (std_normal_pdf, std_normal_pdf_array, math.nan),
+            (std_normal_pdf, std_normal_pdf_array, -math.inf),
+            (std_normal_cdf, std_normal_cdf_array, math.inf),
+            (std_normal_cdf, std_normal_cdf_array, math.nan),
+            (std_normal_inv_cdf, std_normal_inv_cdf_array, 0.0),
+            (std_normal_inv_cdf, std_normal_inv_cdf_array, 1.0),
+            (std_normal_inv_cdf, std_normal_inv_cdf_array, -0.2),
+            (std_normal_inv_cdf, std_normal_inv_cdf_array, math.nan),
+        ]
+        messages = []
+        for scalar, kernel, bad in cases:
+            with pytest.raises(DomainError) as from_scalar:
+                scalar(bad)
+            with pytest.raises(DomainError) as from_kernel:
+                kernel(np.array([bad]))
+            assert str(from_scalar.value) == str(from_kernel.value)
+            messages.append(str(from_scalar.value))
+        assert messages[2] == "std_normal_cdf requires finite x, got inf"
+        assert messages[4] == "std_normal_inv_cdf requires 0 < p < 1, got 0.0"
+
+    @pytest.mark.parametrize("spec", _JOINT_SPECS, ids=lambda s: "-".join(f"{v}" for v in s.describe().values()))
+    def test_joint_pdf_is_its_grid_entry(self, spec):
+        # the lattice holds (+-30, -+30) and (8, 8), where phi(x) phi(y) is
+        # below the underflow floor or near it; the second axis straddles the
+        # clamp, u = Phi(x) = 1e-12 and 1 - 1e-12, with neighbours
+        grid = GridSpec(half_width=30.0, step=2.0)
+        axis = grid.axis_points()
+        eight = int(np.flatnonzero(axis == 8.0)[0])
+        clamp = _with_neighbours([std_normal_inv_cdf(UEPS), -std_normal_inv_cdf(UEPS)])
+        cases = [
+            (axis, joint_pdf_grid(spec, grid), [(0, -1), (-1, 0), (0, 0), (-1, -1), (eight, eight)]),
+            (clamp, jointdensity._grid_on_axes(spec, clamp, clamp), [(i, j) for i in range(6) for j in range(6)]),
+        ]
+        for xs, values, pairs in cases:
+            for i, j in pairs:
+                got = joint_pdf(spec, float(xs[i]), float(xs[j]))
+                assert math.isfinite(got) and got >= 0.0
+                assert _bits(got) == _bits(values[i, j]), (xs[i], xs[j])
+        assert joint_pdf(spec, 30.0, -30.0) == joint_pdf(spec, -30.0, 30.0) == 0.0
+
+
+def _bits(value) -> int:
+    return int(np.float64(value).view(np.int64))

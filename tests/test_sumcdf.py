@@ -297,6 +297,9 @@ class TestGridSpec:
             GridSpec(half_width=1e-12, step=1.0)  # no cell at all
         with pytest.raises(DomainError):
             GridSpec(step=0.0)
+        for half_width in (0.0, -5.0, math.nan):
+            with pytest.raises(DomainError, match="half_width must be positive"):
+                GridSpec(half_width=half_width)
         with pytest.raises(DomainError):
             GridSpec(half_width=5.0, step=0.033)  # lattice does not close
         with pytest.raises(DomainError):
@@ -366,6 +369,20 @@ class TestDistributionTable:
         with pytest.raises(ValueError):
             t.F_values[0] = 0.5
 
+    @pytest.mark.parametrize(
+        "z, raw, message",
+        [
+            ([0.0, 1.0, 2.0], [0.1, 0.2], "z_values and raw_F_values must be 1-D and equally long"),
+            ([[0.0, 1.0]], [[0.1, 0.2]], "z_values and raw_F_values must be 1-D and equally long"),
+            ([], [], "z_values must be nonempty and strictly ascending"),
+            ([0.0, 2.0, 1.0], [0.1, 0.2, 0.3], "z_values must be nonempty and strictly ascending"),
+            ([0.0, 0.0], [0.1, 0.2], "z_values must be nonempty and strictly ascending"),
+        ],
+    )
+    def test_rejects_bad_z(self, z, raw, message):
+        with pytest.raises(DomainError, match=message):
+            DistributionTable(z_values=np.array(z), raw_F_values=np.array(raw), spec=CopulaSpec.gauss(0.5), mode=TableMode.REFINED)
+
     def test_rejects_raw_overshoot(self):
         with pytest.raises(DomainError):
             DistributionTable(
@@ -412,6 +429,26 @@ def literal_lattice_reference(spec, grid):
                 total += joint_pdf(spec, float(xs[i]), float(xs[j])) * grid.step * grid.step
         out.append(total)
     return np.array(out)
+
+
+def _closed_form_density(spec):
+    """f(x, y) of ``spec`` on ``math``, as dblquad's integrand f(y, x): the
+    bivariate normal for Gauss, and for Clayton c(Phi(x), Phi(y)) phi(x) phi(y)
+    with c(u, v) = (1 + theta) (u v)^(-1 - theta) (u^-theta + v^-theta - 1)^(-2 - 1/theta)
+    and Phi(x) = erfc(-x / sqrt 2) / 2.  Inside [-5, 5]^2 no Phi reaches the
+    clamp and no phi product the underflow floor."""
+    if spec.family is CopulaFamily.GAUSS:
+        r2 = 1.0 - spec.rho * spec.rho
+        norm = 2.0 * math.pi * math.sqrt(r2)
+        return lambda y, x: math.exp(-(x * x - 2.0 * spec.rho * x * y + y * y) / (2.0 * r2)) / norm
+    theta = spec.theta
+
+    def clayton(y, x):
+        u, v = (0.5 * math.erfc(-t / math.sqrt(2.0)) for t in (x, y))
+        c = (1.0 + theta) * (u * v) ** (-1.0 - theta) * (u**-theta + v**-theta - 1.0) ** (-2.0 - 1.0 / theta)
+        return c * math.exp(-0.5 * (x * x + y * y)) / (2.0 * math.pi)
+
+    return clayton
 
 
 def per_row_kahan_reference(spec, grid):
@@ -700,13 +737,20 @@ class TestRefined:
             assert sup <= 5e-3
 
     def test_against_adaptive_quadrature(self):
+        # dblquad makes about 100,000 calls of its integrand, so it gets the
+        # closed-form density on math, held first to joint_pdf's grid entries
         from scipy import integrate
 
         for spec in [CopulaSpec.gauss(0.5), CopulaSpec.clayton(5.0)]:
+            density = _closed_form_density(spec)
+            grid = GridSpec(half_width=5.0, step=0.5)
+            axis = grid.axis_points()
+            want = np.array([[density(float(y), float(x)) for y in axis] for x in axis])
+            np.testing.assert_allclose(want, joint_pdf_grid(spec, grid), rtol=1e-12, atol=0.0)
             table = cdf_refined(spec)
             for z in (-1.0, 0.55, 2.0):
                 expected, err = integrate.dblquad(
-                    lambda y, x: joint_pdf(spec, x, y),
+                    density,
                     -5.0,
                     5.0,
                     lambda x: -5.0,
@@ -949,3 +993,5 @@ class TestQuantileSweep:
     def test_report_validation(self):
         with pytest.raises(DomainError):
             QuantileReport(rho=0.5, qs=(0.95, 0.99), values={"gauss": (3.0, 2.0)})
+        with pytest.raises(DomainError, match=r"^clayton: got 1 quantiles for 2 levels$"):
+            QuantileReport(rho=0.5, qs=(0.95, 0.99), values={"gauss": (2.0, 3.0), "clayton": (2.0,)})
