@@ -1,12 +1,12 @@
 """The Student-t quantile of :mod:`sumdist.specfun`, one array kernel.
 
-``specfun.student_t_inv_cdf_array`` calls ``student_t_inv_cdf_flat`` on its
-elements, and the scalar ``specfun.student_t_inv_cdf`` on a one-element
-array, so the scalar is the kernel's lane to the bit.  Both import this
-module on their first call.  Only commands with a t axis run the quantile,
-so ``import sumdist.cli`` does not compile it: every invocation compiles
-the modules it imports, and without bytecode that cost shows in start-up
-time and peak memory.
+``specfun.student_t_inv_cdf`` checks its arguments and calls
+``student_t_inv_cdf_flat`` on the flattened elements, a float's as a
+one-element array, so a float's quantile is its lane in any array to the
+bit.  It imports this module on its first call.  Only commands with a t
+axis run the quantile, so ``import sumdist.cli`` does not compile it:
+every invocation compiles the modules it imports, and without bytecode
+that cost shows in start-up time and peak memory.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ import numpy as np
 
 from .errors import DomainError
 from .specfun import (
+    _std_normal_inv_cdf_flat,
     _t_log_far_tail,
     _t_log_normalizer,
     _t_log_pdf_flat,
     _t_log_tail_scale,
     _t_tail_beta_flat,
-    std_normal_inv_cdf_array,
 )
 
 # The quantile solves T_nu(-t) = q for t = |x| > 0 by Newton steps from a
@@ -119,7 +119,7 @@ def _t_start_flat(setup: _TQuantileSetup, q: np.ndarray, log_q: np.ndarray) -> n
             y = np.exp(setup.hill_log_y(log_q))
         normal = y > 0.05 + setup.a
         series = ~normal & (y >= _HILL_TAIL_MIN)
-        t[normal] = np.sqrt(nu * np.expm1(setup.hill_normal(std_normal_inv_cdf_array(q[normal]))))
+        t[normal] = np.sqrt(nu * np.expm1(setup.hill_normal(_std_normal_inv_cdf_flat(q[normal]))))
         t[series] = np.sqrt(nu * setup.hill_tail(y[series]))
     return t
 
@@ -127,9 +127,9 @@ def _t_start_flat(setup: _TQuantileSetup, q: np.ndarray, log_q: np.ndarray) -> n
 def student_t_inv_cdf_flat(p: np.ndarray, nu: float) -> np.ndarray:
     """The t quantile of each element of the 1-D ``p``, all inside (0, 1).
 
-    Behind :func:`sumdist.specfun.student_t_inv_cdf_array` and its one-lane
-    scalar, which check the arguments.  Each lane runs the start, the Newton
-    steps and the bracket, and stops by the rule above.
+    Behind :func:`sumdist.specfun.student_t_inv_cdf`, which checks the
+    arguments.  Each lane runs the start, the Newton steps and the bracket,
+    and stops by the rule above.
     """
     x = np.zeros_like(p)
     act = np.flatnonzero(p != 0.5)

@@ -319,9 +319,9 @@ def _axis_coordinate(spec: CopulaSpec, u: np.ndarray) -> np.ndarray:
     2.4e-155).  The Archimedean coordinate is u itself.
     """
     if spec.family is CopulaFamily.GAUSS:
-        return specfun.std_normal_inv_cdf_array(u)
+        return specfun.std_normal_inv_cdf(u)
     if spec.family is CopulaFamily.STUDENT_T:
-        return specfun.student_t_inv_cdf_array(u, spec.nu)
+        return specfun.student_t_inv_cdf(u, spec.nu)
     return u
 
 
@@ -615,12 +615,12 @@ def _conditional_integral(spec: CopulaSpec, u: float, v: float) -> float:
     rho = spec.rho
     r2 = 1.0 - rho * rho
     if spec.family is CopulaFamily.GAUSS:
-        h = specfun.std_normal_cdf_array((y - rho * x) / math.sqrt(r2))
+        h = specfun.std_normal_cdf((y - rho * x) / math.sqrt(r2))
     else:
         nu = spec.nu
         # hypot keeps nu + x^2 from overflowing where the quantile is huge
         arg = (y - rho * x) / np.hypot(math.sqrt(nu), x) * math.sqrt((nu + 1.0) / r2)
-        h = specfun.student_t_cdf_array(arg, nu + 1.0)
+        h = specfun.student_t_cdf(arg, nu + 1.0)
     return u * float(_TS_WEIGHTS @ h)
 
 

@@ -99,8 +99,8 @@ def _axis_terms(spec: CopulaSpec, axis: np.ndarray, memo: dict) -> tuple[np.ndar
     """
     points = axis.tobytes()
     if points not in memo:
-        u = _clamp_u(specfun.std_normal_cdf_array(axis))
-        memo[points] = (u, specfun.std_normal_pdf_array(axis))
+        u = _clamp_u(specfun.std_normal_cdf(axis))
+        memo[points] = (u, specfun.std_normal_pdf(axis))
     u, pdf = memo[points]
     key = (spec.family, spec.nu, points)
     if key not in memo:

@@ -255,7 +255,7 @@ def _gauss_normals(spec: CopulaSpec, rng: RandomSource, m: int) -> np.ndarray:
 
 
 def _chunk_gauss(spec: CopulaSpec, rng: RandomSource, m: int) -> np.ndarray:
-    return _blockwise(specfun.std_normal_cdf_array, _gauss_normals(spec, rng, m))
+    return _blockwise(specfun.std_normal_cdf, _gauss_normals(spec, rng, m))
 
 
 def _chunk_student_t(spec: CopulaSpec, rng: RandomSource, m: int) -> np.ndarray:
@@ -263,7 +263,7 @@ def _chunk_student_t(spec: CopulaSpec, rng: RandomSource, m: int) -> np.ndarray:
     # CopulaSpec's floor nu >= 0.2 keeps every chi-square draw above about
     # 1e-186, so the scale stays finite
     scale = np.sqrt(spec.nu / rng.chi_square_block(spec.nu, m))
-    return _blockwise(lambda b: specfun.student_t_cdf_array(b, spec.nu), np.column_stack([x * scale, y * scale]))
+    return _blockwise(lambda b: specfun.student_t_cdf(b, spec.nu), np.column_stack([x * scale, y * scale]))
 
 
 def _log_exponentials(rng: RandomSource, m: int) -> np.ndarray:
@@ -394,7 +394,7 @@ def sample_sum(spec: CopulaSpec, n: int, rng: RandomSource) -> SampleSet:
     if spec.family is CopulaFamily.GAUSS:
         pairs = _draw(spec, n, rng, _gauss_normals, uniform=False)
     else:
-        pairs = _blockwise(specfun.std_normal_inv_cdf_array, sample_copula(spec, n, rng))
+        pairs = _blockwise(specfun.std_normal_inv_cdf, sample_copula(spec, n, rng))
     return SampleSet(pairs=pairs, spec=spec, seed=rng.seed)
 
 

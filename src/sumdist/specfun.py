@@ -49,14 +49,9 @@ __all__ = [
     "std_normal_pdf",
     "std_normal_cdf",
     "std_normal_inv_cdf",
-    "std_normal_pdf_array",
-    "std_normal_cdf_array",
-    "std_normal_inv_cdf_array",
     "student_t_pdf",
     "student_t_cdf",
     "student_t_inv_cdf",
-    "student_t_cdf_array",
-    "student_t_inv_cdf_array",
     "ln_gamma",
     "reg_incomplete_beta",
     "debye1",
@@ -71,9 +66,9 @@ def _flat(x) -> tuple[np.ndarray, tuple]:
     return arr.ravel(), arr.shape
 
 
-def _lane(x) -> np.ndarray:
-    """``x`` as the one lane of a kernel's input."""
-    return np.array([x], dtype=float)
+def _shaped(out: np.ndarray, shape: tuple):
+    """A kernel's flat ``out`` in the input's ``shape``: a float for a 0-d input."""
+    return out.reshape(shape) if shape else float(out[0])
 
 
 def _require(ok: np.ndarray, flat: np.ndarray, message: str) -> None:
@@ -178,24 +173,24 @@ def _erf_small(x):
     return x * (num + _ERF_A[3]) / (den + _ERF_B[3])
 
 
-def std_normal_pdf(x: float) -> float:
-    """Density of N(0, 1): exp(-x^2/2) / sqrt(2 pi), the one lane of
-    :func:`std_normal_pdf_array`."""
-    if not math.isfinite(x):
-        raise DomainError(f"std_normal_pdf requires finite x, got {x!r}")
-    return float(_std_normal_pdf_flat(_lane(x))[0])
+def std_normal_pdf(x: float | np.ndarray) -> float | np.ndarray:
+    """Density of N(0, 1), exp(-x^2/2) / sqrt(2 pi), at a float or at each
+    element of an array."""
+    flat, shape = _flat(x)
+    _require(np.isfinite(flat), flat, "std_normal_pdf requires finite x")
+    return _shaped(_std_normal_pdf_flat(flat), shape)
 
 
-def std_normal_cdf(x: float) -> float:
-    """Distribution function of N(0, 1), the one lane of :func:`std_normal_cdf_array`.
+def std_normal_cdf(x: float | np.ndarray) -> float | np.ndarray:
+    """Distribution function of N(0, 1) at a float or at each element of an array.
 
     Evaluated as erfc(|x|/sqrt(2))/2 on the tail side, which keeps full
     relative accuracy in the far tails and makes Phi(x) + Phi(-x) == 1 hold
     exactly in floating point.
     """
-    if not math.isfinite(x):
-        raise DomainError(f"std_normal_cdf requires finite x, got {x!r}")
-    return float(_std_normal_cdf_flat(_lane(x))[0])
+    flat, shape = _flat(x)
+    _require(np.isfinite(flat), flat, "std_normal_cdf requires finite x")
+    return _shaped(_std_normal_cdf_flat(flat), shape)
 
 
 # Wichura's PPND16 (AS241, Applied Statistics 37, 1988): three (7, 7)
@@ -232,18 +227,18 @@ def _ppnd_ratio(c, r):
     )
 
 
-def std_normal_inv_cdf(p: float) -> float:
-    """Quantile function of N(0, 1) for p strictly inside (0, 1).
+def std_normal_inv_cdf(p: float | np.ndarray) -> float | np.ndarray:
+    """Quantile function of N(0, 1) at a float or at each element of an
+    array, for p strictly inside (0, 1).
 
     Wichura's AS241 in one rational pass, within 1e-15 relative in both
     tails, down to the smallest subnormal p.  The tails are reached through
     min(p, 1 - p), which is exact for p >= 1/2, so Phi^-1(1 - p) is
-    -Phi^-1(p) to the bit there.  The value is the one lane of
-    :func:`std_normal_inv_cdf_array`.
+    -Phi^-1(p) to the bit there.
     """
-    if not (0.0 < p < 1.0):
-        raise DomainError(f"std_normal_inv_cdf requires 0 < p < 1, got {p!r}")
-    return float(_std_normal_inv_cdf_flat(_lane(p))[0])
+    flat, shape = _flat(p)
+    _require((flat > 0.0) & (flat < 1.0), flat, "std_normal_inv_cdf requires 0 < p < 1")
+    return _shaped(_std_normal_inv_cdf_flat(flat), shape)
 
 
 def _erfc_positive_flat(y: np.ndarray) -> np.ndarray:
@@ -304,27 +299,6 @@ def _std_normal_inv_cdf_flat(p: np.ndarray) -> np.ndarray:
         # np.where, not np.copysign: copysign's first call faults in 128 KB
         x[tail] = np.where(q[tail] < 0.0, -mag, mag)
     return x
-
-
-def std_normal_pdf_array(x) -> np.ndarray:
-    """:func:`std_normal_pdf` of each element of ``x``, in the shape of ``x``."""
-    flat, shape = _flat(x)
-    _require(np.isfinite(flat), flat, "std_normal_pdf requires finite x")
-    return _std_normal_pdf_flat(flat).reshape(shape)
-
-
-def std_normal_cdf_array(x) -> np.ndarray:
-    """:func:`std_normal_cdf` of each element of ``x``, in the shape of ``x``."""
-    flat, shape = _flat(x)
-    _require(np.isfinite(flat), flat, "std_normal_cdf requires finite x")
-    return _std_normal_cdf_flat(flat).reshape(shape)
-
-
-def std_normal_inv_cdf_array(p) -> np.ndarray:
-    """:func:`std_normal_inv_cdf` of each element of ``p``, in the shape of ``p``."""
-    flat, shape = _flat(p)
-    _require((flat > 0.0) & (flat < 1.0), flat, "std_normal_inv_cdf requires 0 < p < 1")
-    return _std_normal_inv_cdf_flat(flat).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -463,13 +437,14 @@ def _reg_incomplete_beta_flat(x: np.ndarray, a: float, b: float) -> np.ndarray:
     return out
 
 
-def reg_incomplete_beta(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta I_x(a, b) for x in [0, 1], a > 0, b > 0."""
+def reg_incomplete_beta(x: float | np.ndarray, a: float, b: float) -> float | np.ndarray:
+    """Regularized incomplete beta I_x(a, b) at a float x or at each element
+    of an array, for x in [0, 1], a > 0, b > 0."""
     if not (a > 0.0 and b > 0.0):
         raise DomainError(f"reg_incomplete_beta requires a, b > 0, got a={a!r}, b={b!r}")
-    if not (0.0 <= x <= 1.0):
-        raise DomainError(f"reg_incomplete_beta requires x in [0, 1], got {x!r}")
-    return float(_reg_incomplete_beta_flat(_lane(x), a, b)[0])
+    flat, shape = _flat(x)
+    _require((flat >= 0.0) & (flat <= 1.0), flat, "reg_incomplete_beta requires x in [0, 1]")
+    return _shaped(_reg_incomplete_beta_flat(flat, a, b), shape)
 
 
 # ---------------------------------------------------------------------------
@@ -493,13 +468,14 @@ def _t_log_pdf_flat(x: np.ndarray, nu: float) -> np.ndarray:
     return _t_log_normalizer(nu) - 0.5 * (nu + 1.0) * log1p_q
 
 
-def student_t_pdf(x: float, nu: float) -> float:
-    """Density of the Student-t distribution with nu > 0 degrees of freedom."""
+def student_t_pdf(x: float | np.ndarray, nu: float) -> float | np.ndarray:
+    """Density of the Student-t distribution with nu > 0 degrees of freedom
+    at a float or at each element of an array."""
     if not (nu > 0.0):
         raise DomainError(f"student_t_pdf requires nu > 0, got {nu!r}")
-    if not math.isfinite(x):
-        raise DomainError(f"student_t_pdf requires finite x, got {x!r}")
-    return float(np.exp(_t_log_pdf_flat(_lane(x), nu))[0])
+    flat, shape = _flat(x)
+    _require(np.isfinite(flat), flat, "student_t_pdf requires finite x")
+    return _shaped(np.exp(_t_log_pdf_flat(flat, nu)), shape)
 
 
 def _t_log_tail_scale(nu: float) -> float:
@@ -549,32 +525,25 @@ def _student_t_cdf_flat(x: np.ndarray, nu: float) -> np.ndarray:
     return np.where(x < 0.0, lower, 1.0 - lower)
 
 
-def student_t_cdf(x: float, nu: float) -> float:
-    """Distribution function of the Student-t with nu > 0 degrees of freedom.
+def student_t_cdf(x: float | np.ndarray, nu: float) -> float | np.ndarray:
+    """Distribution function of the Student-t with nu > 0 degrees of freedom
+    at a float or at each element of an array.
 
     T_nu(-|x|) comes from the one incomplete beta of ``_t_tail_beta_flat``
     that holds it to full relative accuracy, G/2 on the tail side and
     (1 - G)/2 on the core side, and the symmetric halves are stitched at
-    x = 0.  The value is the one lane of :func:`student_t_cdf_array`.
+    x = 0.
     """
-    if not (nu > 0.0):
-        raise DomainError(f"student_t_cdf requires nu > 0, got {nu!r}")
-    if not math.isfinite(x):
-        raise DomainError(f"student_t_cdf requires finite x, got {x!r}")
-    return float(_student_t_cdf_flat(_lane(x), nu)[0])
-
-
-def student_t_cdf_array(x, nu: float) -> np.ndarray:
-    """:func:`student_t_cdf` of each element of ``x``, in the shape of ``x``."""
     if not (nu > 0.0):
         raise DomainError(f"student_t_cdf requires nu > 0, got {nu!r}")
     flat, shape = _flat(x)
     _require(np.isfinite(flat), flat, "student_t_cdf requires finite x")
-    return _student_t_cdf_flat(flat, nu).reshape(shape)
+    return _shaped(_student_t_cdf_flat(flat, nu), shape)
 
 
-def student_t_inv_cdf(p: float, nu: float) -> float:
-    """Quantile function of the Student-t, within 1e-12 relative.
+def student_t_inv_cdf(p: float | np.ndarray, nu: float) -> float | np.ndarray:
+    """Quantile function of the Student-t at a float or at each element of
+    an array, within 1e-12 relative.
 
     Solves T_nu(-t) = q for the lower-tail probability q = min(p, 1 - p),
     which is exact for p >= 1/2, so both tails keep their relative accuracy
@@ -586,22 +555,8 @@ def student_t_inv_cdf(p: float, nu: float) -> float:
     ``_t_tail_beta_flat``, which keeps T_nu(-t) relatively accurate (see
     ``sumdist._tquantile``).  Where the quantile is not a finite double
     (at nu = 0.5, for p below about 2.4e-155), a ``DomainError`` names p
-    and nu.  The value is the one lane of :func:`student_t_inv_cdf_array`.
-    """
-    if not (nu > 0.0):
-        raise DomainError(f"student_t_inv_cdf requires nu > 0, got {nu!r}")
-    if not (0.0 < p < 1.0):
-        raise DomainError(f"student_t_inv_cdf requires 0 < p < 1, got {p!r}")
-    from ._tquantile import student_t_inv_cdf_flat
-
-    return float(student_t_inv_cdf_flat(_lane(p), nu)[0])
-
-
-def student_t_inv_cdf_array(p, nu: float) -> np.ndarray:
-    """:func:`student_t_inv_cdf` of each element of ``p``, in the shape of ``p``.
-
-    Each pass of the Newton steps evaluates the t CDF on the lanes still
-    moving.
+    and nu.  Each pass of the Newton steps evaluates the t CDF on the
+    elements still moving.
     """
     if not (nu > 0.0):
         raise DomainError(f"student_t_inv_cdf requires nu > 0, got {nu!r}")
@@ -609,7 +564,7 @@ def student_t_inv_cdf_array(p, nu: float) -> np.ndarray:
     _require((flat > 0.0) & (flat < 1.0), flat, "student_t_inv_cdf requires 0 < p < 1")
     from ._tquantile import student_t_inv_cdf_flat
 
-    return student_t_inv_cdf_flat(flat, nu).reshape(shape)
+    return _shaped(student_t_inv_cdf_flat(flat, nu), shape)
 
 
 # ---------------------------------------------------------------------------

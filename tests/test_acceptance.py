@@ -28,7 +28,6 @@ from sumdist.jointdensity import _grid_on_axes, joint_pdf, joint_pdf_grid
 from sumdist.sampler import RandomSource, empirical_cdf, estimate_tau, sample_copula, sample_sum
 from sumdist.specfun import (
     std_normal_cdf,
-    std_normal_cdf_array,
     std_normal_inv_cdf,
     student_t_cdf,
     student_t_inv_cdf,
@@ -422,7 +421,7 @@ def test_criterion_8_property_suites(refined_tables_rho09):
         ss = sample_sum(spec_from_rho(fam, 0.9, 4.0), 10**5, RandomSource(SEED))
         for col in (0, 1):
             xs = np.sort(ss.pairs[:, col])
-            cdf_vals = std_normal_cdf_array(xs)
+            cdf_vals = std_normal_cdf(xs)
             grid_hi = np.arange(1, xs.size + 1) / xs.size
             grid_lo = np.arange(0, xs.size) / xs.size
             ks = max(float(np.max(np.abs(cdf_vals - grid_hi))), float(np.max(np.abs(cdf_vals - grid_lo))))

@@ -119,12 +119,12 @@ class TestJointPdfGrid:
         # and a point whose Phi is clamped keeps Phi^-1 of the clamp
         spec = CopulaSpec.gauss(0.9)
         axis = np.linspace(-8.5, 8.5, 69)
-        u = _clamp_u(specfun.std_normal_cdf_array(axis))
+        u = _clamp_u(specfun.std_normal_cdf(axis))
         inside = (u > UEPS) & (u < 1.0 - UEPS)
         assert 0 < inside.sum() < axis.size
         coord, _ = jointdensity._axis_terms(spec, axis, {})
         np.testing.assert_array_equal(coord[inside], axis[inside])
-        np.testing.assert_array_equal(coord[~inside], specfun.std_normal_inv_cdf_array(u[~inside]))
+        np.testing.assert_array_equal(coord[~inside], specfun.std_normal_inv_cdf(u[~inside]))
 
     def test_center_value_independence(self):
         grid = GridSpec(half_width=1.0, step=1.0, z_min=-1.0, z_max=1.0, z_step=1.0)
@@ -173,7 +173,7 @@ def _reference_coordinate(spec, axis):
     """The kernel coordinate of each axis point.  A Gauss point whose Phi is
     not clamped is its own coordinate, as the library takes it: the round
     trip through Phi and its exact quantile would carry Phi's last bit."""
-    u = _clamp_u(specfun.std_normal_cdf_array(axis))
+    u = _clamp_u(specfun.std_normal_cdf(axis))
     coord = _axis_coordinate(spec, u)
     if spec.family is CopulaFamily.GAUSS:
         inside = (u > UEPS) & (u < 1.0 - UEPS)
@@ -185,7 +185,7 @@ def unblocked_grid(spec, xs, ys):
     """The density grid in one whole-grid pass: the reference for the row blocks."""
     c1, c2 = _reference_coordinate(spec, xs), _reference_coordinate(spec, ys)
     dens = np.asarray(_density_from_coords(spec, c1[:, None], c2[None, :]), dtype=float)
-    weight = np.outer(specfun.std_normal_pdf_array(xs), specfun.std_normal_pdf_array(ys))
+    weight = np.outer(specfun.std_normal_pdf(xs), specfun.std_normal_pdf(ys))
     out = dens * weight
     out[weight < 1e-300] = 0.0
     return out
@@ -376,7 +376,7 @@ class TestKernelsInPlace:
         # a lattice and a second axis that runs into the clamp at both ends
         xs = GridSpec(step=0.05).axis_points()
         ys = np.linspace(-8.5, 8.5, 97)
-        return [_axis_coordinate(spec, _clamp_u(specfun.std_normal_cdf_array(a))) for a in (xs, ys)]
+        return [_axis_coordinate(spec, _clamp_u(specfun.std_normal_cdf(a))) for a in (xs, ys)]
 
     @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=lambda s: repr(s.describe()))
     def test_arrays_match_the_plain_expressions(self, spec):

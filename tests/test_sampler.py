@@ -274,7 +274,7 @@ class TestSampleCopula:
             np.testing.assert_array_equal(sample_copula(spec, n, RandomSource(SEED)), want, err_msg=repr(spec.describe()))
             # and the normal margins are their normal quantiles
             np.testing.assert_array_equal(
-                sample_sum(spec, n, RandomSource(SEED)).pairs, specfun.std_normal_inv_cdf_array(want), err_msg=repr(spec.describe())
+                sample_sum(spec, n, RandomSource(SEED)).pairs, specfun.std_normal_inv_cdf(want), err_msg=repr(spec.describe())
             )
 
     def test_clayton_near_independence_stays_inside(self):
@@ -416,18 +416,18 @@ class TestArrayTransforms:
                 ]
             )
             np.testing.assert_array_equal(pairs, normals)
-            np.testing.assert_array_equal(uv, specfun.std_normal_cdf_array(normals))
+            np.testing.assert_array_equal(uv, specfun.std_normal_cdf(normals))
         else:
             # the margins are the normal quantile kernel's values at the
             # uniforms, to the bit, whatever block they were taken in
-            np.testing.assert_array_equal(pairs, specfun.std_normal_inv_cdf_array(uv))
+            np.testing.assert_array_equal(pairs, specfun.std_normal_inv_cdf(uv))
 
     def test_gauss_chunk_applies_normal_cdf(self):
         spec = CopulaSpec.gauss(0.9)
         x, y = _correlated_normal_pair(RandomSource(SEED, 3), spec.rho, 3000)
         got = _chunk_gauss(spec, RandomSource(SEED, 3), 3000)
         np.testing.assert_allclose(got, stats.norm.cdf(np.column_stack([x, y])), rtol=0.0, atol=1e-12)
-        np.testing.assert_array_equal(got, specfun.std_normal_cdf_array(np.column_stack([x, y])))
+        np.testing.assert_array_equal(got, specfun.std_normal_cdf(np.column_stack([x, y])))
 
     @pytest.mark.parametrize("nu", [1.5, 4.0])
     def test_student_t_chunk_applies_t_cdf(self, nu):
@@ -438,8 +438,9 @@ class TestArrayTransforms:
         got = _chunk_student_t(spec, RandomSource(SEED, 3), 3000)
         xy = np.column_stack([x * scale, y * scale])
         np.testing.assert_allclose(got, stats.t.cdf(xy, nu), rtol=0.0, atol=1e-10)
-        # the kernel, whose lane is the scalar (test_specfun.py::TestStudentTLanes)
-        np.testing.assert_array_equal(got, specfun.student_t_cdf_array(xy, nu))
+        # the t CDF on the whole array, each element its value on a float
+        # (test_specfun.py::TestStudentTLanes)
+        np.testing.assert_array_equal(got, specfun.student_t_cdf(xy, nu))
 
 
 class TestEmpiricalCdf:

@@ -1,10 +1,11 @@
-"""Special function tests: the scalar functions and their array kernels.
+"""Special function tests.
 
 Expected values marked as oracle-frozen were computed with mpmath at 40
 significant digits (see the exact expressions in comments); the library
-itself never touches mpmath.  The array kernels are checked against scipy
-or mpmath at their accuracy targets.  Each scalar is its kernel's one lane,
-checked bitwise at the branch edges of its kernel.
+itself never touches mpmath.  Each function is checked on arrays against
+scipy or mpmath at its accuracy target.  Each function takes a float or an
+array, and its value on a float is, bitwise, its value at that element of
+an array, checked at the branch edges of its kernel.
 """
 
 import math
@@ -26,20 +27,14 @@ from sumdist.jointdensity import joint_pdf, joint_pdf_grid
 from sumdist.specfun import (
     _INV_SQRT_2,
     _reg_incomplete_beta_flat,
-    _t_log_pdf_flat,
     debye1,
     ln_gamma,
     reg_incomplete_beta,
     std_normal_cdf,
-    std_normal_cdf_array,
     std_normal_inv_cdf,
-    std_normal_inv_cdf_array,
     std_normal_pdf,
-    std_normal_pdf_array,
     student_t_cdf,
-    student_t_cdf_array,
     student_t_inv_cdf,
-    student_t_inv_cdf_array,
     student_t_pdf,
 )
 from sumdist.sumcdf import TABLE2_RHOS
@@ -153,7 +148,7 @@ class TestStdNormalInvCdf:
         want = norm.ppf(ps)
         scalar = np.array([std_normal_inv_cdf(float(p)) for p in ps])
         np.testing.assert_allclose(scalar, want, rtol=1e-8, atol=0.0)
-        np.testing.assert_allclose(std_normal_inv_cdf_array(ps), want, rtol=1e-8, atol=0.0)
+        np.testing.assert_allclose(std_normal_inv_cdf(ps), want, rtol=1e-8, atol=0.0)
 
 
     def test_relative_error_against_mpmath_root(self):
@@ -170,7 +165,7 @@ class TestStdNormalInvCdf:
                 rng.uniform(0.0, 1.0, 200),
             ]
         )
-        x = std_normal_inv_cdf_array(p)
+        x = std_normal_inv_cdf(p)
         want = np.array([_normal_quantile_40(float(v), float(xv)) for v, xv in zip(p, x)])
         np.testing.assert_allclose(x, want, rtol=1e-15, atol=0.0)
         assert np.array_equal(x, [std_normal_inv_cdf(float(v)) for v in p])
@@ -179,8 +174,8 @@ class TestStdNormalInvCdf:
     def test_mirror_and_kernel_to_the_bit(self):
         # for p in [1/2, 1), 1 - p is exact, so Phi^-1(1 - p) = -Phi^-1(p)
         # holds in floating point (Acklam's rational and Halley step broke it
-        # on 123,166 of these p); the scalar is the kernel's lane, checked on
-        # every 1000th p here and at the branch edges in TestNormalLanes
+        # on 123,166 of these p); a float's quantile is its array lane, checked
+        # on every 1000th p here and at the branch edges in TestNormalLanes
         rng = np.random.default_rng(7004)
         p = np.concatenate(
             [
@@ -189,8 +184,8 @@ class TestStdNormalInvCdf:
                 [0.5, 0.925, 1.0 - math.exp(-25.0), 1.0 - 2.0**-53],
             ]
         )
-        upper = std_normal_inv_cdf_array(p)
-        lower = std_normal_inv_cdf_array(1.0 - p)
+        upper = std_normal_inv_cdf(p)
+        lower = std_normal_inv_cdf(1.0 - p)
         assert np.array_equal(lower, -upper)
         for values, kernel in ((p, upper), (1.0 - p, lower)):
             scalar = np.array([std_normal_inv_cdf(v) for v in values[::1000].tolist()])
@@ -382,7 +377,7 @@ class TestStudentTCdf:
         # last 1.7e-12 off; the direct incomplete beta keeps every digit
         want = _t_lower_tail_oracle(x, nu)
         assert student_t_cdf(x, nu) == pytest.approx(want, rel=1e-13, abs=0.0)
-        np.testing.assert_allclose(student_t_cdf_array(np.array([x, -x]), nu), [want, 1.0 - want], rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(student_t_cdf(np.array([x, -x]), nu), [want, 1.0 - want], rtol=1e-13, atol=0.0)
 
 
 class TestStudentTInvCdf:
@@ -427,7 +422,7 @@ class TestStudentTInvCdf:
         with pytest.raises(DomainError, match=r"\(0\.01, nu=0\.001\): the quantile lies beyond"):
             student_t_inv_cdf(0.01, 1e-3)
         with pytest.raises(DomainError, match=r"\(0\.01, nu=0\.001\): the quantile lies beyond"):
-            student_t_inv_cdf_array(np.array([0.3, 0.01]), 1e-3)
+            student_t_inv_cdf(np.array([0.3, 0.01]), 1e-3)
 
 
 def _t_quantile_error(x: float, p: float, nu: float) -> float:
@@ -453,7 +448,7 @@ def _t_axis_probabilities() -> dict:
         "refined-lower-edges": refined.axis_points()[:-1],
         "refined-midpoints": refined.cell_midpoints(),
     }
-    return {name: std_normal_cdf_array(axis) for name, axis in axes.items()}
+    return {name: std_normal_cdf(axis) for name, axis in axes.items()}
 
 
 class TestStudentTTails:
@@ -468,8 +463,8 @@ class TestStudentTTails:
         tiny = self._LOG_SPACED[self._LOG_SPACED > student_t_cdf(-sys.float_info.max, nu)]
         p = np.concatenate([tiny, *_t_axis_probabilities().values()])
         p = p[p != 0.5]
-        # the scalar is the kernel's lane (TestStudentTLanes)
-        got = student_t_inv_cdf_array(p, nu)
+        # a float's quantile is its array lane (TestStudentTLanes)
+        got = student_t_inv_cdf(p, nu)
         # scipy's own t.ppf saturates near 4.7e153, where its x * x overflows
         want = t_dist.ppf(p, nu)
         usable = np.abs(want) < 1e150
@@ -484,11 +479,11 @@ class TestStudentTTails:
             with pytest.raises(DomainError, match=rf"\({p!r}, nu=0\.5\): the quantile lies beyond"):
                 student_t_inv_cdf(p, 0.5)
             with pytest.raises(DomainError, match=rf"\({p!r}, nu=0\.5\): the quantile lies beyond"):
-                student_t_inv_cdf_array(np.array([0.3, p]), 0.5)
+                student_t_inv_cdf(np.array([0.3, p]), 0.5)
         # just inside, the quantile is a double near -DBL_MAX
         x = student_t_inv_cdf(1.01 * edge, 0.5)
         assert -sys.float_info.max <= x < -1.7e308
-        assert student_t_inv_cdf_array(np.array([1.01 * edge]), 0.5)[0] == x
+        assert student_t_inv_cdf(np.array([1.01 * edge]), 0.5)[0] == x
         assert _t_quantile_error(x, 1.01 * edge, 0.5) <= 1e-12
 
     @pytest.mark.parametrize("nu", [0.5, 1.0, 4.0])
@@ -499,14 +494,14 @@ class TestStudentTTails:
         got = np.array([student_t_cdf(float(v), nu) for v in x])
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
         both = np.concatenate([x, -x])
-        _assert_lanes(lambda a: student_t_cdf_array(a, nu), lambda v: student_t_cdf(v, nu), both)
+        _assert_lanes(lambda a: student_t_cdf(a, nu), both)
         assert all(student_t_cdf(float(-v), nu) == 1.0 for v in x)
 
     def test_cauchy_quantile_at_1e_300(self):
         # 1/(pi p), inside the range where x * x overflows
         x = student_t_inv_cdf(1e-300, 1.0)
         assert x == pytest.approx(-1.0 / (math.pi * 1e-300), rel=1e-13)
-        assert student_t_inv_cdf_array(np.array([1e-300]), 1.0)[0] == x
+        assert student_t_inv_cdf(np.array([1e-300]), 1.0)[0] == x
 
 
 class TestStudentTQuantilePasses:
@@ -531,7 +526,7 @@ class TestStudentTQuantilePasses:
     def test_array_passes_at_nu_4(self, monkeypatch, name):
         p = _t_axis_probabilities()[name]
         calls = self._counted(monkeypatch, "_t_tail_beta_flat")
-        student_t_inv_cdf_array(p, 4.0)
+        student_t_inv_cdf(p, 4.0)
         assert 1 <= len(calls) <= 4, [t.size for t in calls]
 
     def test_scalar_passes_at_nu_4(self, monkeypatch):
@@ -552,7 +547,7 @@ class TestStudentTQuantilePasses:
         x = student_t_inv_cdf(p, nu)
         scalar_passes = len(calls)
         calls.clear()
-        assert student_t_inv_cdf_array(np.array([p]), nu)[0] == x
+        assert student_t_inv_cdf(np.array([p]), nu)[0] == x
         assert scalar_passes <= 6 and len(calls) <= 6, (scalar_passes, len(calls))
         assert _t_quantile_error(x, p, nu) <= 1e-12
 
@@ -566,10 +561,10 @@ class TestStudentTQuantilePasses:
         # stay 10^3 above that edge
         p = np.geomspace(1e-300, 0.45, 40)
         p = np.concatenate([p[p > 1e3 * student_t_cdf(-sys.float_info.max, nu)], [0.55, 0.9, 0.999999]])
-        want = student_t_inv_cdf_array(p, nu)
+        want = student_t_inv_cdf(p, nu)
         start_flat = _tquantile._t_start_flat
         monkeypatch.setattr(_tquantile, "_t_start_flat", lambda *args: scale * start_flat(*args))
-        np.testing.assert_allclose(student_t_inv_cdf_array(p, nu), want, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(student_t_inv_cdf(p, nu), want, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose([student_t_inv_cdf(float(v), nu) for v in p], want, rtol=1e-13, atol=0.0)
 
 
@@ -623,8 +618,8 @@ class TestDebye1:
 
 
 # ---------------------------------------------------------------------------
-# array kernels: each held to its accuracy target against an independent
-# oracle (the scalars are their lanes, below)
+# each function on arrays, held to its accuracy target against an
+# independent oracle (its value on a float is its array lane, below)
 # ---------------------------------------------------------------------------
 
 _NUS = (0.5, 1.0, 2.5, 4.0, 30.0, 200.0)
@@ -636,11 +631,12 @@ def _with_neighbours(values) -> np.ndarray:
     return np.concatenate([v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)])
 
 
-def _assert_lanes(kernel, scalar, values) -> None:
-    """The kernel keeps the shape, and each scalar is its lane, to the bit."""
+def _assert_lanes(f, values) -> None:
+    """``f`` keeps the shape of an array, and its value on each element as a
+    float is its value at that element of the array, to the bit."""
     values = np.asarray(values, dtype=float)
-    expected = np.array([scalar(float(v)) for v in values.ravel()]).reshape(values.shape)
-    got = kernel(values)
+    expected = np.array([f(float(v)) for v in values.ravel()]).reshape(values.shape)
+    got = f(values)
     assert got.shape == values.shape
     np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
@@ -695,21 +691,21 @@ class TestArrayKernels:
         # where the result is subnormal; x * x overflows at 1e200
         with np.errstate(over="ignore"):
             bound = 1e-15 * (1.0 + x * x) * np.maximum(want, _TINY)
-        assert np.all(np.abs(std_normal_pdf_array(x) - want) <= bound)
+        assert np.all(np.abs(std_normal_pdf(x) - want) <= bound)
 
     def test_normal_cdf_accuracy(self):
         x = _normal_points()
-        np.testing.assert_allclose(std_normal_cdf_array(x), norm.cdf(x), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(std_normal_cdf(x), norm.cdf(x), rtol=0.0, atol=1e-12)
 
     def test_normal_inv_cdf_accuracy(self):
         p = _probability_points()
-        x = std_normal_inv_cdf_array(p)
+        x = std_normal_inv_cdf(p)
         np.testing.assert_allclose(norm.cdf(x), p, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("nu", _NUS)
     def test_t_cdf_accuracy(self, nu):
         x = _t_points(nu)
-        np.testing.assert_allclose(student_t_cdf_array(x, nu), t_dist.cdf(x, nu), rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(student_t_cdf(x, nu), t_dist.cdf(x, nu), rtol=0.0, atol=1e-10)
 
     @pytest.mark.parametrize("nu", _NUS)
     def test_t_inv_cdf_accuracy(self, nu):
@@ -717,51 +713,68 @@ class TestArrayKernels:
         # at nu = 0.5 the quantile of 1e-300 is not a double (see TestStudentTTails)
         tiny = 1e-300 if nu >= 1.0 else 1e-150
         p = np.concatenate([rng.uniform(0.0, 1.0, 400), [0.5, 1e-12, 1.0 - 1e-12, tiny, 1.0 - 2.0**-53]])
-        x = student_t_inv_cdf_array(p, nu)
+        x = student_t_inv_cdf(p, nu)
         np.testing.assert_allclose(t_dist.cdf(x, nu), p, rtol=0.0, atol=1e-10)
 
     @pytest.mark.parametrize(
-        "kernel",
-        [std_normal_pdf_array, std_normal_cdf_array, lambda a: student_t_cdf_array(a, 4.0)],
+        "f",
+        [std_normal_pdf, std_normal_cdf, lambda a: student_t_cdf(a, 4.0)],
     )
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_x_raises(self, kernel, bad):
+    def test_non_finite_x_raises(self, f, bad):
         with pytest.raises(DomainError):
-            kernel(np.array([0.1, bad, 0.3]))
+            f(np.array([0.1, bad, 0.3]))
 
     @pytest.mark.parametrize(
-        "kernel", [std_normal_inv_cdf_array, lambda a: student_t_inv_cdf_array(a, 4.0)]
+        "f", [std_normal_inv_cdf, lambda a: student_t_inv_cdf(a, 4.0)]
     )
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5, math.nan])
-    def test_p_outside_unit_interval_raises(self, kernel, bad):
+    def test_p_outside_unit_interval_raises(self, f, bad):
         with pytest.raises(DomainError):
-            kernel(np.array([0.3, bad]))
+            f(np.array([0.3, bad]))
 
-    @pytest.mark.parametrize("kernel", [student_t_cdf_array, student_t_inv_cdf_array])
+    @pytest.mark.parametrize("f", [student_t_cdf, student_t_inv_cdf])
     @pytest.mark.parametrize("nu", [0.0, -1.0, math.nan])
-    def test_nonpositive_nu_raises(self, kernel, nu):
+    def test_nonpositive_nu_raises(self, f, nu):
         with pytest.raises(DomainError):
-            kernel(np.array([0.3]), nu)
+            f(np.array([0.3]), nu)
 
-    @pytest.mark.parametrize(
-        "kernel, scalar",
-        [
-            (std_normal_pdf_array, std_normal_pdf),
-            (std_normal_cdf_array, std_normal_cdf),
-            (std_normal_inv_cdf_array, std_normal_inv_cdf),
-            (lambda a: student_t_cdf_array(a, 4.0), lambda v: student_t_cdf(v, 4.0)),
-            (lambda a: student_t_inv_cdf_array(a, 4.0), lambda v: student_t_inv_cdf(v, 4.0)),
-        ],
-    )
-    def test_shape_kept(self, kernel, scalar):
-        assert kernel(np.empty(0)).shape == (0,)
-        assert kernel(np.empty((0, 3))).shape == (0, 3)
-        _assert_lanes(kernel, scalar, np.linspace(0.05, 0.95, 12).reshape(3, 4))
+
+# the functions that take a float or an array, with their other arguments
+_ONE_NAME = {
+    "std_normal_pdf": (),
+    "std_normal_cdf": (),
+    "std_normal_inv_cdf": (),
+    "student_t_pdf": (4.0,),
+    "student_t_cdf": (4.0,),
+    "student_t_inv_cdf": (4.0,),
+    "reg_incomplete_beta": (2.0, 3.0),
+}
+
+
+class TestOneName:
+    @pytest.mark.parametrize("name", list(_ONE_NAME))
+    def test_float_in_float_out_shape_in_shape_out(self, name):
+        def f(x):
+            return getattr(specfun, name)(x, *_ONE_NAME[name])
+
+        for x in (0.3, np.float64(0.3), np.array(0.3), 1e-300):
+            assert type(f(x)) is float
+        for shape in ((0,), (0, 3), (1,), (2, 1, 3), (3, 4)):
+            got = f(np.linspace(0.05, 0.95, math.prod(shape)).reshape(shape))
+            assert isinstance(got, np.ndarray) and got.shape == shape
+        assert f([0.3, 0.6]).shape == (2,)
+        _assert_lanes(f, np.linspace(0.05, 0.95, 12).reshape(3, 4))
+
+    def test_one_name_per_function(self):
+        assert sorted(specfun.__all__) == sorted([*_ONE_NAME, "ln_gamma", "debye1"])
+        for name in _ONE_NAME:
+            assert not hasattr(specfun, f"{name}_array")
 
 
 # ---------------------------------------------------------------------------
-# each Student-t scalar is its kernel's one lane: the same bits at every
-# branch edge of the kernel, and the same error text
+# each Student-t function's value on a float is its kernel's lane: the same
+# bits at every branch edge of the kernel, and the same error text
 # ---------------------------------------------------------------------------
 
 _LANE_NUS = (0.5, 1.0, 1.5, 2.5, 4.0, 30.0, 200.0, 1e6)
@@ -802,19 +815,19 @@ def _t_quantile_edges(nu: float) -> np.ndarray:
 class TestStudentTLanes:
     @pytest.mark.parametrize("nu", _LANE_NUS)
     def test_cdf_is_the_kernel_lane(self, nu):
-        _assert_lanes(lambda a: student_t_cdf_array(a, nu), lambda v: student_t_cdf(v, nu), _t_cdf_edges(nu))
+        _assert_lanes(lambda a: student_t_cdf(a, nu), _t_cdf_edges(nu))
 
     @pytest.mark.parametrize("nu", _LANE_NUS)
     def test_quantile_is_the_kernel_lane(self, nu):
         p = _t_quantile_edges(nu)
-        _assert_lanes(lambda a: student_t_inv_cdf_array(a, nu), lambda v: student_t_inv_cdf(v, nu), p)
+        _assert_lanes(lambda a: student_t_inv_cdf(a, nu), p)
 
     @pytest.mark.parametrize("nu", _LANE_NUS)
     def test_pdf_is_the_kernel_lane(self, nu):
         # log1p(x^2/nu) is taken as 2 ln|x| - ln nu where x^2/nu overflows:
         # above sqrt(DBL_MAX nu) for nu < 1, where x * x overflows otherwise
         x = np.concatenate([_t_cdf_edges(nu), _with_neighbours([math.sqrt(sys.float_info.max * min(nu, 1.0))])])
-        _assert_lanes(lambda a: np.exp(_t_log_pdf_flat(a, nu)), lambda v: student_t_pdf(v, nu), x)
+        _assert_lanes(lambda a: student_t_pdf(a, nu), x)
 
     @pytest.mark.parametrize("a, b", [(2.0, 3.0), (5.0, 0.5), (0.5, 5.0), (2.5, 1.5), (100.0, 0.5), (0.25, 0.5)])
     def test_incomplete_beta_is_the_kernel_lane(self, a, b):
@@ -823,7 +836,7 @@ class TestStudentTLanes:
         x = np.concatenate(
             [_with_neighbours([(a + 1.0) / (a + b + 2.0)]), [0.0, 5e-324, 1e-300, 0.25, 0.5, 0.9, 1.0 - 2.0**-53, 1.0]]
         )
-        _assert_lanes(lambda v: _reg_incomplete_beta_flat(v, a, b), lambda v: reg_incomplete_beta(v, a, b), x)
+        _assert_lanes(lambda v: reg_incomplete_beta(v, a, b), x)
 
     def test_each_branch_is_reached(self, monkeypatch):
         # the quantile's point sets reach the tail and core betas and the far
@@ -861,7 +874,7 @@ class TestStudentTLanes:
         monkeypatch.setattr(_tquantile, "_t_tail_beta_flat", tail_beta_seen)
         monkeypatch.setattr(_tquantile, "_t_start_flat", start_seen)
         for nu in _LANE_NUS:
-            student_t_inv_cdf_array(_t_quantile_edges(nu), nu)
+            student_t_inv_cdf(_t_quantile_edges(nu), nu)
         assert seen == {
             "tail", "core", "far", "cauchy_small", "cauchy_central", "hill_normal", "hill_series", "line", "asymptote"
         }
@@ -869,29 +882,37 @@ class TestStudentTLanes:
     def test_error_text_is_the_kernels(self):
         # the quantile at nu = 0.5 is not a double below p = 2.4e-155
         cases = [
-            (lambda: student_t_inv_cdf(1e-200, 0.5), lambda: student_t_inv_cdf_array(np.array([1e-200]), 0.5)),
-            (lambda: student_t_inv_cdf(0.0, 4.0), lambda: student_t_inv_cdf_array(np.array([0.0]), 4.0)),
-            (lambda: student_t_inv_cdf(0.3, -1.0), lambda: student_t_inv_cdf_array(np.array([0.3]), -1.0)),
-            (lambda: student_t_cdf(math.inf, 4.0), lambda: student_t_cdf_array(np.array([math.inf]), 4.0)),
-            (lambda: student_t_cdf(1.0, 0.0), lambda: student_t_cdf_array(np.array([1.0]), 0.0)),
+            (student_t_inv_cdf, 1e-200, (0.5,)),
+            (student_t_inv_cdf, 0.0, (4.0,)),
+            (student_t_inv_cdf, 0.3, (-1.0,)),
+            (student_t_cdf, math.inf, (4.0,)),
+            (student_t_cdf, 1.0, (0.0,)),
+            (student_t_pdf, math.nan, (4.0,)),
+            (reg_incomplete_beta, 1.5, (2.0, 3.0)),
         ]
-        messages = []
-        for scalar, kernel in cases:
-            with pytest.raises(DomainError) as from_scalar:
-                scalar()
-            with pytest.raises(DomainError) as from_kernel:
-                kernel()
-            assert str(from_scalar.value) == str(from_kernel.value)
-            messages.append(str(from_scalar.value))
+        messages = [_same_error_on_float_and_array(f, bad, *args) for f, bad, args in cases]
         assert messages[0] == (
             "student_t_inv_cdf(1e-200, nu=0.5): the quantile lies beyond -1.7976931348623157e+308, "
             "so it is not a finite double"
         )
+        assert messages[-1] == "reg_incomplete_beta requires x in [0, 1], got 1.5"
+
+
+def _same_error_on_float_and_array(f, bad, *args) -> str:
+    """The text of the ``DomainError`` that ``f`` raises on ``bad``, the same
+    for the float and for a one-element array."""
+    with pytest.raises(DomainError) as on_float:
+        f(bad, *args)
+    with pytest.raises(DomainError) as on_array:
+        f(np.array([bad]), *args)
+    assert str(on_float.value) == str(on_array.value)
+    return str(on_float.value)
 
 
 # ---------------------------------------------------------------------------
-# each normal scalar is its kernel's one lane too, and joint_pdf is its grid
-# entry: the same bits at every branch edge, and the same error text
+# each normal function's value on a float is its kernel's lane too, and
+# joint_pdf is its grid entry: the same bits at every branch edge, and the
+# same error text
 # ---------------------------------------------------------------------------
 
 _DBL_MAX = sys.float_info.max
@@ -943,37 +964,30 @@ class TestNormalLanes:
     def test_cdf_is_the_kernel_lane(self):
         x = _normal_cdf_edges()
         assert all(branch.any() for branch in _cdf_branches(x))
-        _assert_lanes(std_normal_cdf_array, std_normal_cdf, x)
+        _assert_lanes(std_normal_cdf, x)
 
     def test_pdf_is_the_kernel_lane(self):
         # x * x overflows above sqrt(DBL_MAX), where the density is 0
         x = np.concatenate([_normal_cdf_edges(), _with_neighbours([math.sqrt(_DBL_MAX), -math.sqrt(_DBL_MAX)])])
-        _assert_lanes(std_normal_pdf_array, std_normal_pdf, x)
+        _assert_lanes(std_normal_pdf, x)
 
     def test_quantile_is_the_kernel_lane(self):
         p = _normal_quantile_edges()
         assert all(branch.any() for branch in _quantile_branches(p))
-        _assert_lanes(std_normal_inv_cdf_array, std_normal_inv_cdf, p)
+        _assert_lanes(std_normal_inv_cdf, p)
 
     def test_error_text_is_the_kernels(self):
         cases = [
-            (std_normal_pdf, std_normal_pdf_array, math.nan),
-            (std_normal_pdf, std_normal_pdf_array, -math.inf),
-            (std_normal_cdf, std_normal_cdf_array, math.inf),
-            (std_normal_cdf, std_normal_cdf_array, math.nan),
-            (std_normal_inv_cdf, std_normal_inv_cdf_array, 0.0),
-            (std_normal_inv_cdf, std_normal_inv_cdf_array, 1.0),
-            (std_normal_inv_cdf, std_normal_inv_cdf_array, -0.2),
-            (std_normal_inv_cdf, std_normal_inv_cdf_array, math.nan),
+            (std_normal_pdf, math.nan),
+            (std_normal_pdf, -math.inf),
+            (std_normal_cdf, math.inf),
+            (std_normal_cdf, math.nan),
+            (std_normal_inv_cdf, 0.0),
+            (std_normal_inv_cdf, 1.0),
+            (std_normal_inv_cdf, -0.2),
+            (std_normal_inv_cdf, math.nan),
         ]
-        messages = []
-        for scalar, kernel, bad in cases:
-            with pytest.raises(DomainError) as from_scalar:
-                scalar(bad)
-            with pytest.raises(DomainError) as from_kernel:
-                kernel(np.array([bad]))
-            assert str(from_scalar.value) == str(from_kernel.value)
-            messages.append(str(from_scalar.value))
+        messages = [_same_error_on_float_and_array(f, bad) for f, bad in cases]
         assert messages[2] == "std_normal_cdf requires finite x, got inf"
         assert messages[4] == "std_normal_inv_cdf requires 0 < p < 1, got 0.0"
 
