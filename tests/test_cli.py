@@ -692,8 +692,11 @@ class TestDensity:
         # log1p(expm1(a1) + expm1(a2)), which does not cancel near
         # independence: 1458 of the 10201 densities moved, by at most 2.9e-14
         # relative, the kernel's own rounding at this theta (1.3e-14 against
-        # 50-digit mpmath on either side)
-        assert digest == "de9dd33ec7d0c1034af65da5f08db90528faf5a3ccfb6e8881372649559be09e"
+        # 50-digit mpmath on either side).  Re-pinned when Phi's erfc took
+        # exp(-x^2/2) split on |x| instead of on the rounded |x|/sqrt(2), which
+        # had put Phi up to 2e-13 relative off in the lower tail: 3697 of the
+        # 10201 densities moved, by at most 4.3e-14 relative
+        assert digest == "016a95fb60a02a79980cec85d84870ef8b530579d8083a7ddd7f3967f68fdad8"
 
 
 def _csv(meta, columns):
@@ -932,8 +935,12 @@ class TestSweep:
         # 6.40e-5, which linear interpolation on the 0.025 z lattice sets.
         # Re-pinned when the normal quantile became Wichura's AS241: it moved
         # the start of the t quantile's Newton steps (Hill's), and so the
-        # (0.5, t) and (0.1, t) rows, by at most 4.6e-15 relative
-        assert digest == "a888bb66aac2219f902192f215e03afc69390aae23599e3fc7172235c2fec6d2"
+        # (0.5, t) and (0.1, t) rows, by at most 4.6e-15 relative.  Re-pinned
+        # when Phi's erfc took exp(-x^2/2) split on |x| instead of on the
+        # rounded |x|/sqrt(2) (Phi had been up to 2e-13 relative off in the
+        # lower tail): the (0.9, t), (0.9, clayton), (0.5, clayton) and
+        # (0.1, t) rows moved, by at most 3.7e-15 relative
+        assert digest == "efd493295d82db0e9bad5f2a066cbf1add9adfa4e998e0789c4b1c082c546d13"
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -1050,6 +1057,27 @@ class TestEntryPoints:
             "print(gc.get_freeze_count() > 0)"
         )
         assert _fresh_python(code).splitlines()[-1] == "True"
+
+    @pytest.fixture
+    def unfreeze(self):
+        yield
+        gc.unfreeze()
+
+    @pytest.mark.parametrize("n, status", [("10", None), ("0", 2)], ids=["returns", "exit-2"])
+    def test_process_entry_in_process(self, monkeypatch, capsys, tmp_path, unfreeze, n, status):
+        # the same entry in this interpreter, where the tracer sees it
+        out = tmp_path / "s.csv"
+        argv = ["sumdist", "sample", "--copula", "gauss", "--rho", "0.5", "--n", n, "--output", str(out)]
+        monkeypatch.setattr(sys, "argv", argv)
+        if status is None:
+            cli.run()
+            assert out.exists()
+        else:
+            with pytest.raises(SystemExit) as stopped:
+                cli.run()
+            assert stopped.value.code == status
+            assert capsys.readouterr().err == "Error: --n must be >= 1, got 0\n"
+        assert gc.get_freeze_count() > 0
 
     def test_in_process_call_leaves_the_collector_as_it_was(self, runner, tmp_path):
         frozen = gc.get_freeze_count()

@@ -154,6 +154,13 @@ class TestDependenceConversions:
             (CopulaFamily.CLAYTON, math.nan, "clayton requires theta > 0, got nan"),
             (CopulaFamily.GUMBEL, 0.5, r"gumbel requires theta >= 1, got 0\.5"),
             (CopulaFamily.FRANK, 0.0, "frank requires theta != 0"),
+            # CopulaSpec rejects these too; Clayton gave NaN, Gumbel 1.0 and
+            # Frank debye1's error
+            (CopulaFamily.CLAYTON, math.inf, "tau_from_theta requires a finite theta, got inf"),
+            (CopulaFamily.GUMBEL, math.inf, "tau_from_theta requires a finite theta, got inf"),
+            (CopulaFamily.FRANK, math.inf, "tau_from_theta requires a finite theta, got inf"),
+            (CopulaFamily.FRANK, -math.inf, "tau_from_theta requires a finite theta, got -inf"),
+            (CopulaFamily.FRANK, math.nan, "tau_from_theta requires a finite theta, got nan"),
         ],
     )
     def test_tau_from_theta_domain(self, family, theta, message):

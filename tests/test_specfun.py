@@ -696,6 +696,18 @@ class TestArrayKernels:
     def test_normal_cdf_accuracy(self):
         x = _normal_points()
         np.testing.assert_allclose(std_normal_cdf(x), norm.cdf(x), rtol=0.0, atol=1e-12)
+        # the relative target against mpmath, on every tenth random point and
+        # on every edge point: the bound above passes any lower-tail value
+        # below 1e-12.  The exponent split on the rounded |x|/sqrt(2) had put
+        # Phi 1.4e-14 relative off on [-10, -5] and 2e-13 near x = -37
+        x = np.concatenate([x[:100_000:10], x[100_000:]])
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.ncdf(v)) for v in x])
+        got = std_normal_cdf(x)
+        # below x = -26.5 sqrt(2), where Phi < 1.106e-307, the tail is returned as 0
+        flushed = x < -26.5 / _INV_SQRT_2
+        assert np.all(got[flushed] == 0.0) and np.all(want[flushed] < 1.106e-307)
+        np.testing.assert_allclose(got[~flushed], want[~flushed], rtol=1e-15, atol=0.0)
 
     def test_normal_inv_cdf_accuracy(self):
         p = _probability_points()
