@@ -203,19 +203,20 @@ def tau_from_pearson_rho(rho: float) -> float:
 
 def tau_from_theta(family: CopulaFamily, theta: float) -> float:
     """Kendall's tau of an Archimedean copula as a function of a finite theta."""
-    if family is CopulaFamily.CLAYTON and not (theta > 0.0):
-        raise DomainError(f"clayton requires theta > 0, got {theta!r}")
-    if family is CopulaFamily.GUMBEL and not (theta >= 1.0):
-        raise DomainError(f"gumbel requires theta >= 1, got {theta!r}")
-    if family is CopulaFamily.FRANK and theta == 0.0:
-        raise DomainError("frank requires theta != 0")
-    if not math.isfinite(theta):
+    # a NaN theta fails the Clayton and Gumbel range checks below, not Frank's
+    if math.isinf(theta) or (family is CopulaFamily.FRANK and math.isnan(theta)):
         raise DomainError(f"tau_from_theta requires a finite theta, got {theta!r}")
     if family is CopulaFamily.CLAYTON:
+        if not (theta > 0.0):
+            raise DomainError(f"clayton requires theta > 0, got {theta!r}")
         return theta / (theta + 2.0)
     if family is CopulaFamily.GUMBEL:
+        if not (theta >= 1.0):
+            raise DomainError(f"gumbel requires theta >= 1, got {theta!r}")
         return 1.0 - 1.0 / theta
     if family is CopulaFamily.FRANK:
+        if theta == 0.0:
+            raise DomainError("frank requires theta != 0")
         if abs(theta) < specfun._DEBYE1_SWITCH:
             # 1 - D1 ~ theta/4 would cancel; D1's series gives
             # tau = 4 theta sum_k c_k theta^(2k-2) directly
