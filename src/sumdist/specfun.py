@@ -66,7 +66,7 @@ def _flat(x) -> tuple[np.ndarray, tuple]:
     return arr.ravel(), arr.shape
 
 
-def _shaped(out: np.ndarray, shape: tuple):
+def _shaped(out: np.ndarray, shape: tuple) -> float | np.ndarray:
     """A kernel's flat ``out`` in the input's ``shape``: a float for a 0-d input."""
     return out.reshape(shape) if shape else float(out[0])
 
